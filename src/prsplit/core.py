@@ -250,7 +250,7 @@ class SolveTrace:
     """
 
     records: list[TraceRecord] = field(default_factory=list)
-    status: Literal["converged", "max_iter", "diverged"] = "max_iter"
+    status: Literal["converged", "max_iter", "diverged", "nonfinite"] = "max_iter"
     total_iterations: int = 0
 
     def __len__(self) -> int:

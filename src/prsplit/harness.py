@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -497,15 +498,8 @@ def run_restoration_demo(
     )
 
     reference = _restoration_reference(problem)
-    grad_ref = problem.f.gradient(reference)
-
-    def z_star_of(lp: LeverageParams) -> np.ndarray:
-        span = lp.tau + lp.eta
-        return (1.0 + lp.delta * span) * reference + span * grad_ref
-
-    problem = replace(
-        problem, solution_oracle=reference, fixed_point_oracle=z_star_of
-    )
+    problem = replace(problem, solution_oracle=reference)
+    problem = replace(problem, fixed_point_oracle=partial(fixed_point_oracle, problem))
 
     config = SolverConfig(max_iter=max_iter, tol=tol, stopping="normalized_error")
     runs: dict[str, MethodRun] = {}

@@ -1,21 +1,20 @@
 """Concrete prox functions and linear operators used by the experiments.
 
-Least-squares data terms (dense with cached Cholesky factors, or operator
-form with conjugate-gradient solves), the Huber penalty with an optional
-orthogonal transform, an orthonormal multi-level Haar transform, and a small
-circular blur operator.
+Least-squares data terms (dense with cached Cholesky factors, or a circular
+convolution solved in closed form by the 2-D FFT), the Huber penalty with an
+optional orthogonal transform, an orthonormal multi-level Haar transform, and
+a small circular blur operator.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
 from scipy import ndimage
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .core import ProxFunction
 from .errors import ShapeMismatch, SingularSystem
@@ -29,8 +28,6 @@ __all__ = [
     "haar_inverse",
     "HaarTransform",
     "BlurOperator",
-    "blur_apply",
-    "blur_adjoint",
     "gaussian_kernel",
     "OperatorLeastSquares",
     "gram_norm",
@@ -273,7 +270,6 @@ class BlurOperator:
     """
 
     kernel: np.ndarray
-    boundary: str = "circular"
 
     def __post_init__(self):
         k = np.asarray(self.kernel, dtype=float)
@@ -281,8 +277,6 @@ class BlurOperator:
             raise ShapeMismatch("kernel must be square")
         if np.any(k < 0) or not math.isclose(float(k.sum()), 1.0, rel_tol=0, abs_tol=1e-12):
             raise ValueError("kernel must be nonnegative and sum to 1")
-        if self.boundary != "circular":
-            raise ValueError("only the circular boundary is supported")
         object.__setattr__(self, "kernel", k)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -296,92 +290,49 @@ class BlurOperator:
         return ndimage.convolve(y, self.kernel[::-1, ::-1], mode="wrap")
 
 
-def blur_apply(op: BlurOperator, x: np.ndarray) -> np.ndarray:
-    return op.apply(x)
+# --- least squares with a circular convolution, diagonal in the 2-D DFT ------------
 
 
-def blur_adjoint(op: BlurOperator, y: np.ndarray) -> np.ndarray:
-    return op.adjoint(y)
+def _gram_spectrum(op, shape: tuple[int, int]) -> np.ndarray:
+    """Eigenvalues of T^T T for a circular convolution T, in ``rfft2`` layout.
 
-
-# --- spectral estimates for operator-form data terms -------------------------------
-
-
-def _gram_matvec(op, shape) -> Callable[[np.ndarray], np.ndarray]:
-    def matvec(v: np.ndarray) -> np.ndarray:
-        return op.adjoint(op.apply(v.reshape(shape))).ravel()
-
-    return matvec
-
-
-def gram_norm(op, shape: tuple[int, int], tol: float = 1e-12, max_iter: int = 500) -> float:
-    """Largest eigenvalue of T^T T by power iteration with Rayleigh quotients.
-
-    Starts from the constant image, which for a normalized nonnegative kernel
-    is the dominant eigenvector itself.
+    T is diagonalized by the 2-D DFT with eigenvalues ``rfft2(T e0)``, where
+    ``e0`` is the unit impulse at pixel (0, 0); the impulse response (rather
+    than a padded kernel) keeps this exact for any image shape and for
+    kernels larger than the image.  The half-spectrum of ``rfft2`` holds every
+    distinct eigenvalue, since the rest are complex conjugates.
     """
-    matvec = _gram_matvec(op, shape)
-    u = np.ones(int(np.prod(shape)))
-    u /= np.linalg.norm(u)
-    lam = 0.0
-    for _ in range(max_iter):
-        v = matvec(u)
-        lam_new = float(u @ v)
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return 0.0
-        u = v / nv
-        if abs(lam_new - lam) <= tol * abs(lam_new):
-            return lam_new
-        lam = lam_new
-    return lam
+    impulse = np.zeros(shape)
+    impulse[0, 0] = 1.0
+    return np.abs(np.fft.rfft2(op.apply(impulse))) ** 2
 
 
-def gram_smallest_eigenvalue(
-    op, shape: tuple[int, int], tol: float = 1e-10, max_iter: int = 200
-) -> float:
-    """Smallest eigenvalue of T^T T by inverse power iteration (CG inner solves).
+def gram_norm(op, shape: tuple[int, int]) -> float:
+    """Largest eigenvalue of T^T T for a circular convolution T (exact)."""
+    return float(_gram_spectrum(op, shape).max())
 
-    Rayleigh quotients converge to cluster resolution when the bottom of the
-    spectrum is nearly degenerate, which is all the rate tuning needs.  Starts
-    from the checkerboard mode, the natural high-frequency ansatz for a
-    low-pass kernel.
-    """
-    matvec = _gram_matvec(op, shape)
-    n = int(np.prod(shape))
-    G = LinearOperator((n, n), matvec=matvec)
-    idx = np.indices(shape).sum(axis=0)
-    u = np.where(idx % 2 == 0, 1.0, -1.0).ravel()
-    u /= np.linalg.norm(u)
-    lam = math.inf
-    for _ in range(max_iter):
-        v, info = cg(G, u, x0=u, rtol=1e-12, atol=0.0, maxiter=1000)
-        if info != 0:
-            raise SingularSystem("inner CG solve failed in inverse power iteration")
-        u = v / np.linalg.norm(v)
-        lam_new = float(u @ matvec(u))
-        if abs(lam_new - lam) <= tol * abs(lam_new):
-            return lam_new
-        lam = lam_new
-    return lam
+
+def gram_smallest_eigenvalue(op, shape: tuple[int, int]) -> float:
+    """Smallest eigenvalue of T^T T for a circular convolution T (exact)."""
+    return float(_gram_spectrum(op, shape).min())
 
 
 class OperatorLeastSquares:
-    """``x -> ||T x - b||^2 / 2`` for a linear operator given by apply/adjoint.
+    """``x -> ||T x - b||^2 / 2`` for a circular convolution T given by apply/adjoint.
 
-    The prox solves ``(I + gamma T^T T) p = x + gamma T^T b`` by conjugate
-    gradients, warm-started at ``x``.  Condition numbers are mild (the system
-    is an identity plus a scaled Gram matrix), so tight tolerances stay cheap.
+    T must be a circular convolution (such as :class:`BlurOperator`): the prox
+    solves ``(I + gamma T^T T) p = x + gamma T^T b`` in closed form by one
+    ``rfft2``, a division by ``1 + gamma * spectrum`` and one ``irfft2``, with
+    the Gram spectrum computed once at construction.
     """
 
-    def __init__(self, op, data: np.ndarray, cg_rtol: float = 1e-14, cg_maxiter: int = 1000):
+    def __init__(self, op, data: np.ndarray):
         self.op = op
         self.data = np.asarray(data, dtype=float)
         self.shape = self.data.shape
         self.dimension = int(np.prod(self.shape))
         self.adj_data = op.adjoint(self.data)
-        self.cg_rtol = cg_rtol
-        self.cg_maxiter = cg_maxiter
+        self.spectrum = _gram_spectrum(op, self.shape)
 
     def value(self, x: np.ndarray) -> float:
         r = self.op.apply(x) - self.data
@@ -393,20 +344,8 @@ class OperatorLeastSquares:
     def prox(self, gamma: float, x: np.ndarray) -> np.ndarray:
         if not (gamma > 0.0):
             raise ValueError("gamma must be positive")
-        shape = self.shape
-
-        def matvec(v: np.ndarray) -> np.ndarray:
-            img = v.reshape(shape)
-            return (img + gamma * self.op.adjoint(self.op.apply(img))).ravel()
-
-        system = LinearOperator((self.dimension, self.dimension), matvec=matvec)
-        rhs = (x + gamma * self.adj_data).ravel()
-        sol, info = cg(
-            system, rhs, x0=x.ravel(), rtol=self.cg_rtol, atol=0.0, maxiter=self.cg_maxiter
-        )
-        if info != 0:
-            raise SingularSystem(f"prox CG did not converge (info={info})")
-        return sol.reshape(shape)
+        rhs = np.fft.rfft2(x + gamma * self.adj_data)
+        return np.fft.irfft2(rhs / (1.0 + gamma * self.spectrum), s=self.shape)
 
     def to_prox_function(self, moduli: tuple[float, float]) -> ProxFunction:
         return ProxFunction(

@@ -120,6 +120,12 @@ class _Monitor:
             self.trace.records.append(
                 TraceRecord(iteration, residual, dist_prev, ratio)
             )
+        # NaN compares false in every test below: it would never converge or diverge
+        if not math.isfinite(residual) or (
+            dist_next is not None and not math.isfinite(dist_next)
+        ):
+            self.trace.status = "nonfinite"
+            return True
         if self.stopping == "residual":
             converged = residual <= self.config.tol
             metric, metric0 = residual, None

@@ -253,6 +253,18 @@ class TestClassicAndRelaxed:
         _, _, trace = prs_classic_solve(problem, 1.0, config, z0=np.ones(3))
         assert trace.status == "diverged"
 
+    @pytest.mark.parametrize("stopping", ["residual", "fixed_point_distance"])
+    def test_nonfinite_iterate_stops_at_once(self, stopping):
+        poisoned = ProxFunction(prox=lambda gamma, x: np.full_like(x, math.nan), dimension=3)
+        problem = CompositeProblem(
+            f=poisoned, g=zero_function(3),
+            regularity=RegularityParams(0, 0, 0, 0),
+        )
+        config = SolverConfig(max_iter=20000, tol=1e-12, stopping=stopping)
+        _, _, trace = prs_classic_solve(problem, 1.0, config, z0=np.ones(3), z_star=np.zeros(3))
+        assert trace.status == "nonfinite"
+        assert trace.iterations == 1
+
     def test_gf_ordering_still_converges(self, rng):
         problem = random_instance(rng)
         config = SolverConfig(max_iter=20000, tol=1e-11, stopping="residual")
