@@ -9,7 +9,6 @@ from .core import (
     ProxFunction,
     RegularityParams,
     SolveTrace,
-    Tolerances,
     validate_leverage,
     validate_regularity,
 )

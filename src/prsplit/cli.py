@@ -4,7 +4,8 @@ Subcommands: ``rates`` (closed-form rates and dominance for given moduli),
 ``tight-check``, ``bench-academic``, ``solve`` (JSON problem file),
 ``restore`` (PGM or synthetic image deblurring), ``sweep-delta`` (flat-rate
 verification).  The PRSPLIT_OUTDIR environment variable sets the default
-output directory.
+output directory.  Invalid input ends with a one-line ``prsplit: error: ...``
+on stderr and exit code 2, as argparse does for bad arguments.
 """
 
 from __future__ import annotations
@@ -239,7 +240,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:  # SplittingError is a ValueError
+        print(f"prsplit: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -26,8 +26,6 @@ from .errors import (
 )
 
 __all__ = [
-    "Tolerances",
-    "DEFAULT_TOLERANCES",
     "RegularityParams",
     "LeverageParams",
     "ProxFunction",
@@ -39,17 +37,6 @@ __all__ = [
     "firm_nonexpansiveness_gap",
     "moreau_gap",
 ]
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Central numerical tolerances used by the check utilities."""
-
-    atol: float = 1e-12
-    rtol: float = 1e-10
-
-
-DEFAULT_TOLERANCES = Tolerances()
 
 
 def _require_finite_nonnegative(name: str, value: float) -> None:
@@ -159,8 +146,12 @@ def validate_leverage(lp: LeverageParams, reg: RegularityParams) -> LeveragePara
         raise TauTooSmall(f"tau={t} must exceed |eta|={abs(e)}")
     if t * abs(d) >= 1.0 + d * e:
         raise ShiftIncompatible(f"tau*|delta|={t * abs(d)} >= 1 + delta*eta={1.0 + d * e}")
-    # implied, but cheap to assert: both recurrence denominators are positive
-    assert lp.f_scale > 0.0 and lp.g_scale > 0.0
+    # implied by the checks above, but cheap to enforce: both recurrence
+    # denominators are positive
+    if not (lp.f_scale > 0.0 and lp.g_scale > 0.0):
+        raise ShiftIncompatible(
+            f"prox-step denominators must be positive: {lp.f_scale}, {lp.g_scale}"
+        )
     return lp
 
 

@@ -65,10 +65,6 @@ class NotSmooth(SplittingError):
 
 # --- concrete prox functions ---------------------------------------------------
 
-class SingularSystem(SplittingError):
-    pass
-
-
 class ShapeMismatch(SplittingError):
     pass
 

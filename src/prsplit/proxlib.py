@@ -1,9 +1,9 @@
 """Concrete prox functions and linear operators used by the experiments.
 
-Least-squares data terms (dense with cached Cholesky factors, or a circular
-convolution solved in closed form by the 2-D FFT), the Huber penalty with an
-optional orthogonal transform, an orthonormal multi-level Haar transform, and
-a small circular blur operator.
+Least-squares data terms (dense, solved in the eigenbasis of its Gram
+matrix, or a circular convolution solved in closed form by the 2-D FFT), the
+Huber penalty with an optional orthogonal transform, an orthonormal
+multi-level Haar transform, and a small circular blur operator.
 """
 
 from __future__ import annotations
@@ -13,15 +13,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 from scipy import ndimage
 
 from .core import ProxFunction
-from .errors import ShapeMismatch, SingularSystem
+from .errors import ShapeMismatch
 
 __all__ = [
     "LeastSquaresFn",
-    "least_squares_prox",
     "estimate_moduli",
     "HuberFn",
     "haar_transform",
@@ -37,30 +35,37 @@ __all__ = [
 ]
 
 
-def estimate_moduli(A: np.ndarray) -> tuple[float, float]:
-    """Strong-convexity and cocoercivity moduli of ``x -> ||A x - a||^2 / 2``.
+def _moduli_from_spectrum(w: np.ndarray, shape: tuple[int, ...]) -> tuple[float, float]:
+    """``(rho, alpha)`` from the ascending eigenvalues ``w`` of ``A^T A``.
 
-    ``rho`` is the smallest eigenvalue of the Gram matrix (reported as 0 below
-    the numerical rank tolerance, e.g. for wide or rank-deficient A) and
-    ``alpha`` the reciprocal of the largest.
+    ``rho`` is reported as 0 below the numerical rank tolerance
+    ``max(w) * max(A.shape) * eps``, e.g. for wide or rank-deficient A.
     """
-    A = np.asarray(A, dtype=float)
-    w = np.linalg.eigvalsh(A.T @ A)
     lam_max = float(w[-1])
     if lam_max <= 0.0:
         raise ValueError("A must be nonzero")
-    rank_tol = lam_max * max(A.shape) * np.finfo(float).eps
+    rank_tol = lam_max * max(shape) * np.finfo(float).eps
     rho = float(w[0]) if w[0] > rank_tol else 0.0
     return rho, 1.0 / lam_max
 
 
-class LeastSquaresFn:
-    """``x -> ||A x - a||^2 / 2`` with prox by cached Cholesky factorizations.
+def estimate_moduli(A: np.ndarray) -> tuple[float, float]:
+    """Strong-convexity and cocoercivity moduli of ``x -> ||A x - a||^2 / 2``.
 
-    The prox solves ``(I + gamma A^T A) p = x + gamma A^T a``; the factor is
-    cached per distinct ``gamma`` (exact float equality), since each splitting
-    scheme uses a fixed handful of step sizes.  The cache is populated on
-    first use; pre-populate before sharing across threads.
+    ``rho`` is the smallest eigenvalue of the Gram matrix (0 below the rank
+    tolerance) and ``alpha`` the reciprocal of the largest.
+    """
+    A = np.asarray(A, dtype=float)
+    return _moduli_from_spectrum(np.linalg.eigvalsh(A.T @ A), A.shape)
+
+
+class LeastSquaresFn:
+    """``x -> ||A x - a||^2 / 2`` with prox in the eigenbasis of ``A^T A``.
+
+    With ``A^T A = V diag(spectrum) V^T`` computed once, the prox solves
+    ``(I + gamma A^T A) p = x + gamma A^T a`` for any ``gamma`` as
+    ``V ((V^T (x + gamma A^T a)) / (1 + gamma spectrum))``, and the moduli are
+    the extreme eigenvalues.
     """
 
     def __init__(self, A: np.ndarray, a: Optional[np.ndarray] = None):
@@ -72,25 +77,14 @@ class LeastSquaresFn:
         self.gram = self.A.T @ self.A
         self.at_a = self.A.T @ self.a
         self.dimension = m
-        self.moduli = estimate_moduli(self.A)
-        self._factors: dict[float, tuple] = {}
-
-    def _factor(self, gamma: float):
-        fac = self._factors.get(gamma)
-        if fac is None:
-            try:
-                fac = scipy.linalg.cho_factor(
-                    np.eye(self.dimension) + gamma * self.gram
-                )
-            except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded
-                raise SingularSystem(f"prox system singular at gamma={gamma}") from exc
-            self._factors[gamma] = fac
-        return fac
+        self.spectrum, self.basis = np.linalg.eigh(self.gram)
+        self.moduli = _moduli_from_spectrum(self.spectrum, self.A.shape)
 
     def prox(self, gamma: float, x: np.ndarray) -> np.ndarray:
         if not (gamma > 0.0):
             raise ValueError("gamma must be positive")
-        return scipy.linalg.cho_solve(self._factor(float(gamma)), x + gamma * self.at_a)
+        V = self.basis
+        return V @ ((V.T @ (x + gamma * self.at_a)) / (1.0 + gamma * self.spectrum))
 
     def value(self, x: np.ndarray) -> float:
         r = self.A @ x - self.a
@@ -107,10 +101,6 @@ class LeastSquaresFn:
             value=self.value,
             gradient=self.gradient,
         )
-
-
-def least_squares_prox(fn: LeastSquaresFn, gamma: float, x: np.ndarray) -> np.ndarray:
-    return fn.prox(gamma, x)
 
 
 # --- Huber penalty ---------------------------------------------------------------
@@ -265,8 +255,9 @@ def gaussian_kernel(size: int = 5, sigma: float = 0.5) -> np.ndarray:
 class BlurOperator:
     """2-D convolution with a normalized nonnegative kernel, circular boundary.
 
-    Circular wrapping keeps the adjoint exact (convolution with the flipped
-    kernel) and the operator norm at most one.
+    The kernel must be square with an odd side, so that it is centred.
+    Circular wrapping then keeps the adjoint exact (convolution with the
+    flipped kernel) and the operator norm at most one.
     """
 
     kernel: np.ndarray
@@ -275,6 +266,8 @@ class BlurOperator:
         k = np.asarray(self.kernel, dtype=float)
         if k.ndim != 2 or k.shape[0] != k.shape[1]:
             raise ShapeMismatch("kernel must be square")
+        if k.shape[0] % 2 != 1:
+            raise ShapeMismatch("kernel size must be odd")
         if np.any(k < 0) or not math.isclose(float(k.sum()), 1.0, rel_tol=0, abs_tol=1e-12):
             raise ValueError("kernel must be nonnegative and sum to 1")
         object.__setattr__(self, "kernel", k)
@@ -339,7 +332,8 @@ class OperatorLeastSquares:
         return 0.5 * float(np.vdot(r, r))
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.op.adjoint(self.op.apply(x) - self.data)
+        # T^T (T x - b) = T^T T x - T^T b, with T^T T diagonal in the 2-D DFT
+        return np.fft.irfft2(self.spectrum * np.fft.rfft2(x), s=self.shape) - self.adj_data
 
     def prox(self, gamma: float, x: np.ndarray) -> np.ndarray:
         if not (gamma > 0.0):

@@ -215,7 +215,7 @@ def dominance_report(reg: RegularityParams) -> list[tuple[str, Optional[float]]]
     """All closed-form rates, ascending, with ``None`` for undefined baselines.
 
     Under the leveraged hypotheses the leveraged rate is strictly the smallest
-    defined entry; this is asserted, not merely hoped.
+    defined entry; a violation raises ``RuntimeError``.
     """
     validate_regularity(reg, "leveraged")
     r_star = optimal_rate(reg)
@@ -238,6 +238,7 @@ def dominance_report(reg: RegularityParams) -> list[tuple[str, Optional[float]]]
     entries.append(("fista2", fista2))
 
     defined = [rate for _, rate in entries[1:] if rate is not None]
-    assert all(r_star < rate for rate in defined), "leveraged rate must dominate"
+    if not all(r_star < rate for rate in defined):
+        raise RuntimeError(f"leveraged rate {r_star} does not dominate {defined}")
     entries.sort(key=lambda item: math.inf if item[1] is None else item[1])
     return entries

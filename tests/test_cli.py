@@ -73,11 +73,28 @@ def test_solve_other_methods(tmp_path, rng, method):
     assert code == 0
 
 
-def test_solve_missing_matrix_rejected(tmp_path):
+def test_solve_missing_matrix_rejected(tmp_path, capsys):
     pf = tmp_path / "bad.json"
     pf.write_text(json.dumps({"A": [[1.0]]}))
-    with pytest.raises(ValueError):
-        main(["solve", "--problem-file", str(pf), "--out", str(tmp_path)])
+    assert main(["solve", "--problem-file", str(pf), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "prsplit: error: problem file needs matrix 'B'\n"
+
+
+def test_solve_missing_file_rejected(tmp_path, capsys):
+    code = main(["solve", "--problem-file", str(tmp_path / "absent.json"),
+                 "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("prsplit: error: ") and err.count("\n") == 1
+
+
+def test_rates_without_leverage_is_a_one_line_error(capsys):
+    code = main(["rates", "--rho", "0", "--alpha", "0", "--mu", "0", "--beta", "1"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "prsplit: error: leveraged solver requires min(rho + mu, alpha + beta) > 0\n"
+    )
 
 
 def test_restore_subcommand(tmp_path, capsys):

@@ -5,7 +5,6 @@ import pytest
 
 from prsplit.core import (
     CompositeProblem,
-    DEFAULT_TOLERANCES,
     LeverageParams,
     ProxFunction,
     RegularityParams,
@@ -29,11 +28,6 @@ from prsplit.rates import optimal_params
 from conftest import interior_delta, sample_regularity
 
 TIGHT_REG = RegularityParams(rho=1.0, alpha=0.25, mu=0.0, beta=1.0)
-
-
-def test_default_tolerances():
-    assert DEFAULT_TOLERANCES.atol == 1e-12
-    assert DEFAULT_TOLERANCES.rtol == 1e-10
 
 
 class TestValidateRegularity:

@@ -241,6 +241,12 @@ class TestDominance:
                 else:
                     assert swapped[name] == pytest.approx(original[name], rel=1e-12)
 
+    def test_violated_dominance_raises(self, monkeypatch):
+        # an explicit raise, not an assert that ``python -O`` would strip
+        monkeypatch.setattr("prsplit.rates.optimal_rate", lambda reg: 1.0)
+        with pytest.raises(RuntimeError, match="does not dominate"):
+            dominance_report(REG)
+
     def test_fista_bounds_match_remark_chain(self, rng):
         # r* <= (1-sqrt(F))/(1+sqrt(F)) <= 1-sqrt(F) for both variants
         for _ in range(50):
