@@ -37,13 +37,11 @@ from .leverage import (
     shifted_reflect,
 )
 from .solvers import (
-    IterateState,
     SolverConfig,
     drs_solve,
     fista_solve,
     prs_classic_solve,
     prs_lev_solve,
-    prs_lev_step,
 )
 
 __version__ = "0.1.0"

@@ -105,26 +105,18 @@ def make_least_squares_problem(
     """Composite problem for half squared residuals of two linear systems.
 
     Attaches the normal-equations solution
-    ``x* = (A^T A + B^T B)^{-1} (A^T a + B^T b)`` and the fixed-point oracle
-    ``z*(lp) = (1 + delta(tau+eta)) x* + (tau+eta) grad_f(x*)``.
+    ``x* = (A^T A + B^T B)^{-1} (A^T a + B^T b)`` and :func:`fixed_point_oracle`.
     """
     f = LeastSquaresFn(A, a)
     g = LeastSquaresFn(B, b)
     reg = RegularityParams(f.moduli[0], f.moduli[1], g.moduli[0], g.moduli[1])
-    x_star = np.linalg.solve(f.gram + g.gram, f.at_a + g.at_a)
-    grad_at_star = f.gradient(x_star)
-
-    def z_star(lp: LeverageParams) -> np.ndarray:
-        span = lp.tau + lp.eta
-        return (1.0 + lp.delta * span) * x_star + span * grad_at_star
-
-    return CompositeProblem(
+    problem = CompositeProblem(
         f=f.to_prox_function(),
         g=g.to_prox_function(),
         regularity=reg,
-        solution_oracle=x_star,
-        fixed_point_oracle=z_star,
+        solution_oracle=np.linalg.solve(f.gram + g.gram, f.at_a + g.at_a),
     )
+    return replace(problem, fixed_point_oracle=partial(fixed_point_oracle, problem))
 
 
 def generate_instance(spec: InstanceSpec) -> CompositeProblem:

@@ -1,16 +1,21 @@
 """Iterative schemes: leveraged PRS, classical PRS, relaxed DRS, and FISTA.
 
 All solvers share the stopping logic and trace capture of :class:`SolverConfig`.
-The splitting schemes consume only the prox oracles of the original pair; the
-quadratic-shift identities are baked into the leveraged step, so no new
-oracles are ever required.
+The three splitting schemes run one loop, ``_split``: from resolvents
+``first`` and ``second``, a reflection coefficient ``c0`` and a relaxation
+``lam`` it iterates ``x = first(z)``, ``d = second(c0*x - z) - x``,
+``z += lam*c0*d``.  Classical PRS is ``c0 = 2, lam = 1`` with the plain proxes
+and relaxed DRS is ``c0 = 2, lam < 1``.  Leveraged PRS is classical PRS on the
+shifted pair, written with the rescaled proxes of the original f and g, so no
+new oracles are ever required.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Optional
+from functools import partial
+from typing import Callable, Literal, Optional
 
 import numpy as np
 
@@ -26,8 +31,6 @@ from .errors import NotSmooth
 
 __all__ = [
     "SolverConfig",
-    "IterateState",
-    "prs_lev_step",
     "prs_lev_solve",
     "prs_classic_solve",
     "drs_solve",
@@ -62,30 +65,6 @@ class SolverConfig:
             raise ValueError("tol must be positive")
         if self.stopping not in (None, "fixed_point_distance", "normalized_error", "residual"):
             raise ValueError(f"unknown stopping rule {self.stopping!r}")
-
-
-@dataclass(frozen=True)
-class IterateState:
-    """Driving point z plus the last prox outputs x, p and reflected point y."""
-
-    z: np.ndarray
-    x: Optional[np.ndarray] = None
-    y: Optional[np.ndarray] = None
-    p: Optional[np.ndarray] = None
-
-
-def prs_lev_step(
-    state: IterateState, problem: CompositeProblem, lp: LeverageParams
-) -> IterateState:
-    """One leveraged step: two rescaled proxes of the original f and g."""
-    t, e = lp.tau, lp.eta
-    sf = lp.f_scale
-    x = problem.f.prox((t + e) / sf, state.z / sf)
-    y = (2.0 * t * x - (t - e) * state.z) / (t + e)
-    sg = lp.g_scale
-    p = problem.g.prox((t - e) / sg, y / sg)
-    z_next = state.z + (2.0 * t / (t - e)) * (p - x)
-    return IterateState(z=z_next, x=x, y=y, p=p)
 
 
 def _norm(v: np.ndarray) -> float:
@@ -185,6 +164,28 @@ def _resolve_fixed_point(
     return None
 
 
+def _split(
+    first: Callable[[np.ndarray], np.ndarray],
+    second: Callable[[np.ndarray], np.ndarray],
+    c0: float,
+    lam: float,
+    config: SolverConfig,
+    z: np.ndarray,
+    z_star: Optional[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, SolveTrace]:
+    """The one splitting loop; returns ``(first(z_final), z_final, trace)``."""
+    monitor = _Monitor(config, z, z_star)
+    step = lam * c0
+    for n in range(config.max_iter):
+        x = first(z)
+        d = second(c0 * x - z) - x
+        z = z + step * d
+        if monitor.update(n, _norm(d), z):
+            break
+    # the solution estimate belongs to the terminal z, not the previous one
+    return first(z), z, monitor.trace
+
+
 def prs_lev_solve(
     problem: CompositeProblem,
     lp: LeverageParams,
@@ -194,22 +195,28 @@ def prs_lev_solve(
 ) -> tuple[np.ndarray, np.ndarray, SolveTrace]:
     """Run the leveraged recurrence; returns ``(x_final, z_final, trace)``.
 
+    Each step is two rescaled proxes of the original f and g: ``x`` is the
+    f-prox at ``(tau+eta)/f_scale`` and the g-prox at ``(tau-eta)/g_scale``
+    takes the reflected point ``(2*tau*x - (tau-eta)*z) / (tau+eta)``.
     ``x_final`` is the f-prox output at termination, which converges to a
     minimizer of the original problem.
     """
     validate_regularity(problem.regularity, "leveraged")
     validate_leverage(lp, problem.regularity)
-    state = IterateState(z=_default_z0(problem, z0))
+    t, e = lp.tau, lp.eta
+    sf, sg = lp.f_scale, lp.g_scale
+    gamma_f, gamma_g = (t + e) / sf, (t - e) / sg
+    g_in = (t - e) / ((t + e) * sg)
+
+    def first(v: np.ndarray) -> np.ndarray:
+        return problem.f.prox(gamma_f, v / sf)
+
+    def second(v: np.ndarray) -> np.ndarray:
+        return problem.g.prox(gamma_g, v * g_in)
+
+    z = _default_z0(problem, z0)
     zs = _resolve_fixed_point(problem, lp, z_star)
-    monitor = _Monitor(config, state.z, zs)
-    for n in range(config.max_iter):
-        state = prs_lev_step(state, problem, lp)
-        if monitor.update(n, _norm(state.p - state.x), state.z):
-            break
-    # the solution estimate belongs to the terminal z, not the previous one
-    sf = lp.f_scale
-    x_final = problem.f.prox((lp.tau + lp.eta) / sf, state.z / sf)
-    return x_final, state.z, monitor.trace
+    return _split(first, second, 2.0 * t / (t - e), 1.0, config, z, zs)
 
 
 def drs_solve(
@@ -240,14 +247,7 @@ def drs_solve(
         zs = _resolve_fixed_point(problem, LeverageParams(0.0, 0.0, tau), z_star)
     else:
         zs = np.asarray(z_star, dtype=float) if z_star is not None else None
-    monitor = _Monitor(config, z, zs)
-    for n in range(config.max_iter):
-        x = first.prox(tau, z)
-        p = second.prox(tau, 2.0 * x - z)
-        z = z + 2.0 * lam * (p - x)
-        if monitor.update(n, _norm(p - x), z):
-            break
-    return first.prox(tau, z), z, monitor.trace
+    return _split(partial(first.prox, tau), partial(second.prox, tau), 2.0, lam, config, z, zs)
 
 
 def prs_classic_solve(

@@ -13,16 +13,15 @@ from prsplit.core import (
 )
 from prsplit.errors import NotSmooth
 from prsplit.harness import make_least_squares_problem
+from prsplit.leverage import ShiftedProxSpec, shifted_reflect
 from prsplit.proxlib import diagonal_quadratic, zero_function
 from prsplit.rates import delta_star, optimal_params, optimal_rate, rate_r1, rate_r2
 from prsplit.solvers import (
-    IterateState,
     SolverConfig,
     drs_solve,
     fista_solve,
     prs_classic_solve,
     prs_lev_solve,
-    prs_lev_step,
 )
 
 from conftest import interior_delta
@@ -48,35 +47,50 @@ def random_instance(rng, m=8, n=10, p=9, homogeneous=False):
     return make_least_squares_problem(A, a, B, b)
 
 
+ONE_STEP = SolverConfig(max_iter=1, tol=1e-300, stopping="residual")
+
+
+def leveraged_step(problem, lp, z):
+    """z after exactly one leveraged step from ``z``."""
+    _, z_next, _ = prs_lev_solve(problem, lp, ONE_STEP, z0=z)
+    return z_next
+
+
 class TestLeveragedStep:
     def test_reflected_point_identity(self, rng):
+        # one step is classical PRS on the shifted pair: R_g~ R_f~ z, with the
+        # reflections of leverage.py as the independent copy of the shift algebra
+        # (eta = 0 at delta*, so an interior shift exercises eta as well)
         problem = random_instance(rng)
-        lp = optimal_params(problem.regularity, delta_star(problem.regularity))
-        state = IterateState(z=rng.standard_normal(problem.dimension))
-        out = prs_lev_step(state, problem, lp)
-        t, e = lp.tau, lp.eta
-        expected_y = (2 * t / (t + e)) * out.x - ((t - e) / (t + e)) * state.z
-        np.testing.assert_allclose(out.y, expected_y, atol=1e-14)
+        reg = problem.regularity
+        for delta in (delta_star(reg), interior_delta(rng, reg)):
+            lp = optimal_params(reg, delta)
+            z = rng.standard_normal(problem.dimension)
+            d, e, t = lp.delta, lp.eta, lp.tau
+            y = shifted_reflect(ShiftedProxSpec(problem.f, d, e, "plus"), t, z)
+            expected = shifted_reflect(ShiftedProxSpec(problem.g, d, e, "minus"), t, y)
+            gap = np.linalg.norm(leveraged_step(problem, lp, z) - expected)
+            assert gap <= 1e-13 * np.linalg.norm(expected)
 
     def test_tight_example_single_step_contracts_by_r_star(self):
         problem = tight_problem()
         lp = optimal_params(TIGHT_REG, delta_star(TIGHT_REG))
         z0 = np.array([1.0, 1.0])
-        out = prs_lev_step(IterateState(z=z0), problem, lp)
+        z1 = leveraged_step(problem, lp, z0)
         r_star = optimal_rate(TIGHT_REG)
         # both coordinates contract by exactly the optimal factor, not just
         # the norm: the map is diagonal with both entries equal to r*
-        np.testing.assert_allclose(out.z / z0, r_star, rtol=1e-12)
+        np.testing.assert_allclose(z1 / z0, r_star, rtol=1e-12)
         assert r_star == pytest.approx(0.116963, abs=1e-6)
 
     def test_zero_shift_step_equals_classical_prs_step(self, rng):
         problem = random_instance(rng)
         tau = 0.7
         z = rng.standard_normal(problem.dimension)
-        out = prs_lev_step(IterateState(z=z), problem, LeverageParams(0.0, 0.0, tau))
+        z1 = leveraged_step(problem, LeverageParams(0.0, 0.0, tau), z)
         x = problem.f.prox(tau, z)
         p = problem.g.prox(tau, 2 * x - z)
-        np.testing.assert_allclose(out.z, z + 2 * (p - x), atol=1e-13)
+        np.testing.assert_allclose(z1, z + 2 * (p - x), atol=1e-13)
 
     def test_reduced_algorithm_at_delta_star(self, rng):
         # with eta = 0 the recurrence collapses to the two-prox short form
@@ -85,12 +99,12 @@ class TestLeveragedStep:
         lp = optimal_params(reg, delta_star(reg))
         assert lp.eta == pytest.approx(0.0, abs=1e-14)
         z = rng.standard_normal(problem.dimension)
-        out = prs_lev_step(IterateState(z=z), problem, lp)
+        z1 = leveraged_step(problem, lp, z)
         d, t = lp.delta, lp.tau
         x = problem.f.prox(t / (1 + d * t), z / (1 + d * t))
         y = 2 * x - z
         p = problem.g.prox(t / (1 - d * t), y / (1 - d * t))
-        np.testing.assert_allclose(out.z, z + 2 * (p - x), atol=1e-12)
+        np.testing.assert_allclose(z1, z + 2 * (p - x), atol=1e-12)
 
 
 class TestLeveragedSolve:
@@ -205,11 +219,19 @@ class TestClassicAndRelaxed:
 
     def test_full_relaxation_is_bitwise_classic(self, rng):
         problem = random_instance(rng)
-        config = SolverConfig(max_iter=25, tol=1e-300, stopping="residual")
+        tau, steps = 0.8, 40
+        config = SolverConfig(max_iter=steps, tol=1e-300, stopping="residual")
         z0 = rng.standard_normal(problem.dimension)
-        _, z_a, _ = prs_classic_solve(problem, 0.8, config, z0=z0)
-        _, z_b, _ = drs_solve(problem, 0.8, 1.0, config, z0=z0)
+        _, z_a, _ = prs_classic_solve(problem, tau, config, z0=z0)
+        _, z_b, _ = drs_solve(problem, tau, 1.0, config, z0=z0)
         assert np.array_equal(z_a, z_b)
+        # and bit for bit the textbook recurrence, which pins the solve CSVs
+        z = z0
+        for _ in range(steps):
+            x = problem.f.prox(tau, z)
+            p = problem.g.prox(tau, 2 * x - z)
+            z = z + 2 * (p - x)
+        np.testing.assert_array_equal(z_a, z)
 
     def test_tight_pair_classical_rate(self):
         # tau = sqrt(alpha/rho) contracts at least as fast as the classical bound
