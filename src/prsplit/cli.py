@@ -11,6 +11,7 @@ on stderr and exit code 2, as argparse does for bad arguments.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -171,7 +172,13 @@ def cmd_restore(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls.
+
+    Parsing does not change the parser, and every command treats ``args`` as
+    read-only, so no value can carry over from one ``main`` call to the next.
+    """
     parser = argparse.ArgumentParser(
         prog="prsplit",
         description="Leveraged Peaceman-Rachford solver and rate-verification benchmarks",

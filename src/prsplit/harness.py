@@ -343,35 +343,26 @@ def run_academic_benchmark(
                 stopping="fixed_point_distance", record_trace=False,
             )
 
-            def _record(name, z_final, trace, z_ref, elapsed):
-                err = float(np.linalg.norm(z_final - z_ref))
+            def _run(name, solve, step, lp):
+                start = time.perf_counter()
+                z_star = problem.fixed_point_oracle(lp)
+                _, z_final, trace = solve(problem, step, config, z0=z0, z_star=z_star)
+                elapsed = 1e3 * (time.perf_counter() - start)
+                err = float(np.linalg.norm(z_final - z_star))
                 results[name].append(
                     (trace.iterations, elapsed, err, trace.status == "converged")
                 )
 
             lp = optimal_params(reg, delta_star(reg))
-            start = time.perf_counter()
-            _, z_final, trace = prs_lev_solve(problem, lp, config, z0=z0)
-            _record("prs_lev", z_final, trace,
-                    problem.fixed_point_oracle(lp),
-                    1e3 * (time.perf_counter() - start))
-
+            _run("prs_lev", prs_lev_solve, lp, lp)
             if reg.rho > 0.0 and reg.alpha > 0.0:
                 tau1 = classical_prs_optimal(reg)[0]
-                start = time.perf_counter()
-                _, z_final, trace = prs_classic_solve(problem, tau1, config, z0=z0)
-                _record("prs1", z_final, trace,
-                        problem.fixed_point_oracle(LeverageParams(0.0, 0.0, tau1)),
-                        1e3 * (time.perf_counter() - start))
+                _run("prs1", prs_classic_solve, tau1, LeverageParams(0.0, 0.0, tau1))
             else:
                 defined["prs1"] = False
             if reg.mu > 0.0 and reg.beta > 0.0:
                 tau2 = classical_prs_optimal(reg.swap())[0]
-                start = time.perf_counter()
-                _, z_final, trace = prs_classic_solve(problem, tau2, config, z0=z0)
-                _record("prs2", z_final, trace,
-                        problem.fixed_point_oracle(LeverageParams(0.0, 0.0, tau2)),
-                        1e3 * (time.perf_counter() - start))
+                _run("prs2", prs_classic_solve, tau2, LeverageParams(0.0, 0.0, tau2))
             else:
                 defined["prs2"] = False
 

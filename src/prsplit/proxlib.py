@@ -63,9 +63,13 @@ class LeastSquaresFn:
     """``x -> ||A x - a||^2 / 2`` with prox in the eigenbasis of ``A^T A``.
 
     With ``A^T A = V diag(spectrum) V^T`` computed once, the prox solves
-    ``(I + gamma A^T A) p = x + gamma A^T a`` for any ``gamma`` as
-    ``V ((V^T (x + gamma A^T a)) / (1 + gamma spectrum))``, and the moduli are
-    the extreme eigenvalues.
+    ``(I + gamma A^T A) p = x + gamma A^T a`` as ``p = M x + c`` with the
+    resolvent ``M = V diag(1/(1 + gamma spectrum)) V^T`` and ``c = gamma M A^T a``.
+    One resolvent is kept, for the last step size: it is rebuilt only when
+    ``gamma`` changes, and the solvers hold ``gamma`` fixed for a whole solve.
+    The ``(gamma, M, c)`` triple is read and replaced as one tuple, so
+    concurrent callers can at worst build it twice, never mix two step sizes.
+    The moduli are the extreme eigenvalues.
     """
 
     def __init__(self, A: np.ndarray, a: Optional[np.ndarray] = None):
@@ -79,12 +83,18 @@ class LeastSquaresFn:
         self.dimension = m
         self.spectrum, self.basis = np.linalg.eigh(self.gram)
         self.moduli = _moduli_from_spectrum(self.spectrum, self.A.shape)
+        self._resolvent = (None, None, None)
 
     def prox(self, gamma: float, x: np.ndarray) -> np.ndarray:
-        if not (gamma > 0.0):
-            raise ValueError("gamma must be positive")
-        V = self.basis
-        return V @ ((V.T @ (x + gamma * self.at_a)) / (1.0 + gamma * self.spectrum))
+        step, M, c = self._resolvent
+        if gamma != step:
+            if not (gamma > 0.0):
+                raise ValueError("gamma must be positive")
+            V = self.basis
+            M = (V / (1.0 + gamma * self.spectrum)) @ V.T
+            c = M @ (gamma * self.at_a)
+            self._resolvent = (gamma, M, c)
+        return M @ x + c
 
     def value(self, x: np.ndarray) -> float:
         r = self.A @ x - self.a

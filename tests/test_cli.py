@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from prsplit.cli import main
+from prsplit.cli import build_parser, main
 from prsplit.harness import read_trace
 
 
@@ -112,3 +112,31 @@ def test_outdir_env_var(tmp_path, monkeypatch, capsys):
                  "--tol", "1e-6", "--max-iter", "5000"])
     assert code == 0
     assert (tmp_path / "envout" / "bench_academic.csv").exists()
+
+
+def test_repeated_main_calls_share_no_state(tmp_path, monkeypatch, capsys):
+    moduli = ["--rho", "1", "--alpha", "0.25", "--mu", "0", "--beta", "1"]
+    assert main(["rates", *moduli, "--delta", "-0.5"]) == 0
+    assert "(delta*)" not in capsys.readouterr().out
+    assert main(["rates", *moduli]) == 0
+    assert "(delta*)" in capsys.readouterr().out
+
+    assert main(["tight-check", *moduli, "--steps", "7"]) == 0
+    assert "over 7 steps" in capsys.readouterr().out
+    assert main(["tight-check", *moduli]) == 0
+    assert "over 20 steps" in capsys.readouterr().out
+
+    restore = ["restore", "--side", "16", "--seed", "1", "--max-iter", "300", "--tol", "1e-8"]
+    assert main([*restore, "--methods", "prs", "--out", str(tmp_path / "one")]) == 0
+    out = capsys.readouterr().out
+    assert "  prs " in out and "prs_lev" not in out
+    monkeypatch.setenv("PRSPLIT_OUTDIR", str(tmp_path / "env"))
+    assert main(restore) == 0
+    out = capsys.readouterr().out
+    for name in ("prs_lev", "prs", "fista1", "fista2"):
+        assert f"  {name} " in out
+    assert f"wrote images and error curves to {tmp_path / 'env'}" in out
+    assert not (tmp_path / "one" / "restored_prs_lev.pgm").exists()
+
+    assert build_parser() is build_parser()
+    assert build_parser().parse_args(["restore"]).methods == ["prs_lev", "prs", "fista1", "fista2"]

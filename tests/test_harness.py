@@ -167,6 +167,14 @@ class TestAcademicBenchmark:
             )
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    def test_iteration_counts_pinned(self):
+        # the table's averages at seed 0; a last-bit change in a prox may move
+        # an instance by at most one iteration
+        report = run_academic_benchmark([(20, 30, 30)], repetitions=3, seed=0)
+        expected = {"prs_lev": 17.0, "prs1": 1088 / 3, "prs2": 439.0}
+        for name, avg in expected.items():
+            assert abs(report.rows[0].methods[name].avg_iterations - avg) <= 1.0, name
+
     def test_repetition_validation(self):
         with pytest.raises(ValueError):
             run_academic_benchmark([(4, 4, 4)], repetitions=0)

@@ -58,11 +58,19 @@ class TestLeastSquares:
         a = rng.standard_normal(shape[0])
         fn = LeastSquaresFn(A, a)
         x = rng.standard_normal(shape[1])
-        gamma = 0.9
-        p = fn.prox(gamma, x)
-        lhs = p + gamma * (A.T @ (A @ p))
-        rhs = x + gamma * A.T @ a
-        assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(rhs)
+        # gamma_1, gamma_2, gamma_1: a resolvent kept across step sizes fails here
+        outputs = []
+        for gamma in (0.9, 0.25, 0.9):
+            p = fn.prox(gamma, x)
+            lhs = p + gamma * (A.T @ (A @ p))
+            rhs = x + gamma * A.T @ a
+            assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(rhs)
+            solved = np.linalg.solve(np.eye(shape[1]) + gamma * A.T @ A, rhs)
+            assert np.linalg.norm(p - solved) <= 1e-13 * np.linalg.norm(solved)
+            outputs.append(p.copy())
+            p[:] = np.nan  # the caller owns the returned array
+        np.testing.assert_array_equal(fn.prox(0.9, x), outputs[2])
+        np.testing.assert_array_equal(outputs[0], outputs[2])
 
     def test_agrees_with_gradient_descent_oracle(self, rng):
         A = rng.standard_normal((5, 5))
