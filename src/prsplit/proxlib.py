@@ -69,7 +69,8 @@ class LeastSquaresFn:
     ``gamma`` changes, and the solvers hold ``gamma`` fixed for a whole solve.
     The ``(gamma, M, c)`` triple is read and replaced as one tuple, so
     concurrent callers can at worst build it twice, never mix two step sizes.
-    The moduli are the extreme eigenvalues.
+    The gradient ``A^T A x - A^T a`` is one product with the stored Gram
+    matrix.  The moduli are the extreme eigenvalues.
     """
 
     def __init__(self, A: np.ndarray, a: Optional[np.ndarray] = None):
@@ -101,7 +102,7 @@ class LeastSquaresFn:
         return 0.5 * float(np.vdot(r, r))
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.A.T @ (self.A @ x - self.a)
+        return self.gram @ x - self.at_a
 
     def to_prox_function(self) -> ProxFunction:
         return ProxFunction(

@@ -279,6 +279,12 @@ def fista_solve(
     be overridden.  The objective is not monotone along the iterates, so
     stopping uses the prox-gradient residual ``||x_{k+1} - y_k||``, or the
     distance to ``solution_oracle`` for the distance-based rules.
+
+    Like every solver here, it stops at the first iterate whose metric is
+    within ``tol``.  The distance tail is not monotone either: it can hover
+    around ``tol``, so a change in the last bits of the arithmetic (another
+    BLAS thread count, a reordered product) can move the iteration count,
+    by up to 50 iterations on a 100-dimensional least-squares pair.
     """
     reg = problem.regularity
     if mode == "forward_on_f":

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from prsplit.cli import build_parser, main
+from prsplit.cli import _problem_from_bytes, build_parser, main
 from prsplit.harness import read_trace
 
 
@@ -81,6 +81,14 @@ def test_solve_missing_matrix_rejected(tmp_path, capsys):
     assert err == "prsplit: error: problem file needs matrix 'B'\n"
 
 
+@pytest.mark.parametrize("text", ["[1, 2]", "3", '"AB"'])
+def test_solve_non_object_file_rejected(tmp_path, capsys, text):
+    pf = tmp_path / "list.json"
+    pf.write_text(text)
+    assert main(["solve", "--problem-file", str(pf), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "prsplit: error: problem file must hold a JSON object\n"
+
+
 def test_solve_missing_file_rejected(tmp_path, capsys):
     code = main(["solve", "--problem-file", str(tmp_path / "absent.json"),
                  "--out", str(tmp_path)])
@@ -114,6 +122,15 @@ def test_outdir_env_var(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "envout" / "bench_academic.csv").exists()
 
 
+def _write_problem(path, seed):
+    """Write a random 8x5 / 7x5 pair to ``path``; return its normal-equations solution."""
+    r = np.random.default_rng(seed)
+    A, B = r.standard_normal((8, 5)), r.standard_normal((7, 5))
+    a, b = r.standard_normal(8), r.standard_normal(7)
+    path.write_text(json.dumps({"A": A.tolist(), "a": a.tolist(), "B": B.tolist(), "b": b.tolist()}))
+    return np.linalg.solve(A.T @ A + B.T @ B, A.T @ a + B.T @ b)
+
+
 def test_repeated_main_calls_share_no_state(tmp_path, monkeypatch, capsys):
     moduli = ["--rho", "1", "--alpha", "0.25", "--mu", "0", "--beta", "1"]
     assert main(["rates", *moduli, "--delta", "-0.5"]) == 0
@@ -137,6 +154,43 @@ def test_repeated_main_calls_share_no_state(tmp_path, monkeypatch, capsys):
         assert f"  {name} " in out
     assert f"wrote images and error curves to {tmp_path / 'env'}" in out
     assert not (tmp_path / "one" / "restored_prs_lev.pgm").exists()
+
+    # solve reuses the problem built from the same file bytes, with no effect on its outputs
+    pf = tmp_path / "problem.json"
+    x_first = _write_problem(pf, 1)
+
+    def solve(method, out):
+        argv = ["solve", "--problem-file", str(pf), "--method", method,
+                "--tol", "1e-9", "--out", str(out)]
+        assert main(argv) == 0
+        return {name: (out / name).read_bytes() for name in ("solution.csv", "trace.csv")}
+
+    _problem_from_bytes.cache_clear()
+    shared = [solve(method, tmp_path / "shared") for method in ("prs", "fista1")]
+    assert _problem_from_bytes.cache_info().hits == 1
+    fresh = []
+    for method in ("prs", "fista1"):
+        _problem_from_bytes.cache_clear()
+        fresh.append(solve(method, tmp_path / "fresh"))
+    assert shared == fresh
+
+    # a rewrite of the same path is a new problem
+    x_second = _write_problem(pf, 2)
+    assert np.linalg.norm(x_second - x_first) > 0.1 * np.linalg.norm(x_second)
+    solve("prs", tmp_path / "rewritten")
+    x = np.loadtxt(tmp_path / "rewritten" / "solution.csv", delimiter=",")
+    np.testing.assert_allclose(x, x_second, atol=1e-6)
+
+    # a bad file fails alike each time, and leaves the next request unaffected
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"A": [[1.0]]}))
+    capsys.readouterr()
+    for _ in range(2):
+        assert main(["solve", "--problem-file", str(bad), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "prsplit: error: problem file needs matrix 'B'\n"
+    solve("prs", tmp_path / "after_error")
+    x = np.loadtxt(tmp_path / "after_error" / "solution.csv", delimiter=",")
+    np.testing.assert_allclose(x, x_second, atol=1e-6)
 
     assert build_parser() is build_parser()
     assert build_parser().parse_args(["restore"]).methods == ["prs_lev", "prs", "fista1", "fista2"]

@@ -72,6 +72,16 @@ class TestLeastSquares:
         np.testing.assert_array_equal(fn.prox(0.9, x), outputs[2])
         np.testing.assert_array_equal(outputs[0], outputs[2])
 
+    @pytest.mark.parametrize("shape", [(7, 4), (3, 6), (150, 100)], ids=["7x4", "3x6", "150x100"])
+    def test_gradient_matches_residual_form(self, rng, shape):
+        A = rng.standard_normal(shape)
+        a = rng.standard_normal(shape[0])
+        fn = LeastSquaresFn(A, a)
+        for _ in range(3):
+            x = rng.standard_normal(shape[1])
+            expected = A.T @ (A @ x - a)
+            assert np.linalg.norm(fn.gradient(x) - expected) <= 1e-13 * np.linalg.norm(expected)
+
     def test_agrees_with_gradient_descent_oracle(self, rng):
         A = rng.standard_normal((5, 5))
         a = rng.standard_normal(5)

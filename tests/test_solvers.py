@@ -18,6 +18,7 @@ from prsplit.proxlib import diagonal_quadratic, zero_function
 from prsplit.rates import delta_star, optimal_params, optimal_rate, rate_r1, rate_r2
 from prsplit.solvers import (
     SolverConfig,
+    _Monitor,
     drs_solve,
     fista_solve,
     prs_classic_solve,
@@ -305,6 +306,23 @@ class TestClassicAndRelaxed:
             drs_solve(problem, -1.0, 0.5)
         with pytest.raises(ValueError):
             prs_classic_solve(problem, 1.0, ordering="xy")
+
+
+class TestMonitor:
+    def test_stops_at_first_crossing_of_tol(self):
+        # the rule every solver shares, and the one FISTA's non-monotone
+        # distance tail meets: the first iterate within tol ends the solve,
+        # even if a later one would rise above tol again
+        tol = 1e-10
+        config = SolverConfig(tol=tol)
+        monitor = _Monitor(config, np.array([10.0 * tol]), np.zeros(1))
+        assert monitor.stopping == "fixed_point_distance"
+        for n, d in enumerate([3.0, 0.5, 2.0]):
+            if monitor.update(n, 1.0, np.array([d * tol])):
+                break
+        assert n == 1
+        assert monitor.trace.status == "converged"
+        assert monitor.trace.iterations == 2
 
 
 class TestFista:
