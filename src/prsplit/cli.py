@@ -6,10 +6,6 @@ Subcommands: ``rates`` (closed-form rates and dominance for given moduli),
 verification).  The PRSPLIT_OUTDIR environment variable sets the default
 output directory.  Invalid input ends with a one-line ``prsplit: error: ...``
 on stderr and exit code 2, as argparse does for bad arguments.
-
-Repeated ``solve`` calls in one process reuse the problem built from
-byte-identical problem-file contents, as when several methods are run on one
-file in turn; any change to the bytes rebuilds it.
 """
 
 from __future__ import annotations
@@ -111,20 +107,8 @@ def cmd_bench_academic(args) -> int:
 
 
 def _load_problem_file(path):
-    with open(path, "rb") as fh:
-        return _problem_from_bytes(fh.read())
-
-
-@functools.lru_cache(maxsize=1)
-def _problem_from_bytes(data: bytes):
-    """The problem a file's contents describe; a repeat of the last contents reuses it.
-
-    Keyed on the bytes alone, so any rewrite of a file rebuilds the problem.
-    Sharing the problem between requests is safe: ``CompositeProblem`` is
-    frozen, no solver writes into its arrays, and ``LeastSquaresFn`` rebuilds
-    its resolvent whenever the step size changes.  Errors are not cached.
-    """
-    spec = json.loads(data)
+    with open(path) as fh:
+        spec = json.load(fh)
     if not isinstance(spec, dict):
         raise ValueError("problem file must hold a JSON object")
     for key in ("A", "B"):

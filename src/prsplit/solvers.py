@@ -283,8 +283,9 @@ def fista_solve(
     Like every solver here, it stops at the first iterate whose metric is
     within ``tol``.  The distance tail is not monotone either: it can hover
     around ``tol``, so a change in the last bits of the arithmetic (another
-    BLAS thread count, a reordered product) can move the iteration count,
-    by up to 50 iterations on a 100-dimensional least-squares pair.
+    BLAS thread count, a reordered product) can move the iteration count.
+    On perfbench's oneshot ``problem_18`` (seed 2027, m = 100), ``forward_on_f``
+    takes 1358 iterations under 1 OpenBLAS thread and 1409 under 2.
     """
     reg = problem.regularity
     if mode == "forward_on_f":

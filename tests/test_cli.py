@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from prsplit.cli import _problem_from_bytes, build_parser, main
+from prsplit.cli import build_parser, main
 from prsplit.harness import read_trace
 
 
@@ -155,7 +155,7 @@ def test_repeated_main_calls_share_no_state(tmp_path, monkeypatch, capsys):
     assert f"wrote images and error curves to {tmp_path / 'env'}" in out
     assert not (tmp_path / "one" / "restored_prs_lev.pgm").exists()
 
-    # solve reuses the problem built from the same file bytes, with no effect on its outputs
+    # solves on one file, one method after another, leave each other's outputs unchanged
     pf = tmp_path / "problem.json"
     x_first = _write_problem(pf, 1)
 
@@ -165,14 +165,9 @@ def test_repeated_main_calls_share_no_state(tmp_path, monkeypatch, capsys):
         assert main(argv) == 0
         return {name: (out / name).read_bytes() for name in ("solution.csv", "trace.csv")}
 
-    _problem_from_bytes.cache_clear()
-    shared = [solve(method, tmp_path / "shared") for method in ("prs", "fista1")]
-    assert _problem_from_bytes.cache_info().hits == 1
-    fresh = []
-    for method in ("prs", "fista1"):
-        _problem_from_bytes.cache_clear()
-        fresh.append(solve(method, tmp_path / "fresh"))
-    assert shared == fresh
+    first = [solve(method, tmp_path / "first") for method in ("prs", "fista1")]
+    again = [solve(method, tmp_path / "again") for method in ("fista1", "prs")]
+    assert first == again[::-1]
 
     # a rewrite of the same path is a new problem
     x_second = _write_problem(pf, 2)
