@@ -36,8 +36,6 @@ from .proxlib import (
     OperatorLeastSquares,
     diagonal_quadratic,
     gaussian_kernel,
-    gram_norm,
-    gram_smallest_eigenvalue,
 )
 from .rates import (
     _factor,
@@ -470,12 +468,10 @@ def run_restoration_demo(
     observed = blur.apply(x_true) + math.sqrt(noise_var) * noise_rng.standard_normal(shape)
 
     data_term = OperatorLeastSquares(blur, observed)
-    lam_max = gram_norm(blur, shape)
-    lam_min = gram_smallest_eigenvalue(blur, shape)
-    reg = RegularityParams(lam_min, 1.0 / lam_max, 0.0, epsilon / lam)
+    reg = RegularityParams(*data_term.moduli, 0.0, epsilon / lam)
     huber = HuberFn(epsilon, lam, HaarTransform(level))
     problem = CompositeProblem(
-        f=data_term.to_prox_function((reg.rho, reg.alpha)),
+        f=data_term.to_prox_function(),
         g=huber.to_prox_function(shape),
         regularity=reg,
     )

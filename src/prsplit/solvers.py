@@ -84,16 +84,14 @@ class _Monitor:
         if stopping in ("fixed_point_distance", "normalized_error") and z_star is None:
             raise ValueError(f"stopping rule {stopping!r} needs a fixed-point oracle")
         self.stopping = stopping
-        self.dist0 = self._dist(z0)
+        # the residual is read only by the trace and the residual rule; the
+        # z*-based rules still see a non-finite iterate through the distance
+        self.needs_residual = config.record_trace or stopping == "residual"
+        self.dist0 = None if z_star is None else _norm(z0 - z_star)
         self.trace = SolveTrace(records=[], status="max_iter")
         self._growth_run = 0
         self._metric0: Optional[float] = None
         self._dist_prev = self.dist0
-
-    def _dist(self, z: np.ndarray) -> Optional[float]:
-        if self.z_star is None:
-            return None
-        return _norm(z - self.z_star)
 
     def update(self, iteration: int, residual: float, z: np.ndarray) -> bool:
         """Record the iteration that produced ``z``; return True when the solve should stop.
@@ -102,12 +100,13 @@ class _Monitor:
         iteration's previous distance.
         """
         self.trace.total_iterations = iteration + 1
-        dist_prev = self._dist_prev
-        dist_next = self._dist_prev = self._dist(z)
-        ratio = None
-        if dist_prev is not None and dist_prev > 0.0 and dist_next is not None:
-            ratio = dist_next / dist_prev
+        dist_prev = dist_next = None
+        if self.z_star is not None:
+            v = z - self.z_star
+            dist_prev, dist_next = self._dist_prev, math.sqrt(np.vdot(v, v))
+            self._dist_prev = dist_next
         if self.config.record_trace:
+            ratio = dist_next / dist_prev if dist_prev is not None and dist_prev > 0.0 else None
             self.trace.records.append(
                 TraceRecord(iteration, residual, dist_prev, ratio)
             )
@@ -175,12 +174,15 @@ def _split(
 ) -> tuple[np.ndarray, np.ndarray, SolveTrace]:
     """The one splitting loop; returns ``(first(z_final), z_final, trace)``."""
     monitor = _Monitor(config, z, z_star)
-    step = lam * c0
+    # a ufunc converts a Python-float operand on every call; a 0-d float64
+    # array skips that and multiplies to the same bits
+    c0, step = np.asarray(c0), np.asarray(lam * c0)
+    needs_residual = monitor.needs_residual
     for n in range(config.max_iter):
         x = first(z)
         d = second(c0 * x - z) - x
         z = z + step * d
-        if monitor.update(n, _norm(d), z):
+        if monitor.update(n, _norm(d) if needs_residual else 0.0, z):
             break
     # the solution estimate belongs to the terminal z, not the previous one
     return first(z), z, monitor.trace
@@ -206,7 +208,9 @@ def prs_lev_solve(
     t, e = lp.tau, lp.eta
     sf, sg = lp.f_scale, lp.g_scale
     gamma_f, gamma_g = (t + e) / sf, (t - e) / sg
-    g_in = (t - e) / ((t + e) * sg)
+    # boxed like _split's scalars; the prox step sizes stay Python floats,
+    # since they key the dense resolvent cache
+    sf, g_in = np.asarray(sf), np.asarray((t - e) / ((t + e) * sg))
 
     def first(v: np.ndarray) -> np.ndarray:
         return problem.f.prox(gamma_f, v / sf)

@@ -302,10 +302,18 @@ class TestOperatorLeastSquares:
         fd = (fn.value(x + h * d) - fn.value(x - h * d)) / (2 * h)
         assert float(np.vdot(grad, d)) == pytest.approx(fd, rel=1e-5)
 
+    @pytest.mark.parametrize("size, shape", SPECTRUM_CASES, ids=SPECTRUM_IDS)
+    def test_moduli_from_the_held_spectrum(self, rng, size, shape):
+        # bit for bit what the spectral helpers give, so restore outputs keep their bytes
+        op = BlurOperator(gaussian_kernel(size, 0.4))
+        fn = OperatorLeastSquares(op, rng.standard_normal(shape))
+        assert fn.moduli == (gram_smallest_eigenvalue(op, shape), 1.0 / gram_norm(op, shape))
+        assert tuple(fn.to_prox_function().regularity) == fn.moduli
+
     def test_firm_nonexpansiveness(self, rng):
         op = BlurOperator(gaussian_kernel(3, 0.5))
         fn = OperatorLeastSquares(op, rng.standard_normal((8, 8)))
-        pf = fn.to_prox_function((0.1, 1.0))
+        pf = fn.to_prox_function()
         assert firm_nonexpansiveness_gap(pf, rng, pairs=100, scale=1.0) <= 1e-10
 
 

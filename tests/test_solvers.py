@@ -29,6 +29,13 @@ from conftest import interior_delta
 
 TIGHT_REG = RegularityParams(rho=1.0, alpha=0.25, mu=0.0, beta=1.0)
 
+NONFINITE_CASES = [
+    (stopping, record, poison)
+    for stopping in ("residual", "fixed_point_distance", "normalized_error")
+    for record in (True, False)
+    for poison in (math.nan, math.inf)
+]
+
 
 def tight_problem(reg=TIGHT_REG):
     f = diagonal_quadratic(np.array([reg.rho, 1.0 / reg.alpha]))
@@ -276,14 +283,20 @@ class TestClassicAndRelaxed:
         _, _, trace = prs_classic_solve(problem, 1.0, config, z0=np.ones(3))
         assert trace.status == "diverged"
 
-    @pytest.mark.parametrize("stopping", ["residual", "fixed_point_distance"])
-    def test_nonfinite_iterate_stops_at_once(self, stopping):
-        poisoned = ProxFunction(prox=lambda gamma, x: np.full_like(x, math.nan), dimension=3)
-        problem = CompositeProblem(
-            f=poisoned, g=zero_function(3),
-            regularity=RegularityParams(0, 0, 0, 0),
-        )
-        config = SolverConfig(max_iter=20000, tol=1e-12, stopping=stopping)
+    @pytest.mark.parametrize(
+        "stopping, record, poison",
+        NONFINITE_CASES,
+        ids=[f"{s}{'' if r else '-unrecorded'}{'' if math.isnan(v) else '-inf'}"
+             for s, r, v in NONFINITE_CASES],
+    )
+    def test_nonfinite_iterate_stops_at_once(self, stopping, record, poison):
+        # the z*-based rules skip the residual when nothing records it, so the
+        # fault must reach them through z; NaN poisons f, and +inf poisons g,
+        # because in f it would meet itself in d as inf - inf = NaN
+        poisoned = ProxFunction(prox=lambda gamma, x: np.full_like(x, poison), dimension=3)
+        f, g = (poisoned, zero_function(3)) if math.isnan(poison) else (zero_function(3), poisoned)
+        problem = CompositeProblem(f=f, g=g, regularity=RegularityParams(0, 0, 0, 0))
+        config = SolverConfig(max_iter=20000, tol=1e-12, stopping=stopping, record_trace=record)
         _, _, trace = prs_classic_solve(problem, 1.0, config, z0=np.ones(3), z_star=np.zeros(3))
         assert trace.status == "nonfinite"
         assert trace.iterations == 1
@@ -309,6 +322,32 @@ class TestClassicAndRelaxed:
 
 
 class TestMonitor:
+    @pytest.mark.parametrize("method", ["prs_lev", "prs", "drs"])
+    @pytest.mark.parametrize("stopping", ["residual", "fixed_point_distance", "normalized_error"])
+    def test_recording_does_not_change_the_solve(self, rng, method, stopping):
+        # with record_trace off the z*-based rules never compute ||d||; the
+        # solve must still stop at the same iterate with the same bits
+        problem = random_instance(rng)
+        lp = optimal_params(problem.regularity, interior_delta(rng, problem.regularity))
+        z0 = rng.standard_normal(problem.dimension)
+        outputs = []
+        for record in (True, False):
+            config = SolverConfig(max_iter=5000, tol=1e-10, stopping=stopping, record_trace=record)
+            if method == "prs_lev":
+                outputs.append(prs_lev_solve(problem, lp, config, z0=z0))
+            elif method == "prs":
+                outputs.append(prs_classic_solve(problem, 0.8, config, z0=z0))
+            else:
+                outputs.append(drs_solve(problem, 0.8, 0.6, config, z0=z0))
+        (x_on, z_on, on), (x_off, z_off, off) = outputs
+        assert on.status == off.status == "converged"
+        assert on.iterations == off.iterations
+        assert len(on.records) == on.iterations and off.records == []
+        assert all(r.residual > 0.0 for r in on.records)
+        np.testing.assert_allclose(x_on, problem.solution_oracle, atol=1e-6)
+        assert x_on.tobytes() == x_off.tobytes()
+        assert z_on.tobytes() == z_off.tobytes()
+
     def test_stops_at_first_crossing_of_tol(self):
         # the rule every solver shares, and the one FISTA's non-monotone
         # distance tail meets: the first iterate within tol ends the solve,
