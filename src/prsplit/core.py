@@ -155,6 +155,22 @@ def validate_leverage(lp: LeverageParams, reg: RegularityParams) -> LeveragePara
     return lp
 
 
+def _moduli_from_spectrum(w: np.ndarray, size: int) -> tuple[float, float]:
+    """``(rho, alpha)`` of a quadratic from the eigenvalues ``w`` of its Hessian.
+
+    ``rho`` is the smallest eigenvalue, reported as 0 (absent) below the
+    numerical rank tolerance ``max(w) * size * eps``, e.g. for a wide or
+    rank-deficient A in ``A^T A``; ``alpha`` is the reciprocal of the largest.
+    An all-zero Hessian has neither property: ``(0.0, 0.0)``.
+    """
+    lam_max = float(w.max())
+    if lam_max <= 0.0:
+        return 0.0, 0.0
+    lam_min = float(w.min())
+    rho = lam_min if lam_min > lam_max * size * np.finfo(float).eps else 0.0
+    return rho, 1.0 / lam_max
+
+
 @dataclass(frozen=True)
 class ProxFunction:
     """A function known to the solvers only through oracles.

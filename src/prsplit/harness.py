@@ -28,13 +28,13 @@ from .core import (
     validate_regularity,
 )
 from .errors import NoGradient, SplittingError
+from .leverage import QuadraticFunction
 from .proxlib import (
     BlurOperator,
     HaarTransform,
     HuberFn,
     LeastSquaresFn,
     OperatorLeastSquares,
-    diagonal_quadratic,
     gaussian_kernel,
 )
 from .rates import (
@@ -158,11 +158,11 @@ def run_tight_check(
     validate_regularity(reg, "leveraged")
     if reg.alpha <= 0.0 or reg.beta <= 0.0:
         raise ValueError("the tight pair needs alpha > 0 and beta > 0")
-    f = diagonal_quadratic(np.array([reg.rho, 1.0 / reg.alpha]))
-    g = diagonal_quadratic(np.array([reg.mu, 1.0 / reg.beta]))
+    f = QuadraticFunction(0.0, np.zeros(2), np.diag([reg.rho, 1.0 / reg.alpha]))
+    g = QuadraticFunction(0.0, np.zeros(2), np.diag([reg.mu, 1.0 / reg.beta]))
     origin = np.zeros(2)
     problem = CompositeProblem(
-        f=f, g=g, regularity=reg,
+        f=f.to_prox_function(), g=g.to_prox_function(), regularity=reg,
         solution_oracle=origin,
         fixed_point_oracle=lambda lp: origin,
     )

@@ -19,7 +19,7 @@ from typing import Literal, Union
 
 import numpy as np
 
-from .core import CompositeProblem, LeverageParams, ProxFunction
+from .core import CompositeProblem, LeverageParams, ProxFunction, _moduli_from_spectrum
 from .errors import ShiftDomain, StepDomain, TransferDomain
 
 __all__ = [
@@ -41,8 +41,12 @@ class QuadraticFunction:
     """``x -> offset + <linear, x> + (1/2) x^T Q x``.
 
     ``quad`` is either a scalar c (meaning ``Q = c*I``) or a symmetric
-    positive-semidefinite matrix.  The conjugate closed forms are available
-    only in the isotropic case.
+    positive-semidefinite matrix.  A matrix is diagonalized once,
+    ``Q = V diag(w) V^T``, and its prox is ``V diag(1/(1 + gamma w)) V^T
+    (x - gamma linear)``; the moduli are ``(min w, 1/max w)`` (``w = [c]`` in
+    the isotropic case), with 0 meaning absent.  ``c = 0`` is the zero
+    function when ``offset`` and ``linear`` are zero.  The conjugate closed
+    forms are available only in the isotropic case.
     """
 
     offset: float
@@ -54,15 +58,20 @@ class QuadraticFunction:
         if self.isotropic:
             if self.quad < 0:
                 raise ValueError("isotropic curvature must be >= 0")
+            spectrum, basis = np.array([float(self.quad)]), None
         else:
             q = np.asarray(self.quad, dtype=float)
             if q.shape != (self.linear.size, self.linear.size):
                 raise ValueError("quadratic term shape does not match the linear term")
-            if not np.allclose(q, q.T, atol=1e-12):
+            if not np.allclose(q, q.T, rtol=0.0, atol=1e-12):
                 raise ValueError("quadratic term must be symmetric within 1e-12")
-            if np.linalg.eigvalsh(q)[0] < -1e-12:
+            spectrum, basis = np.linalg.eigh(q)
+            if spectrum[0] < -1e-12:
                 raise ValueError("quadratic term must be positive semidefinite")
             object.__setattr__(self, "quad", q)
+        # derived from quad, so kept out of the dataclass fields
+        object.__setattr__(self, "_spectrum", spectrum)
+        object.__setattr__(self, "_basis", basis)
 
     @property
     def isotropic(self) -> bool:
@@ -83,10 +92,8 @@ class QuadraticFunction:
     def prox(self, gamma: float, x: np.ndarray) -> np.ndarray:
         if self.isotropic:
             return (x - gamma * self.linear) / (1.0 + gamma * float(self.quad))
-        n = self.linear.size
-        return np.linalg.solve(
-            np.eye(n) + gamma * self.quad, x - gamma * self.linear
-        )
+        V = self._basis
+        return V @ ((V.T @ (x - gamma * self.linear)) / (1.0 + gamma * self._spectrum))
 
     def conjugate(self) -> "QuadraticFunction":
         """Fenchel conjugate (isotropic, positive curvature only)."""
@@ -101,13 +108,10 @@ class QuadraticFunction:
         )
 
     def to_prox_function(self) -> ProxFunction:
-        c = float(self.quad) if self.isotropic else float(np.linalg.eigvalsh(self.quad)[0])
-        cmax = float(self.quad) if self.isotropic else float(np.linalg.eigvalsh(self.quad)[-1])
-        coco = 1.0 / cmax if cmax > 0 else 0.0
         return ProxFunction(
             prox=self.prox,
             dimension=self.linear.size,
-            regularity=(c, coco),
+            regularity=_moduli_from_spectrum(self._spectrum, self.linear.size),
             value=self.value,
             gradient=self.gradient,
         )

@@ -3,7 +3,9 @@
 Least-squares data terms (dense, solved in the eigenbasis of its Gram
 matrix, or a circular convolution solved in closed form by the 2-D FFT), the
 Huber penalty with an optional orthogonal transform, an orthonormal
-multi-level Haar transform, and a small circular blur operator.
+multi-level Haar transform, and a small circular blur operator.  Both data
+terms take their moduli from their Gram spectrum by the one rule shared with
+:class:`~prsplit.leverage.QuadraticFunction`.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Optional
 import numpy as np
 from scipy import ndimage
 
-from .core import ProxFunction
+from .core import ProxFunction, _moduli_from_spectrum
 from .errors import ShapeMismatch
 
 __all__ = [
@@ -30,23 +32,7 @@ __all__ = [
     "OperatorLeastSquares",
     "gram_norm",
     "gram_smallest_eigenvalue",
-    "diagonal_quadratic",
-    "zero_function",
 ]
-
-
-def _moduli_from_spectrum(w: np.ndarray, shape: tuple[int, ...]) -> tuple[float, float]:
-    """``(rho, alpha)`` from the ascending eigenvalues ``w`` of ``A^T A``.
-
-    ``rho`` is reported as 0 below the numerical rank tolerance
-    ``max(w) * max(A.shape) * eps``, e.g. for wide or rank-deficient A.
-    """
-    lam_max = float(w[-1])
-    if lam_max <= 0.0:
-        raise ValueError("A must be nonzero")
-    rank_tol = lam_max * max(shape) * np.finfo(float).eps
-    rho = float(w[0]) if w[0] > rank_tol else 0.0
-    return rho, 1.0 / lam_max
 
 
 def estimate_moduli(A: np.ndarray) -> tuple[float, float]:
@@ -56,7 +42,7 @@ def estimate_moduli(A: np.ndarray) -> tuple[float, float]:
     tolerance) and ``alpha`` the reciprocal of the largest.
     """
     A = np.asarray(A, dtype=float)
-    return _moduli_from_spectrum(np.linalg.eigvalsh(A.T @ A), A.shape)
+    return _moduli_from_spectrum(np.linalg.eigvalsh(A.T @ A), max(A.shape))
 
 
 class LeastSquaresFn:
@@ -85,7 +71,7 @@ class LeastSquaresFn:
         self.at_a = self.A.T @ self.a
         self.dimension = m
         self.spectrum, self.basis = np.linalg.eigh(self.gram)
-        self.moduli = _moduli_from_spectrum(self.spectrum, self.A.shape)
+        self.moduli = _moduli_from_spectrum(self.spectrum, max(self.A.shape))
         self._resolvent = (None, None, None)
 
     def prox(self, gamma: float, x: np.ndarray) -> np.ndarray:
@@ -340,7 +326,7 @@ class OperatorLeastSquares:
         self.dimension = int(np.prod(self.shape))
         self.adj_data = op.adjoint(self.data)
         self.spectrum = _gram_spectrum(op, self.shape)
-        self.moduli = (float(self.spectrum.min()), 1.0 / float(self.spectrum.max()))
+        self.moduli = _moduli_from_spectrum(self.spectrum, self.dimension)
 
     def value(self, x: np.ndarray) -> float:
         r = self.op.apply(x) - self.data
@@ -365,33 +351,3 @@ class OperatorLeastSquares:
             gradient=self.gradient,
             shape=self.shape,
         )
-
-
-# --- small helpers used by the harness and tests -----------------------------------
-
-
-def diagonal_quadratic(curvatures: np.ndarray) -> ProxFunction:
-    """``x -> sum_i c_i x_i^2 / 2`` with elementwise prox ``x / (1 + gamma c)``."""
-    c = np.asarray(curvatures, dtype=float)
-    if np.any(c < 0):
-        raise ValueError("curvatures must be >= 0")
-    cmax = float(c.max())
-    return ProxFunction(
-        prox=lambda gamma, x: x / (1.0 + gamma * c),
-        dimension=c.size,
-        regularity=(float(c.min()), 1.0 / cmax if cmax > 0 else 0.0),
-        value=lambda x: 0.5 * float(np.sum(c * x * x)),
-        gradient=lambda x: c * x,
-    )
-
-
-def zero_function(dimension: int, shape: Optional[tuple[int, ...]] = None) -> ProxFunction:
-    """The zero function: prox is the identity."""
-    return ProxFunction(
-        prox=lambda gamma, x: np.array(x, dtype=float),
-        dimension=dimension,
-        regularity=(0.0, 0.0),
-        value=lambda x: 0.0,
-        gradient=lambda x: np.zeros_like(x),
-        shape=shape,
-    )

@@ -25,7 +25,6 @@ from prsplit.leverage import (
     quadratic_conjugate_shift,
     shifted_prox,
 )
-from prsplit.proxlib import zero_function
 from prsplit.rates import (
     delta_star,
     fista_rate_bounds,
@@ -216,7 +215,9 @@ def test_criterion_8_oscillation_witness():
         value=lambda z: 0.0 if z[1] == 0.0 else math.inf,
     )
     problem = CompositeProblem(
-        f=project, g=zero_function(2), regularity=RegularityParams(0, 0, 0, 0)
+        f=project,
+        g=QuadraticFunction(0.0, np.zeros(2), 0.0).to_prox_function(),
+        regularity=RegularityParams(0, 0, 0, 0),
     )
     z0 = np.array([0.3, 1.0])
     orbit = [z0]

@@ -105,6 +105,38 @@ def test_rates_without_leverage_is_a_one_line_error(capsys):
     )
 
 
+@pytest.mark.parametrize("moduli", [("0", "0", "1", "0.5"), ("1", "0.5", "0", "0")],
+                         ids=["f_absent", "g_absent"])
+def test_rates_with_an_absent_function(capsys, moduli):
+    # r* ties classical PRS on the other function; that is no dominance failure
+    rho, alpha, mu, beta = moduli
+    assert main(["rates", "--rho", rho, "--alpha", alpha, "--mu", mu, "--beta", beta]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and "r*         = 0.171572875" in out
+
+
+@pytest.mark.parametrize("method", ["prs_lev", "prs", "drs", "fista1", "fista2"])
+@pytest.mark.parametrize("zero", ["A", "B", "both"])
+def test_solve_with_an_all_zero_matrix(tmp_path, capsys, zero, method):
+    # a zero data term has moduli (0, 0): each method converges or says in one
+    # line why it cannot run
+    r = np.random.default_rng(5)
+    M = r.standard_normal((7, 5))
+    A = np.zeros((6, 5)) if zero in ("A", "both") else M
+    B = np.zeros((7, 5)) if zero in ("B", "both") else M
+    pf = tmp_path / "zero.json"
+    pf.write_text(json.dumps({"A": A.tolist(), "a": r.standard_normal(len(A)).tolist(),
+                              "B": B.tolist(), "b": r.standard_normal(len(B)).tolist()}))
+    code = main(["solve", "--problem-file", str(pf), "--method", method, "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert "status: converged" in out and err == ""
+    else:
+        assert code == 2
+        assert err.startswith("prsplit: error: ") and err.count("\n") == 1
+        assert "must be nonzero" not in err
+
+
 def test_restore_subcommand(tmp_path, capsys):
     code = main(["restore", "--side", "16", "--sigma", "0.5", "--seed", "1",
                  "--methods", "prs_lev", "prs", "--max-iter", "300",

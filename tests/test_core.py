@@ -22,7 +22,8 @@ from prsplit.errors import (
     ShiftIncompatible,
     TauTooSmall,
 )
-from prsplit.proxlib import LeastSquaresFn, HuberFn, diagonal_quadratic
+from prsplit.leverage import QuadraticFunction
+from prsplit.proxlib import LeastSquaresFn, HuberFn
 from prsplit.rates import optimal_params
 
 from conftest import interior_delta, sample_regularity
@@ -97,22 +98,22 @@ class TestValidateLeverage:
 
 class TestProxFunctionChecks:
     def test_firm_nonexpansiveness_of_concrete_proxes(self, rng):
-        from prsplit.leverage import QuadraticFunction
-
         M = rng.standard_normal((3, 3))
+        wide = rng.standard_normal((2, 4))  # M^T M of rank 2 in R^4
         fns = [
             LeastSquaresFn(rng.standard_normal((6, 4)), rng.standard_normal(6)).to_prox_function(),
             HuberFn(0.3, 2.0).to_prox_function((5,)),
-            diagonal_quadratic(np.array([0.5, 2.0, 0.0])),
+            QuadraticFunction(0.0, np.zeros(3), np.diag([0.5, 2.0, 0.0])).to_prox_function(),
             QuadraticFunction(0.2, rng.standard_normal(4), 1.7).to_prox_function(),
             QuadraticFunction(0.0, rng.standard_normal(3), M.T @ M).to_prox_function(),
+            QuadraticFunction(0.0, rng.standard_normal(4), wide.T @ wide).to_prox_function(),
         ]
         for fn in fns:
             assert firm_nonexpansiveness_gap(fn, rng, pairs=100) <= 1e-10
 
     def test_dimension_mismatch_rejected(self):
-        f = diagonal_quadratic(np.ones(3))
-        g = diagonal_quadratic(np.ones(4))
+        f = QuadraticFunction(0.0, np.zeros(3), 1.0).to_prox_function()
+        g = QuadraticFunction(0.0, np.zeros(4), 1.0).to_prox_function()
         with pytest.raises(ShapeMismatch):
             CompositeProblem(f=f, g=g, regularity=TIGHT_REG)
 

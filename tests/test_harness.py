@@ -21,7 +21,7 @@ from prsplit.harness import (
     run_tight_check,
     synthetic_image,
 )
-from prsplit.proxlib import zero_function
+from prsplit.leverage import QuadraticFunction
 from prsplit.rates import delta_star, optimal_params, optimal_rate
 from prsplit.solvers import SolverConfig, prs_lev_solve
 
@@ -102,7 +102,8 @@ class TestFixedPointOracle:
     def test_gradient_required(self):
         problem = generate_instance(InstanceSpec(m=4, n=5, p=6, seed=0))
         stripped = type(problem)(
-            f=zero_function(4), g=problem.g, regularity=problem.regularity,
+            f=QuadraticFunction(0.0, np.zeros(4), 0.0).to_prox_function(),
+            g=problem.g, regularity=problem.regularity,
             solution_oracle=np.zeros(4),
         )
         bare = type(stripped)(

@@ -76,6 +76,16 @@ class TestQuadraticConjugateShift:
         p = q.prox(0.7, x)
         residual = p + 0.7 * (Q @ p + q.linear) - x
         assert np.linalg.norm(residual) <= 1e-12 * (1 + np.linalg.norm(x))
+        # rank deficient: Q = W^T W with W 2 x 4 has two zero eigenvalues,
+        # which the eigensolver may round to either sign
+        W = rng.standard_normal((2, 4))
+        low = QuadraticFunction(0.0, rng.standard_normal(4), W.T @ W)
+        fn = low.to_prox_function()
+        assert fn.regularity[0] == 0.0
+        assert fn.regularity[1] == pytest.approx(1.0 / np.linalg.eigvalsh(W.T @ W)[-1], rel=1e-12)
+        for gamma in (0.7, 2.5, 0.7):
+            dense = np.linalg.solve(np.eye(4) + gamma * low.quad, x - gamma * low.linear)
+            np.testing.assert_allclose(fn.prox(gamma, x), dense, rtol=1e-12, atol=1e-14)
         with pytest.raises(ValueError):
             QuadraticFunction(0.0, np.zeros(4), Q + 1e-6 * rng.standard_normal((4, 4)))
         with pytest.raises(ValueError):
@@ -160,11 +170,10 @@ class TestShiftedProx:
         # operator scales by minus the smooth branch of the rate factor
         rho, alpha = 1.0, 0.25
         reg = RegularityParams(rho, alpha, 0.0, 1.0)
-        from prsplit.proxlib import diagonal_quadratic
         from prsplit.rates import optimal_params, delta_star
 
         lp = optimal_params(reg, delta_star(reg))
-        f = diagonal_quadratic(np.array([rho, 1.0 / alpha]))
+        f = QuadraticFunction(0.0, np.zeros(2), np.diag([rho, 1.0 / alpha])).to_prox_function()
         # prox of the tight f is componentwise x/(1+gamma*rho), x/(1+gamma/alpha)
         gamma = 0.37
         p = f.prox(gamma, np.array([1.0, 1.0]))

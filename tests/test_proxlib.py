@@ -9,13 +9,13 @@ from scipy.optimize import minimize, minimize_scalar
 from prsplit.core import firm_nonexpansiveness_gap
 from prsplit.errors import ShapeMismatch
 from prsplit import pgm
+from prsplit.leverage import QuadraticFunction
 from prsplit.proxlib import (
     BlurOperator,
     HaarTransform,
     HuberFn,
     LeastSquaresFn,
     OperatorLeastSquares,
-    diagonal_quadratic,
     estimate_moduli,
     gaussian_kernel,
     gram_norm,
@@ -112,6 +112,25 @@ class TestEstimateModuli:
         for _ in range(20):
             rho, alpha = estimate_moduli(rng.standard_normal((20, 20)))
             assert alpha * rho <= 1.0
+
+    @pytest.mark.parametrize("case", ["tall", "wide", "rank_deficient", "zero"])
+    def test_dense_data_term_matches_reference(self, rng, case):
+        A = {
+            "tall": rng.standard_normal((9, 5)),
+            "wide": rng.standard_normal((4, 7)),
+            "rank_deficient": rng.standard_normal((8, 2)) @ rng.standard_normal((2, 6)),
+            "zero": np.zeros((3, 4)),
+        }[case]
+        # eigh and eigvalsh may differ in the last bits; the zeros must not
+        rho, alpha = LeastSquaresFn(A).moduli
+        ref_rho, ref_alpha = estimate_moduli(A)
+        assert alpha == pytest.approx(ref_alpha, rel=1e-12)
+        if case == "tall":
+            assert rho == pytest.approx(ref_rho, rel=1e-10) and rho > 0.0
+        else:
+            assert rho == ref_rho == 0.0
+        if case == "zero":
+            assert alpha == ref_alpha == 0.0
 
 
 class TestHuber:
@@ -319,8 +338,10 @@ class TestOperatorLeastSquares:
 
 class TestSmallHelpers:
     def test_diagonal_quadratic_regularity(self):
-        fn = diagonal_quadratic(np.array([0.5, 2.0]))
+        fn = QuadraticFunction(0.0, np.zeros(2), np.diag([0.5, 2.0])).to_prox_function()
         assert fn.regularity == (0.5, 0.5)
+        x = np.array([1.0, -3.0])
+        assert np.array_equal(fn.prox(0.7, x), x / (1.0 + 0.7 * np.array([0.5, 2.0])))
 
     def test_pgm_round_trip(self, rng, tmp_path):
         img = rng.random((9, 7))

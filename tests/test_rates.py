@@ -241,6 +241,29 @@ class TestDominance:
                 else:
                     assert swapped[name] == pytest.approx(original[name], rel=1e-12)
 
+    @pytest.mark.parametrize("reg, tie", [
+        (RegularityParams(rho=0.0, alpha=0.0, mu=1.0, beta=0.5), "prs2"),
+        (RegularityParams(rho=1.0, alpha=0.5, mu=0.0, beta=0.0), "prs1"),
+    ], ids=["f_absent", "g_absent"])
+    def test_absent_function_ties_classical_prs(self, reg, tie):
+        # with rho = alpha = 0 on one side, leveraged PRS is classical PRS on
+        # the other function, so r* = (1 - sqrt(0.5)) / (1 + sqrt(0.5)) twice
+        report = dict(dominance_report(reg))
+        assert report["prs_lev"] == report[tie] == pytest.approx(3.0 - 2.0 * math.sqrt(2.0))
+        others = [rate for name, rate in report.items()
+                  if rate is not None and name not in ("prs_lev", tie)]
+        assert others and all(report["prs_lev"] < rate for rate in others)
+
+    def test_absent_function_tie_survives_rounding(self, rng):
+        # the two formulas round differently: r* may sit an ulp above the tie
+        for _ in range(200):
+            mu = float(10.0 ** rng.uniform(-3.0, 3.0))
+            beta = float(rng.uniform(0.01, 0.99)) / mu
+            for reg, tie in ((RegularityParams(0.0, 0.0, mu, beta), "prs2"),
+                             (RegularityParams(mu, beta, 0.0, 0.0), "prs1")):
+                report = dict(dominance_report(reg))
+                assert report[tie] == pytest.approx(report["prs_lev"], rel=0, abs=1e-15)
+
     def test_violated_dominance_raises(self, monkeypatch):
         # an explicit raise, not an assert that ``python -O`` would strip
         monkeypatch.setattr("prsplit.rates.optimal_rate", lambda reg: 1.0)

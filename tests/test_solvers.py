@@ -13,8 +13,7 @@ from prsplit.core import (
 )
 from prsplit.errors import NotSmooth
 from prsplit.harness import make_least_squares_problem
-from prsplit.leverage import ShiftedProxSpec, shifted_reflect
-from prsplit.proxlib import diagonal_quadratic, zero_function
+from prsplit.leverage import QuadraticFunction, ShiftedProxSpec, shifted_reflect
 from prsplit.rates import delta_star, optimal_params, optimal_rate, rate_r1, rate_r2
 from prsplit.solvers import (
     SolverConfig,
@@ -38,11 +37,11 @@ NONFINITE_CASES = [
 
 
 def tight_problem(reg=TIGHT_REG):
-    f = diagonal_quadratic(np.array([reg.rho, 1.0 / reg.alpha]))
-    g = diagonal_quadratic(np.array([reg.mu, 1.0 / reg.beta]))
+    f = QuadraticFunction(0.0, np.zeros(2), np.diag([reg.rho, 1.0 / reg.alpha]))
+    g = QuadraticFunction(0.0, np.zeros(2), np.diag([reg.mu, 1.0 / reg.beta]))
     origin = np.zeros(2)
     return CompositeProblem(
-        f=f, g=g, regularity=reg,
+        f=f.to_prox_function(), g=g.to_prox_function(), regularity=reg,
         solution_oracle=origin, fixed_point_oracle=lambda lp: origin,
     )
 
@@ -198,7 +197,9 @@ def axis_indicator_problem():
         value=lambda z: 0.0 if z[1] == 0.0 else math.inf,
     )
     return CompositeProblem(
-        f=project, g=zero_function(2), regularity=RegularityParams(0, 0, 0, 0)
+        f=project,
+        g=QuadraticFunction(0.0, np.zeros(2), 0.0).to_prox_function(),
+        regularity=RegularityParams(0, 0, 0, 0),
     )
 
 
@@ -276,7 +277,7 @@ class TestClassicAndRelaxed:
         # not a prox of anything: an expansive map, which the theory forbids
         expanding = ProxFunction(prox=lambda gamma, x: 1.5 * x, dimension=3)
         problem = CompositeProblem(
-            f=expanding, g=zero_function(3),
+            f=expanding, g=QuadraticFunction(0.0, np.zeros(3), 0.0).to_prox_function(),
             regularity=RegularityParams(0, 0, 0, 0),
         )
         config = SolverConfig(max_iter=1000, tol=1e-12, stopping="residual")
@@ -294,7 +295,8 @@ class TestClassicAndRelaxed:
         # fault must reach them through z; NaN poisons f, and +inf poisons g,
         # because in f it would meet itself in d as inf - inf = NaN
         poisoned = ProxFunction(prox=lambda gamma, x: np.full_like(x, poison), dimension=3)
-        f, g = (poisoned, zero_function(3)) if math.isnan(poison) else (zero_function(3), poisoned)
+        zero = QuadraticFunction(0.0, np.zeros(3), 0.0).to_prox_function()
+        f, g = (poisoned, zero) if math.isnan(poison) else (zero, poisoned)
         problem = CompositeProblem(f=f, g=g, regularity=RegularityParams(0, 0, 0, 0))
         config = SolverConfig(max_iter=20000, tol=1e-12, stopping=stopping, record_trace=record)
         _, _, trace = prs_classic_solve(problem, 1.0, config, z0=np.ones(3), z_star=np.zeros(3))
@@ -375,7 +377,7 @@ class TestFista:
         x_star = np.linalg.solve(f.gram, f.at_a)
         problem = CompositeProblem(
             f=f.to_prox_function(),
-            g=zero_function(m),
+            g=QuadraticFunction(0.0, np.zeros(m), 0.0).to_prox_function(),
             regularity=RegularityParams(f.moduli[0], f.moduli[1], 0.0, 0.0),
             solution_oracle=x_star,
         )
@@ -387,7 +389,8 @@ class TestFista:
     def test_forward_function_must_be_smooth(self, rng):
         problem = random_instance(rng)
         bare = CompositeProblem(
-            f=problem.f, g=zero_function(problem.dimension),
+            f=problem.f,
+            g=QuadraticFunction(0.0, np.zeros(problem.dimension), 0.0).to_prox_function(),
             regularity=RegularityParams(problem.regularity.rho, problem.regularity.alpha, 0.0, 0.0),
         )
         with pytest.raises(NotSmooth):
