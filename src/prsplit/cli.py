@@ -126,7 +126,14 @@ def cmd_solve(args) -> int:
     reg = problem.regularity
     config = SolverConfig(max_iter=args.max_iter, tol=args.tol)
     if args.method == "prs_lev":
-        delta = rates.delta_star(reg) if args.delta is None else args.delta
+        if args.delta is not None:
+            delta = args.delta
+        elif reg.alpha == 0.0 or reg.beta == 0.0:
+            # delta* sits on an endpoint of [-rho, mu] here, where eta = 0 is
+            # out of range; r* is flat on the interval, so take its midpoint
+            delta = (reg.mu - reg.rho) / 2.0
+        else:
+            delta = rates.delta_star(reg)
         lp = validate_leverage(rates.optimal_params(reg, delta), reg)
         x, _, trace = prs_lev_solve(problem, lp, config)
     elif args.method == "prs":
@@ -166,6 +173,7 @@ def cmd_restore(args) -> int:
     )
     reg = report.regularity
     print(f"moduli: rho={reg.rho:.4g} alpha={reg.alpha:.4g} mu={reg.mu:.4g} beta={reg.beta:.4g}")
+    print(f"reference: {report.reference_status} after {report.reference_iterations} iterations")
     for name, run in report.runs.items():
         err = float(np.linalg.norm(run.final_x - report.reference))
         print(f"  {name:<8} {run.iterations:5d} iterations  status={run.status}  "

@@ -27,7 +27,7 @@ from .core import (
     TraceRecord,
     validate_regularity,
 )
-from .errors import NoGradient, SplittingError
+from .errors import NoGradient, NoLeverage, SplittingError
 from .leverage import QuadraticFunction
 from .proxlib import (
     BlurOperator,
@@ -104,15 +104,23 @@ def make_least_squares_problem(
 
     Attaches the normal-equations solution
     ``x* = (A^T A + B^T B)^{-1} (A^T a + B^T b)`` and :func:`fixed_point_oracle`.
+    Raises :class:`NoLeverage` when ``A^T A + B^T B`` is singular.
     """
     f = LeastSquaresFn(A, a)
     g = LeastSquaresFn(B, b)
     reg = RegularityParams(f.moduli[0], f.moduli[1], g.moduli[0], g.moduli[1])
+    try:
+        x_star = np.linalg.solve(f.gram + g.gram, f.at_a + g.at_a)
+    except np.linalg.LinAlgError:
+        raise NoLeverage(
+            "A^T A + B^T B is singular, so neither data term is strongly convex "
+            "(rho = mu = 0)"
+        ) from None
     problem = CompositeProblem(
         f=f.to_prox_function(),
         g=g.to_prox_function(),
         regularity=reg,
-        solution_oracle=np.linalg.solve(f.gram + g.gram, f.at_a + g.at_a),
+        solution_oracle=x_star,
     )
     return replace(problem, fixed_point_oracle=partial(fixed_point_oracle, problem))
 
@@ -430,6 +438,8 @@ class RestorationReport:
     true_image: np.ndarray
     observed: np.ndarray
     reference: np.ndarray
+    reference_status: str
+    reference_iterations: int
     regularity: RegularityParams
     runs: dict[str, MethodRun]
 
@@ -476,7 +486,7 @@ def run_restoration_demo(
         regularity=reg,
     )
 
-    reference = _restoration_reference(problem)
+    reference, reference_trace = _restoration_reference(problem)
     problem = replace(problem, solution_oracle=reference)
     problem = replace(problem, fixed_point_oracle=partial(fixed_point_oracle, problem))
 
@@ -507,6 +517,8 @@ def run_restoration_demo(
 
     report = RestorationReport(
         true_image=x_true, observed=observed, reference=reference,
+        reference_status=reference_trace.status,
+        reference_iterations=reference_trace.iterations,
         regularity=reg, runs=runs,
     )
     if out_dir is not None:
@@ -514,21 +526,28 @@ def run_restoration_demo(
     return report
 
 
-def _restoration_reference(problem: CompositeProblem) -> np.ndarray:
-    """Shared minimizer at far-beyond-stopping precision (residual 1e-13)."""
+def _restoration_reference(problem: CompositeProblem) -> tuple[np.ndarray, SolveTrace]:
+    """Shared minimizer at far-beyond-stopping precision, and its solve's trace.
+
+    The residual tolerance is 1e-13 up to N = 64 x 64 pixels and grows as
+    ``sqrt(N)`` beyond, as the roundoff floor of an N-term sum does (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2002): a fixed 1e-13 lies
+    under that floor from about 300 x 300 pixels on, and the solve would then
+    spend its whole budget.
+    """
     reg = problem.regularity
-    config = SolverConfig(max_iter=5000, tol=1e-13, stopping="residual")
+    tol = 1e-13 * max(1.0, math.sqrt(problem.f.dimension) / 64.0)
+    config = SolverConfig(max_iter=5000, tol=tol, stopping="residual")
     try:
         validate_regularity(reg, "leveraged")
         lp = optimal_params(reg, delta_star(reg))
-        x, _, _ = prs_lev_solve(problem, lp, config)
-        return x
+        x, _, trace = prs_lev_solve(problem, lp, config)
     except SplittingError:
         # degenerate moduli (e.g. an exactly quadratic data term): fall back
         # to plain PRS, which only needs rho > 0 and alpha > 0
         tau = classical_prs_optimal(reg)[0]
-        x, _, _ = prs_classic_solve(problem, tau, config)
-        return x
+        x, _, trace = prs_classic_solve(problem, tau, config)
+    return x, trace
 
 
 def _write_restoration_outputs(report: RestorationReport, out_dir) -> None:

@@ -3,9 +3,10 @@
 Least-squares data terms (dense, solved in the eigenbasis of its Gram
 matrix, or a circular convolution solved in closed form by the 2-D FFT), the
 Huber penalty with an optional orthogonal transform, an orthonormal
-multi-level Haar transform, and a small circular blur operator.  Both data
-terms take their moduli from their Gram spectrum by the one rule shared with
-:class:`~prsplit.leverage.QuadraticFunction`.
+multi-level Haar transform, and a small circular blur operator applied by the
+2-D FFT through its transfer function.  Both data terms take their moduli from
+their Gram spectrum by the one rule shared with
+:class:`~prsplit.leverage.QuadraticFunction`.  Everything here needs numpy only.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import ndimage
 
 from .core import ProxFunction, _moduli_from_spectrum
 from .errors import ShapeMismatch
@@ -256,7 +256,10 @@ class BlurOperator:
 
     The kernel must be square with an odd side, so that it is centred.
     Circular wrapping then keeps the adjoint exact (convolution with the
-    flipped kernel) and the operator norm at most one.
+    flipped kernel) and the operator norm at most one.  A circular
+    convolution is diagonal in the 2-D DFT, so ``apply`` multiplies the
+    ``rfft2`` of the image by the :meth:`transfer` function and ``adjoint``
+    by its complex conjugate.
     """
 
     kernel: np.ndarray
@@ -271,15 +274,27 @@ class BlurOperator:
             raise ValueError("kernel must be nonnegative and sum to 1")
         object.__setattr__(self, "kernel", k)
 
+    def transfer(self, shape: tuple[int, int]) -> np.ndarray:
+        """``rfft2`` of the kernel wrapped onto an image of ``shape``.
+
+        The kernel centre lands on pixel (0, 0).  Entries that fold onto the
+        same pixel, as they do when the kernel is larger than the image, are
+        summed, so the result is exact for every image shape.
+        """
+        offsets = np.arange(self.kernel.shape[0]) - self.kernel.shape[0] // 2
+        psf = np.zeros(shape)
+        np.add.at(psf, (offsets[:, None] % shape[0], offsets[None, :] % shape[1]), self.kernel)
+        return np.fft.rfft2(psf)
+
     def apply(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 2:
             raise ShapeMismatch("blur expects a 2-D image")
-        return ndimage.convolve(x, self.kernel, mode="wrap")
+        return np.fft.irfft2(self.transfer(x.shape) * np.fft.rfft2(x), s=x.shape)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         if y.ndim != 2:
             raise ShapeMismatch("blur adjoint expects a 2-D image")
-        return ndimage.convolve(y, self.kernel[::-1, ::-1], mode="wrap")
+        return np.fft.irfft2(np.conj(self.transfer(y.shape)) * np.fft.rfft2(y), s=y.shape)
 
 
 # --- least squares with a circular convolution, diagonal in the 2-D DFT ------------
@@ -288,15 +303,11 @@ class BlurOperator:
 def _gram_spectrum(op, shape: tuple[int, int]) -> np.ndarray:
     """Eigenvalues of T^T T for a circular convolution T, in ``rfft2`` layout.
 
-    T is diagonalized by the 2-D DFT with eigenvalues ``rfft2(T e0)``, where
-    ``e0`` is the unit impulse at pixel (0, 0); the impulse response (rather
-    than a padded kernel) keeps this exact for any image shape and for
-    kernels larger than the image.  The half-spectrum of ``rfft2`` holds every
-    distinct eigenvalue, since the rest are complex conjugates.
+    T is diagonalized by the 2-D DFT with eigenvalues ``H = op.transfer(shape)``,
+    so those of T^T T are ``|H|^2``.  The half-spectrum of ``rfft2`` holds
+    every distinct eigenvalue, since the rest are complex conjugates.
     """
-    impulse = np.zeros(shape)
-    impulse[0, 0] = 1.0
-    return np.abs(np.fft.rfft2(op.apply(impulse))) ** 2
+    return np.abs(op.transfer(shape)) ** 2
 
 
 def gram_norm(op, shape: tuple[int, int]) -> float:
@@ -310,10 +321,11 @@ def gram_smallest_eigenvalue(op, shape: tuple[int, int]) -> float:
 
 
 class OperatorLeastSquares:
-    """``x -> ||T x - b||^2 / 2`` for a circular convolution T given by apply/adjoint.
+    """``x -> ||T x - b||^2 / 2`` for a circular convolution T.
 
-    T must be a circular convolution (such as :class:`BlurOperator`): the prox
-    solves ``(I + gamma T^T T) p = x + gamma T^T b`` in closed form by one
+    T (such as :class:`BlurOperator`) gives ``apply``, ``adjoint`` and its
+    ``transfer(shape)`` function: the prox solves
+    ``(I + gamma T^T T) p = x + gamma T^T b`` in closed form by one
     ``rfft2``, a division by ``1 + gamma * spectrum`` and one ``irfft2``, with
     the Gram spectrum computed once at construction.  The moduli are the
     extreme eigenvalues of that spectrum.

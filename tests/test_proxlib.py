@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
 from scipy.optimize import minimize, minimize_scalar
 
 from prsplit.core import firm_nonexpansiveness_gap
@@ -244,6 +245,9 @@ class TestHaar:
 # (kernel size, image shape): square, odd non-square, and a kernel larger than the image
 SPECTRUM_CASES = [(3, (8, 8)), (3, (7, 8)), (5, (3, 4))]
 SPECTRUM_IDS = ["k3-8x8", "k3-7x8", "k5-3x4"]
+# random non-symmetric kernels, two of them larger than the image
+DIRECTION_CASES = [(1, (4, 5)), (3, (8, 8)), (3, (7, 8)), (5, (3, 4)), (7, (16, 9)), (9, (2, 2))]
+DIRECTION_IDS = [f"k{k}-{r}x{c}" for k, (r, c) in DIRECTION_CASES]
 
 
 class TestBlur:
@@ -264,6 +268,21 @@ class TestBlur:
             assert float(np.vdot(op.apply(x), y)) == pytest.approx(
                 float(np.vdot(x, op.adjoint(y))), abs=1e-10
             )
+
+    @pytest.mark.parametrize("size, shape", DIRECTION_CASES, ids=DIRECTION_IDS)
+    def test_apply_and_adjoint_match_wrapped_convolution(self, rng, size, shape):
+        # scipy serves as an outside reference here only; a symmetric kernel
+        # could not tell apply from adjoint, so these kernels are not symmetric
+        k = rng.uniform(0.1, 1.0, size=(size, size))
+        k /= k.sum()
+        op = BlurOperator(k)
+        x = rng.standard_normal(shape)
+        np.testing.assert_allclose(
+            op.apply(x), ndimage.convolve(x, k, mode="wrap"), rtol=0, atol=1e-14
+        )
+        np.testing.assert_allclose(
+            op.adjoint(x), ndimage.convolve(x, k[::-1, ::-1], mode="wrap"), rtol=0, atol=1e-14
+        )
 
     def test_norm_at_most_one(self):
         op = BlurOperator(gaussian_kernel(5, 0.5))
