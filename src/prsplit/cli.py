@@ -5,7 +5,8 @@ Subcommands: ``rates`` (closed-form rates and dominance for given moduli),
 ``restore`` (PGM or synthetic image deblurring), ``sweep-delta`` (flat-rate
 verification).  The PRSPLIT_OUTDIR environment variable sets the default
 output directory.  Invalid input ends with a one-line ``prsplit: error: ...``
-on stderr and exit code 2, as argparse does for bad arguments.
+on stderr and exit code 2, as argparse does for bad arguments.  ``solve`` and
+``restore`` exit 1 when a solve stops without converging.
 """
 
 from __future__ import annotations
@@ -179,7 +180,8 @@ def cmd_restore(args) -> int:
         print(f"  {name:<8} {run.iterations:5d} iterations  status={run.status}  "
               f"|x - x_ref| = {err:.3e}")
     print(f"wrote images and error curves to {out}")
-    return 0
+    statuses = [report.reference_status] + [run.status for run in report.runs.values()]
+    return 0 if all(status == "converged" for status in statuses) else 1
 
 
 @functools.cache

@@ -463,8 +463,20 @@ def run_restoration_demo(
     The observation is a circular Gaussian blur plus seeded Gaussian noise.
     A high-precision leveraged solve provides the common reference minimizer;
     each method then runs with the normalized-error stopping rule against its
-    own fixed point and reports its error curve.
+    own fixed point and reports its error curve.  ``lam`` is the penalty
+    weight lambda.  Invalid parameters raise ``ValueError`` naming the
+    parameter before any array is built.
     """
+    if image is None and not side >= 2:
+        raise ValueError(f"side must be at least 2, got {side}")
+    for name, value, ok, what in (
+        ("lambda", lam, lam > 0.0, "positive"),
+        ("epsilon", epsilon, epsilon > 0.0, "positive"),
+        ("noise_var", noise_var, noise_var >= 0.0, "nonnegative"),
+    ):
+        if not (ok and math.isfinite(value)):
+            raise ValueError(f"{name} must be finite and {what}, got {value!r}")
+    kernel = gaussian_kernel(5, sigma)
     if image is None:
         x_true = synthetic_image(side, seed)
     elif isinstance(image, (str, Path)):
@@ -473,7 +485,7 @@ def run_restoration_demo(
         x_true = np.asarray(image, dtype=float)
     shape = x_true.shape
 
-    blur = BlurOperator(gaussian_kernel(5, sigma))
+    blur = BlurOperator(kernel)
     noise_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
     observed = blur.apply(x_true) + math.sqrt(noise_var) * noise_rng.standard_normal(shape)
 

@@ -167,27 +167,39 @@ class HuberFn:
 _SQRT2 = math.sqrt(2.0)
 
 
-def _haar_step(x: np.ndarray) -> np.ndarray:
-    lo = (x[:, 0::2] + x[:, 1::2]) / _SQRT2
-    hi = (x[:, 0::2] - x[:, 1::2]) / _SQRT2
-    cols = np.hstack([lo, hi])
-    lo = (cols[0::2, :] + cols[1::2, :]) / _SQRT2
-    hi = (cols[0::2, :] - cols[1::2, :]) / _SQRT2
-    return np.vstack([lo, hi])
+def _haar_step(x: np.ndarray, out: np.ndarray) -> None:
+    """One analysis stage of ``x`` into ``out``, which may be ``x`` itself.
+
+    Column-pair sums and differences go into the left and right halves of a
+    buffer, then its row-pair sums and differences into the top and bottom
+    halves of ``out``.  Each is divided by sqrt(2) in place, so every entry
+    gets the bits of ``(a + b) / sqrt(2)`` or ``(a - b) / sqrt(2)``.  ``x`` is
+    read in full before ``out`` is written.
+    """
+    h, w = x.shape[0] // 2, x.shape[1] // 2
+    cols = np.empty(x.shape)
+    even, odd = x[:, 0::2], x[:, 1::2]
+    np.add(even, odd, out=cols[:, :w])
+    np.subtract(even, odd, out=cols[:, w:])
+    cols /= _SQRT2
+    even, odd = cols[0::2, :], cols[1::2, :]
+    np.add(even, odd, out=out[:h, :])
+    np.subtract(even, odd, out=out[h:, :])
+    out /= _SQRT2
 
 
-def _haar_step_inv(c: np.ndarray) -> np.ndarray:
-    h = c.shape[0] // 2
+def _haar_step_inv(c: np.ndarray, out: np.ndarray) -> None:
+    """One synthesis stage of ``c`` into ``out``, which may be ``c`` itself."""
+    h, w = c.shape[0] // 2, c.shape[1] // 2
+    rows = np.empty(c.shape)
     lo, hi = c[:h, :], c[h:, :]
-    rows = np.empty_like(c)
-    rows[0::2, :] = (lo + hi) / _SQRT2
-    rows[1::2, :] = (lo - hi) / _SQRT2
-    w = c.shape[1] // 2
+    np.add(lo, hi, out=rows[0::2, :])
+    np.subtract(lo, hi, out=rows[1::2, :])
+    rows /= _SQRT2
     lo, hi = rows[:, :w], rows[:, w:]
-    out = np.empty_like(c)
-    out[:, 0::2] = (lo + hi) / _SQRT2
-    out[:, 1::2] = (lo - hi) / _SQRT2
-    return out
+    np.add(lo, hi, out=out[:, 0::2])
+    np.subtract(lo, hi, out=out[:, 1::2])
+    out /= _SQRT2
 
 
 def _check_haar_shape(x: np.ndarray, level: int) -> None:
@@ -201,25 +213,37 @@ def _check_haar_shape(x: np.ndarray, level: int) -> None:
 
 
 def haar_transform(x: np.ndarray, level: int = 1) -> np.ndarray:
-    """Orthonormal multi-level 2-D Haar analysis (standard quadrant layout)."""
-    _check_haar_shape(x, level)
-    out = np.array(x, dtype=float)
-    h, w = out.shape
+    """Orthonormal multi-level 2-D Haar analysis (standard quadrant layout).
+
+    The first stage reads ``x`` and writes a new array; each coarser stage
+    transforms the top-left quadrant of that array in place.
+    """
+    src = np.asarray(x, dtype=float)
+    _check_haar_shape(src, level)
+    out = np.empty(src.shape)
+    h, w = src.shape
     for _ in range(level):
-        out[:h, :w] = _haar_step(out[:h, :w])
+        _haar_step(src[:h, :w], out[:h, :w])
+        src = out
         h //= 2
         w //= 2
     return out
 
 
 def haar_inverse(c: np.ndarray, level: int = 1) -> np.ndarray:
-    """Exact adjoint (and inverse) of :func:`haar_transform`."""
+    """Exact adjoint (and inverse) of :func:`haar_transform`.
+
+    At level 1 the one stage reads ``c`` and writes a new array.  Deeper
+    transforms copy ``c`` once and run every stage, coarsest first, in place.
+    """
+    c = np.asarray(c, dtype=float)
     _check_haar_shape(c, level)
-    out = np.array(c, dtype=float)
-    h = out.shape[0] // 2 ** (level - 1)
-    w = out.shape[1] // 2 ** (level - 1)
+    out = np.empty(c.shape) if level == 1 else c.copy()
+    src = c if level == 1 else out
+    h = c.shape[0] // 2 ** (level - 1)
+    w = c.shape[1] // 2 ** (level - 1)
     for _ in range(level):
-        out[:h, :w] = _haar_step_inv(out[:h, :w])
+        _haar_step_inv(src[:h, :w], out[:h, :w])
         h *= 2
         w *= 2
     return out
@@ -241,10 +265,27 @@ class HaarTransform:
 # --- circular blur -----------------------------------------------------------------
 
 
+def _rfft2(x: np.ndarray) -> np.ndarray:
+    """``np.fft.rfft2(x)`` as its two 1-D passes: rows by ``rfft``, then columns.
+
+    These are the calls numpy's ``rfftn`` makes, in its order, so the bits
+    are the same; the argument normalization of its wrapper is skipped.
+    """
+    return np.fft.fft(np.fft.rfft(x, axis=-1), axis=-2)
+
+
+def _irfft2(spectrum: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """``np.fft.irfft2(spectrum, s=shape)`` as columns by ``ifft``, then rows."""
+    return np.fft.irfft(np.fft.ifft(spectrum, axis=-2), n=shape[-1], axis=-1)
+
+
 def gaussian_kernel(size: int = 5, sigma: float = 0.5) -> np.ndarray:
     """Normalized ``size x size`` Gaussian point-spread kernel."""
     if size % 2 != 1 or size < 1:
         raise ValueError("kernel size must be odd and positive")
+    # 2 sigma^2 divides below, so it must be a positive finite float too
+    if not (sigma > 0.0 and 0.0 < 2.0 * sigma * sigma < math.inf):
+        raise ValueError(f"sigma must be positive with 2 sigma^2 finite and nonzero, got {sigma!r}")
     r = np.arange(size) - size // 2
     g = np.exp(-(r[:, None] ** 2 + r[None, :] ** 2) / (2.0 * sigma ** 2))
     return g / g.sum()
@@ -259,7 +300,8 @@ class BlurOperator:
     flipped kernel) and the operator norm at most one.  A circular
     convolution is diagonal in the 2-D DFT, so ``apply`` multiplies the
     ``rfft2`` of the image by the :meth:`transfer` function and ``adjoint``
-    by its complex conjugate.
+    by its complex conjugate.  Every 2-D transform here runs as two 1-D
+    passes (``_rfft2``/``_irfft2``), bit for bit ``rfft2``/``irfft2``.
     """
 
     kernel: np.ndarray
@@ -284,17 +326,17 @@ class BlurOperator:
         offsets = np.arange(self.kernel.shape[0]) - self.kernel.shape[0] // 2
         psf = np.zeros(shape)
         np.add.at(psf, (offsets[:, None] % shape[0], offsets[None, :] % shape[1]), self.kernel)
-        return np.fft.rfft2(psf)
+        return _rfft2(psf)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 2:
             raise ShapeMismatch("blur expects a 2-D image")
-        return np.fft.irfft2(self.transfer(x.shape) * np.fft.rfft2(x), s=x.shape)
+        return _irfft2(self.transfer(x.shape) * _rfft2(x), x.shape)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         if y.ndim != 2:
             raise ShapeMismatch("blur adjoint expects a 2-D image")
-        return np.fft.irfft2(np.conj(self.transfer(y.shape)) * np.fft.rfft2(y), s=y.shape)
+        return _irfft2(np.conj(self.transfer(y.shape)) * _rfft2(y), y.shape)
 
 
 # --- least squares with a circular convolution, diagonal in the 2-D DFT ------------
@@ -327,8 +369,11 @@ class OperatorLeastSquares:
     ``transfer(shape)`` function: the prox solves
     ``(I + gamma T^T T) p = x + gamma T^T b`` in closed form by one
     ``rfft2``, a division by ``1 + gamma * spectrum`` and one ``irfft2``, with
-    the Gram spectrum computed once at construction.  The moduli are the
-    extreme eigenvalues of that spectrum.
+    the Gram spectrum computed once at construction.  As in
+    :class:`LeastSquaresFn`, the step-size terms ``(gamma, gamma T^T b,
+    1 + gamma * spectrum)`` are kept for the last ``gamma`` and read and
+    replaced as one tuple.  The gradient multiplies by the spectrum in the
+    same basis.  The moduli are the extreme eigenvalues of that spectrum.
     """
 
     def __init__(self, op, data: np.ndarray):
@@ -339,6 +384,7 @@ class OperatorLeastSquares:
         self.adj_data = op.adjoint(self.data)
         self.spectrum = _gram_spectrum(op, self.shape)
         self.moduli = _moduli_from_spectrum(self.spectrum, self.dimension)
+        self._resolvent = (None, None, None)
 
     def value(self, x: np.ndarray) -> float:
         r = self.op.apply(x) - self.data
@@ -346,13 +392,18 @@ class OperatorLeastSquares:
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         # T^T (T x - b) = T^T T x - T^T b, with T^T T diagonal in the 2-D DFT
-        return np.fft.irfft2(self.spectrum * np.fft.rfft2(x), s=self.shape) - self.adj_data
+        return _irfft2(self.spectrum * _rfft2(x), self.shape) - self.adj_data
 
     def prox(self, gamma: float, x: np.ndarray) -> np.ndarray:
-        if not (gamma > 0.0):
-            raise ValueError("gamma must be positive")
-        rhs = np.fft.rfft2(x + gamma * self.adj_data)
-        return np.fft.irfft2(rhs / (1.0 + gamma * self.spectrum), s=self.shape)
+        step, shift, denominator = self._resolvent
+        if gamma != step:
+            if not (gamma > 0.0):
+                raise ValueError("gamma must be positive")
+            shift = gamma * self.adj_data
+            # complex, as the division would cast it on every call anyway
+            denominator = (1.0 + gamma * self.spectrum).astype(complex)
+            self._resolvent = (gamma, shift, denominator)
+        return _irfft2(_rfft2(x + shift) / denominator, self.shape)
 
     def to_prox_function(self) -> ProxFunction:
         return ProxFunction(

@@ -5,12 +5,14 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import prsplit
+from prsplit import pgm
 from prsplit.cli import build_parser, main
 from prsplit.harness import read_trace
 
@@ -159,6 +161,49 @@ def test_restore_subcommand(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "moduli" in out
     assert re.search(r"^reference: converged after \d+ iterations$", out, re.M)
+
+
+RESTORE_BAD_INPUT = [
+    ("--side", "0"), ("--side", "-8"), ("--sigma", "0"), ("--sigma", "nan"),
+    ("--lambda", "0"), ("--lambda", "inf"), ("--noise-var", "-1"), ("--noise-var", "nan"),
+    ("--epsilon", "0"),
+]
+
+
+@pytest.mark.parametrize("flag, value", RESTORE_BAD_INPUT,
+                         ids=[f"{f[2:]}={v}" for f, v in RESTORE_BAD_INPUT])
+def test_restore_rejects_bad_input_in_one_line(tmp_path, capsys, flag, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning on the way fails too
+        code = main(["restore", flag, value, "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    err = captured.err
+    assert err.startswith("prsplit: error: ") and err.count("\n") == 1
+    assert f" {flag[2:].replace('-', '_')} must be " in err
+    assert not (tmp_path / "observed.pgm").exists()
+
+
+def test_restore_exits_1_when_a_solve_stops_short(tmp_path, capsys):
+    code = main(["restore", "--side", "64", "--max-iter", "5", "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.count("status=max_iter") == 4
+    assert "reference: converged" in out
+
+
+def test_restore_non_square_pgm(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    image = np.clip(0.5 + 0.2 * rng.standard_normal((48, 80)), 0.0, 1.0)
+    pgm.write_pgm(tmp_path / "in.pgm", image)
+    code = main(["restore", "--image", str(tmp_path / "in.pgm"), "--level", "2",
+                 "--out", str(tmp_path / "out")])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert re.search(r"^reference: converged after \d+ iterations$", out, re.M)
+    assert out.count("status=converged") == 4
+    for name in ("true", "observed", "restored_prs_lev", "restored_fista2"):
+        assert pgm.read_pgm(tmp_path / "out" / f"{name}.pgm").shape == (48, 80)
 
 
 def test_outdir_env_var(tmp_path, monkeypatch, capsys):

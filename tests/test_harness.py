@@ -236,6 +236,14 @@ class TestRestoration:
         assert (tmp_path / "true.pgm").exists() and (tmp_path / "observed.pgm").exists()
         assert (tmp_path / "plot_errors.py").exists()
 
+    def test_side_64_counts_are_pinned(self):
+        # seed 64 at side 64 is the restore run whose outputs are kept byte for byte
+        report = run_restoration_demo(side=64, seed=64)
+        assert (report.reference_status, report.reference_iterations) == ("converged", 47)
+        counts = {name: (run.status, run.iterations) for name, run in report.runs.items()}
+        assert counts == {"prs_lev": ("converged", 38), "prs": ("converged", 41),
+                          "fista1": ("converged", 54), "fista2": ("converged", 171)}
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             run_restoration_demo(side=16, methods=("newton",), max_iter=5)

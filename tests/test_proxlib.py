@@ -17,6 +17,8 @@ from prsplit.proxlib import (
     HuberFn,
     LeastSquaresFn,
     OperatorLeastSquares,
+    _irfft2,
+    _rfft2,
     estimate_moduli,
     gaussian_kernel,
     gram_norm,
@@ -242,6 +244,61 @@ class TestHaar:
             haar_transform(np.zeros(16), level=1)
 
 
+
+_SQRT2 = math.sqrt(2.0)
+
+
+def _stacked_haar_step(x):
+    lo = (x[:, 0::2] + x[:, 1::2]) / _SQRT2
+    hi = (x[:, 0::2] - x[:, 1::2]) / _SQRT2
+    cols = np.hstack([lo, hi])
+    lo = (cols[0::2, :] + cols[1::2, :]) / _SQRT2
+    hi = (cols[0::2, :] - cols[1::2, :]) / _SQRT2
+    return np.vstack([lo, hi])
+
+
+def _stacked_haar_step_inv(c):
+    h = c.shape[0] // 2
+    lo, hi = c[:h, :], c[h:, :]
+    rows = np.empty_like(c)
+    rows[0::2, :] = (lo + hi) / _SQRT2
+    rows[1::2, :] = (lo - hi) / _SQRT2
+    w = c.shape[1] // 2
+    lo, hi = rows[:, :w], rows[:, w:]
+    out = np.empty_like(c)
+    out[:, 0::2] = (lo + hi) / _SQRT2
+    out[:, 1::2] = (lo - hi) / _SQRT2
+    return out
+
+
+def _stacked_haar(x, level, inverse=False):
+    """The Haar transform built by stacking half-arrays, kept as a bitwise oracle."""
+    out = np.array(x, dtype=float)
+    shift = level - 1 if inverse else 0
+    h, w = out.shape[0] >> shift, out.shape[1] >> shift
+    for _ in range(level):
+        if inverse:
+            out[:h, :w] = _stacked_haar_step_inv(out[:h, :w])
+            h, w = 2 * h, 2 * w
+        else:
+            out[:h, :w] = _stacked_haar_step(out[:h, :w])
+            h, w = h // 2, w // 2
+    return out
+
+
+HAAR_SHAPES = [(16, 16), (8, 24), (24, 8), (48, 80)]
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+@pytest.mark.parametrize("shape", HAAR_SHAPES, ids=[f"{r}x{c}" for r, c in HAAR_SHAPES])
+def test_haar_is_bitwise_the_stacked_transform(rng, shape, level):
+    x = rng.standard_normal(shape)
+    kept = x.copy()
+    assert haar_transform(x, level).tobytes() == _stacked_haar(x, level).tobytes()
+    assert haar_inverse(x, level).tobytes() == _stacked_haar(x, level, inverse=True).tobytes()
+    assert x.tobytes() == kept.tobytes()  # the input is never written
+
+
 # (kernel size, image shape): square, odd non-square, and a kernel larger than the image
 SPECTRUM_CASES = [(3, (8, 8)), (3, (7, 8)), (5, (3, 4))]
 SPECTRUM_IDS = ["k3-8x8", "k3-7x8", "k5-3x4"]
@@ -305,6 +362,11 @@ class TestBlur:
         assert est == pytest.approx(w[0], rel=1e-12)
         assert gram_norm(op, shape) == pytest.approx(w[-1], rel=1e-9)
 
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf, 1e-200, 1e200])
+    def test_gaussian_kernel_rejects_a_bad_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            gaussian_kernel(5, sigma)
+
     def test_kernel_validation(self):
         with pytest.raises(ValueError):
             BlurOperator(np.array([[0.5, 0.4], [0.05, 0.04]]))  # not square-normalized
@@ -312,6 +374,17 @@ class TestBlur:
             BlurOperator(np.ones((2, 3)) / 6.0)
         with pytest.raises(ShapeMismatch):  # even side: the flipped-kernel adjoint is wrong
             BlurOperator(np.ones((4, 4)) / 16.0)
+
+
+FFT_SHAPES = [(4, 5), (8, 8), (7, 8), (3, 4), (16, 9), (2, 2), (64, 64)]
+
+
+@pytest.mark.parametrize("shape", FFT_SHAPES, ids=[f"{r}x{c}" for r, c in FFT_SHAPES])
+def test_fft_passes_are_bitwise_rfft2(rng, shape):
+    x = rng.standard_normal(shape)
+    spectrum = np.fft.rfft2(x)
+    assert _rfft2(x).tobytes() == spectrum.tobytes()
+    assert _irfft2(spectrum, shape).tobytes() == np.fft.irfft2(spectrum, s=shape).tobytes()
 
 
 class TestOperatorLeastSquares:
@@ -347,6 +420,19 @@ class TestOperatorLeastSquares:
         fn = OperatorLeastSquares(op, rng.standard_normal(shape))
         assert fn.moduli == (gram_smallest_eigenvalue(op, shape), 1.0 / gram_norm(op, shape))
         assert tuple(fn.to_prox_function().regularity) == fn.moduli
+
+    @pytest.mark.parametrize("shape", [(8, 8), (7, 8), (3, 4)], ids=["8x8", "7x8", "3x4"])
+    def test_prox_follows_every_step_size_change(self, rng, shape):
+        # the step-size terms are cached; a stale cache would reuse gamma 2's
+        fn = OperatorLeastSquares(BlurOperator(gaussian_kernel(3, 0.5)), rng.standard_normal(shape))
+        x = rng.standard_normal(shape)
+        for gamma in (0.5, 2.0, 0.5, 0.5):
+            closed = np.fft.irfft2(
+                np.fft.rfft2(x + gamma * fn.adj_data) / (1.0 + gamma * fn.spectrum), s=shape
+            )
+            assert fn.prox(gamma, x).tobytes() == closed.tobytes()
+        with pytest.raises(ValueError):
+            fn.prox(0.0, x)
 
     def test_firm_nonexpansiveness(self, rng):
         op = BlurOperator(gaussian_kernel(3, 0.5))
