@@ -9,32 +9,19 @@ from .core import (
     ProxFunction,
     RegularityParams,
     SolveTrace,
+    fixed_point_oracle,
     validate_leverage,
     validate_regularity,
 )
 from .rates import (
-    RateBundle,
     classical_prs_optimal,
-    classical_prs_rate,
     delta_star,
     dominance_report,
     drs_optimal_rate,
-    fista_rate_bounds,
     optimal_params,
     optimal_rate,
     rate_bundle,
     rate_constancy_check,
-    rate_r1,
-    rate_r2,
-)
-from .leverage import (
-    QuadraticFunction,
-    ShiftedProxSpec,
-    quadratic_conjugate_shift,
-    recover_solution,
-    regularity_transfer,
-    shifted_prox,
-    shifted_reflect,
 )
 from .solvers import (
     SolverConfig,

@@ -79,7 +79,10 @@ def cmd_sweep_delta(args) -> int:
 def _parse_dims(text: str) -> list[tuple[int, int, int]]:
     dims = []
     for part in text.split(";"):
-        m, n, p = (int(v) for v in part.split(","))
+        try:
+            m, n, p = (int(v) for v in part.split(","))
+        except ValueError:
+            raise ValueError(f"--dims: {part!r} is not a triple m,n,p of integers") from None
         dims.append((m, n, p))
     return dims
 
@@ -107,7 +110,23 @@ def cmd_bench_academic(args) -> int:
     return 0
 
 
+def _problem_array(spec: dict, key: str, ndim: int) -> np.ndarray:
+    """``spec[key]`` as a nonempty finite float array of ``ndim`` dimensions."""
+    kind = "matrix" if ndim == 2 else "vector"
+    try:
+        value = np.asarray(spec[key], dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"problem file: {kind} {key!r} is not a numeric array") from None
+    if value.ndim != ndim or value.size == 0:
+        raise ValueError(f"problem file: {kind} {key!r} must be a nonempty {ndim}-D array, "
+                         f"got shape {value.shape}")
+    if not np.isfinite(value).all():
+        raise ValueError(f"problem file: {kind} {key!r} has a non-finite entry")
+    return value
+
+
 def _load_problem_file(path):
+    """The least-squares pair of a JSON problem file, its shapes checked before any solve."""
     with open(path) as fh:
         spec = json.load(fh)
     if not isinstance(spec, dict):
@@ -115,11 +134,18 @@ def _load_problem_file(path):
     for key in ("A", "B"):
         if key not in spec:
             raise ValueError(f"problem file needs matrix {key!r}")
-    A = np.asarray(spec["A"], dtype=float)
-    B = np.asarray(spec["B"], dtype=float)
-    a = np.asarray(spec["a"], dtype=float) if "a" in spec else None
-    b = np.asarray(spec["b"], dtype=float) if "b" in spec else None
-    return harness.make_least_squares_problem(A, a, B, b)
+    A, B = _problem_array(spec, "A", 2), _problem_array(spec, "B", 2)
+    if A.shape[1] != B.shape[1]:
+        raise ValueError(f"problem file: matrices 'A' and 'B' need the same column count, "
+                         f"got {A.shape[1]} and {B.shape[1]}")
+    offsets = {}
+    for key, rows in (("a", A.shape[0]), ("b", B.shape[0])):
+        if key in spec:
+            offsets[key] = _problem_array(spec, key, 1)
+            if offsets[key].size != rows:
+                raise ValueError(f"problem file: vector {key!r} needs one entry per row of "
+                                 f"matrix {key.upper()!r} ({rows}), got {offsets[key].size}")
+    return harness.make_least_squares_problem(A, offsets.get("a"), B, offsets.get("b"))
 
 
 def cmd_solve(args) -> int:

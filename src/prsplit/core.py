@@ -1,4 +1,4 @@
-"""Domain types, prox-oracle abstraction, and hypothesis validation.
+"""Domain types, prox-oracle abstraction, hypothesis validation, and z*.
 
 Everything downstream (rates, solvers, harness) assumes inputs that went
 through :func:`validate_regularity` / :func:`validate_leverage`; validation
@@ -19,6 +19,7 @@ from .errors import (
     DegenerateQuadratic,
     DeltaOutOfRange,
     EtaOutOfRange,
+    NoGradient,
     NoLeverage,
     ShapeMismatch,
     ShiftIncompatible,
@@ -34,8 +35,7 @@ __all__ = [
     "SolveTrace",
     "validate_regularity",
     "validate_leverage",
-    "firm_nonexpansiveness_gap",
-    "moreau_gap",
+    "fixed_point_oracle",
 ]
 
 
@@ -176,8 +176,8 @@ class ProxFunction:
     """A function known to the solvers only through oracles.
 
     ``prox(gamma, x)`` must return ``argmin_y  gamma*h(y) + ||y - x||^2 / 2``.
-    ``value`` and ``gradient`` are optional (the splitting schemes never need
-    them; the harness uses them for fixed-point oracles and residual checks).
+    ``value`` and ``gradient`` are optional (the splitting steps never call
+    them; the gradient of f gives the fixed point z*, and FISTA steps on one).
     Extended-real values use ``math.inf`` as the +infinity sentinel.
 
     All oracles must be re-entrant: no interior mutation during calls.
@@ -199,14 +199,6 @@ class ProxFunction:
         if self.shape is not None and int(np.prod(self.shape)) != self.dimension:
             raise ShapeMismatch(f"shape {self.shape} does not match dimension {self.dimension}")
 
-    @property
-    def strong_convexity(self) -> float:
-        return self.regularity[0]
-
-    @property
-    def cocoercivity(self) -> float:
-        return self.regularity[1]
-
     def zero_point(self) -> np.ndarray:
         """The origin of the space this oracle acts on."""
         return np.zeros(self.shape if self.shape is not None else self.dimension)
@@ -214,18 +206,17 @@ class ProxFunction:
 
 @dataclass(frozen=True)
 class CompositeProblem:
-    """The pair (f, g) to be minimized, plus optional analytic oracles.
+    """The pair (f, g) to be minimized, plus an optional known minimizer x*.
 
-    ``solution_oracle`` is a known minimizer x*; ``fixed_point_oracle`` maps
-    leverage parameters to the unique fixed point z* of the leveraged
-    recurrence (the classical fixed point is the ``delta = eta = 0`` case).
+    With ``solution_oracle`` and a gradient on f, :func:`fixed_point_oracle`
+    gives the fixed point z* of every splitting recurrence, and those solvers
+    stop on the distance to it by default (FISTA on the distance to x*).
     """
 
     f: ProxFunction
     g: ProxFunction
     regularity: RegularityParams
     solution_oracle: Optional[np.ndarray] = None
-    fixed_point_oracle: Optional[Callable[[LeverageParams], np.ndarray]] = None
 
     def __post_init__(self):
         if self.f.dimension != self.g.dimension:
@@ -236,6 +227,20 @@ class CompositeProblem:
     @property
     def dimension(self) -> int:
         return self.f.dimension
+
+
+def fixed_point_oracle(problem: CompositeProblem, lp: LeverageParams) -> np.ndarray:
+    """z* of the leveraged recurrence from a known minimizer and grad f.
+
+    ``delta = eta = 0`` gives the classical fixed point ``x* + tau grad_f(x*)``.
+    """
+    if problem.f.gradient is None:
+        raise NoGradient("fixed-point oracle needs a gradient oracle on f")
+    if problem.solution_oracle is None:
+        raise ValueError("fixed-point oracle needs a known minimizer")
+    x_star = problem.solution_oracle
+    span = lp.tau + lp.eta
+    return (1.0 + lp.delta * span) * x_star + span * problem.f.gradient(x_star)
 
 
 @dataclass(frozen=True)
@@ -252,20 +257,13 @@ class TraceRecord:
 class SolveTrace:
     """Per-iteration records plus the terminal status of a solve.
 
-    ``total_iterations`` counts steps even when record capture is switched
-    off for speed.
+    ``iterations`` counts steps even when record capture is switched off for
+    speed.
     """
 
     records: list[TraceRecord] = field(default_factory=list)
     status: Literal["converged", "max_iter", "diverged", "nonfinite"] = "max_iter"
-    total_iterations: int = 0
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    @property
-    def iterations(self) -> int:
-        return self.total_iterations
+    iterations: int = 0
 
     def residuals(self) -> np.ndarray:
         return np.array([r.residual for r in self.records])
@@ -283,38 +281,3 @@ class SolveTrace:
              for r in self.records]
         )
 
-
-def firm_nonexpansiveness_gap(
-    fn: ProxFunction,
-    rng: np.random.Generator,
-    pairs: int = 100,
-    gammas: tuple[float, ...] = (0.5, 1.0, 2.0),
-    scale: float = 10.0,
-) -> float:
-    """Worst violation of ``||p_x - p_y||^2 <= <p_x - p_y, x - y>`` over random pairs.
-
-    Nonpositive (up to roundoff) for any genuine prox.
-    """
-    shape = fn.shape if fn.shape is not None else (fn.dimension,)
-    worst = -math.inf
-    for k in range(pairs):
-        gamma = gammas[k % len(gammas)]
-        x = scale * rng.standard_normal(shape)
-        y = scale * rng.standard_normal(shape)
-        px = fn.prox(gamma, x)
-        py = fn.prox(gamma, y)
-        diff = px - py
-        gap = float(np.vdot(diff, diff) - np.vdot(diff, x - y))
-        worst = max(worst, gap)
-    return worst
-
-
-def moreau_gap(
-    prox_h: Callable[[float, np.ndarray], np.ndarray],
-    prox_conj: Callable[[float, np.ndarray], np.ndarray],
-    gamma: float,
-    x: np.ndarray,
-) -> float:
-    """``||prox_{gamma h}(x) + gamma * prox_{h*/gamma}(x/gamma) - x||`` (zero in exact arithmetic)."""
-    lhs = prox_h(gamma, x) + gamma * prox_conj(1.0 / gamma, x / gamma)
-    return float(np.linalg.norm(lhs - x))

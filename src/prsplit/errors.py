@@ -13,7 +13,7 @@ class BoundViolation(SplittingError):
 
 class DegenerateQuadratic(SplittingError):
     """alpha*rho = 1 or beta*mu = 1: the function is an exact quadratic, excluded
-    from the leveraged solver (its closed forms are still available as oracles)."""
+    from the leveraged solver."""
 
 
 class NoLeverage(SplittingError):
@@ -38,20 +38,6 @@ class ShiftIncompatible(SplittingError):
     """tau*|delta| >= 1 + delta*eta, so a prox-step denominator would vanish."""
 
 
-# --- shifted-prox and conjugate-shift domains ---------------------------------
-
-class StepDomain(SplittingError):
-    pass
-
-
-class ShiftDomain(SplittingError):
-    pass
-
-
-class TransferDomain(SplittingError):
-    """Shift violates the hypotheses of the regularity-transfer formulas."""
-
-
 # --- baselines ----------------------------------------------------------------
 
 class NotStronglyRegular(SplittingError):
@@ -69,7 +55,7 @@ class ShapeMismatch(SplittingError):
     pass
 
 
-# --- harness -------------------------------------------------------------------
+# --- fixed-point oracle ------------------------------------------------------------
 
 class NoGradient(SplittingError):
     pass

@@ -1,5 +1,5 @@
-"""Experiments: random instances, fixed-point oracles, benchmark loops,
-rate-verification sweeps, and CSV/plot emission.
+"""Experiments: random instances, benchmark loops, the tight contraction
+check, image restoration, and CSV/plot emission.
 
 Instances use numpy's seedable PCG64 generator (``default_rng``) with uniform
 [0, 1) entries.  Wall times are measured with a monotonic clock and reported,
@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -24,10 +23,10 @@ from .core import (
     LeverageParams,
     RegularityParams,
     SolveTrace,
-    TraceRecord,
+    fixed_point_oracle,
     validate_regularity,
 )
-from .errors import NoGradient, NoLeverage, SplittingError
+from .errors import NoLeverage, SplittingError
 from .leverage import QuadraticFunction
 from .proxlib import (
     BlurOperator,
@@ -35,10 +34,10 @@ from .proxlib import (
     HuberFn,
     LeastSquaresFn,
     OperatorLeastSquares,
+    _check_haar_shape,
     gaussian_kernel,
 )
 from .rates import (
-    _factor,
     classical_prs_optimal,
     delta_star,
     optimal_params,
@@ -50,10 +49,7 @@ __all__ = [
     "InstanceSpec",
     "make_least_squares_problem",
     "generate_instance",
-    "fixed_point_oracle",
     "run_tight_check",
-    "GridRateSearch",
-    "grid_search_rate",
     "MethodStats",
     "BenchmarkRow",
     "BenchmarkReport",
@@ -63,7 +59,6 @@ __all__ = [
     "RestorationReport",
     "run_restoration_demo",
     "emit_trace",
-    "read_trace",
     "emit_plot_script",
 ]
 
@@ -103,8 +98,9 @@ def make_least_squares_problem(
     """Composite problem for half squared residuals of two linear systems.
 
     Attaches the normal-equations solution
-    ``x* = (A^T A + B^T B)^{-1} (A^T a + B^T b)`` and :func:`fixed_point_oracle`.
-    Raises :class:`NoLeverage` when ``A^T A + B^T B`` is singular.
+    ``x* = (A^T A + B^T B)^{-1} (A^T a + B^T b)``, from which the solvers take
+    their fixed points.  Raises :class:`NoLeverage` when ``A^T A + B^T B`` is
+    singular.
     """
     f = LeastSquaresFn(A, a)
     g = LeastSquaresFn(B, b)
@@ -116,13 +112,12 @@ def make_least_squares_problem(
             "A^T A + B^T B is singular, so neither data term is strongly convex "
             "(rho = mu = 0)"
         ) from None
-    problem = CompositeProblem(
+    return CompositeProblem(
         f=f.to_prox_function(),
         g=g.to_prox_function(),
         regularity=reg,
         solution_oracle=x_star,
     )
-    return replace(problem, fixed_point_oracle=partial(fixed_point_oracle, problem))
 
 
 def generate_instance(spec: InstanceSpec) -> CompositeProblem:
@@ -131,20 +126,6 @@ def generate_instance(spec: InstanceSpec) -> CompositeProblem:
     A = spec.scale_a * rng.random((spec.n, spec.m))
     B = spec.scale_b * rng.random((spec.p, spec.m))
     return make_least_squares_problem(A, spec.offset_a, B, spec.offset_b)
-
-
-def fixed_point_oracle(problem: CompositeProblem, lp: LeverageParams) -> np.ndarray:
-    """z* of the leveraged recurrence from a known minimizer and grad f.
-
-    ``delta = eta = 0`` gives the classical fixed point ``x* + tau grad_f(x*)``.
-    """
-    if problem.f.gradient is None:
-        raise NoGradient("fixed-point oracle needs a gradient oracle on f")
-    if problem.solution_oracle is None:
-        raise ValueError("fixed-point oracle needs a known minimizer")
-    x_star = problem.solution_oracle
-    span = lp.tau + lp.eta
-    return (1.0 + lp.delta * span) * x_star + span * problem.f.gradient(x_star)
 
 
 # --- tight two-dimensional contraction check ---------------------------------------
@@ -168,11 +149,9 @@ def run_tight_check(
         raise ValueError("the tight pair needs alpha > 0 and beta > 0")
     f = QuadraticFunction(0.0, np.zeros(2), np.diag([reg.rho, 1.0 / reg.alpha]))
     g = QuadraticFunction(0.0, np.zeros(2), np.diag([reg.mu, 1.0 / reg.beta]))
-    origin = np.zeros(2)
     problem = CompositeProblem(
         f=f.to_prox_function(), g=g.to_prox_function(), regularity=reg,
-        solution_oracle=origin,
-        fixed_point_oracle=lambda lp: origin,
+        solution_oracle=np.zeros(2),
     )
     lp = optimal_params(reg, delta_star(reg) if delta is None else delta)
     config = SolverConfig(max_iter=steps, tol=1e-300, stopping="residual")
@@ -186,72 +165,6 @@ def run_tight_check(
         if rec.contraction_ratio is not None
     ]
     return max(deviations, default=0.0)
-
-
-# --- brute-force parameter search (verification oracle) ----------------------------
-
-
-@dataclass(frozen=True)
-class GridRateSearch:
-    """Argmin and value of a 2-D grid minimization of the rate over (tau, eta)."""
-
-    tau: float
-    eta: float
-    rate: float
-    tau_resolution: float
-    eta_resolution: float
-
-
-def grid_search_rate(
-    reg: RegularityParams,
-    delta: float,
-    grid: int = 41,
-    refinements: int = 3,
-) -> GridRateSearch:
-    """Minimize ``r1*r2`` over the admissible (tau, eta) box at fixed delta.
-
-    Pure brute force with repeated zooming; independent of the closed-form
-    optimizer so it can serve as its oracle.  The initial tau cap comes from
-    the branch-crossing values at the eta endpoints, which bound the optimum.
-    """
-    validate_regularity(reg, "leveraged")
-    rho, alpha, mu, beta = reg.rho, reg.alpha, reg.mu, reg.beta
-    if not (-rho < delta < mu):
-        raise ValueError("grid search needs an interior delta")
-    eta_lo = -alpha / (1.0 + alpha * delta)
-    eta_hi = beta / (1.0 - beta * delta)
-    pad = 1e-6 * (eta_hi - eta_lo)
-    lo, hi = eta_lo + pad, eta_hi - pad
-    af = alpha / (1.0 + alpha * delta)
-    bg = beta / (1.0 - beta * delta)
-    tau_cross_f = math.sqrt((af + hi) * (1.0 / (rho + delta) + hi))
-    tau_cross_g = math.sqrt((bg - lo) * (1.0 / (mu - delta) - lo))
-    tau_lo, tau_hi = 0.0, 2.0 * max(tau_cross_f, tau_cross_g)
-
-    best = (math.inf, math.nan, math.nan)
-    for _ in range(refinements + 1):
-        taus = np.linspace(tau_lo, tau_hi, grid)
-        etas = np.linspace(lo, hi, grid)
-        tt, ee = np.meshgrid(taus, etas, indexing="ij")
-        r1 = _factor(tt, ee, delta, rho, alpha)
-        r2 = _factor(tt, -ee, -delta, mu, beta)
-        rate = r1 * r2
-        valid = (tt > np.abs(ee)) & (tt * abs(delta) < 1.0 + delta * ee)
-        rate = np.where(valid, rate, math.inf)
-        i, j = np.unravel_index(np.argmin(rate), rate.shape)
-        best = (float(rate[i, j]), float(tt[i, j]), float(ee[i, j]))
-        dt = taus[1] - taus[0]
-        de = etas[1] - etas[0]
-        # a 4-cell window keeps the narrow diagonal valley of the product
-        # inside the zoom while still shrinking the span by 5x per pass
-        tau_lo = max(0.0, taus[i] - 4.0 * dt)
-        tau_hi = taus[i] + 4.0 * dt
-        lo = max(eta_lo + pad, etas[j] - 4.0 * de)
-        hi = min(eta_hi - pad, etas[j] + 4.0 * de)
-    return GridRateSearch(
-        tau=best[1], eta=best[2], rate=best[0],
-        tau_resolution=float(dt), eta_resolution=float(de),
-    )
 
 
 # --- academic benchmark --------------------------------------------------------------
@@ -351,7 +264,7 @@ def run_academic_benchmark(
 
             def _run(name, solve, step, lp):
                 start = time.perf_counter()
-                z_star = problem.fixed_point_oracle(lp)
+                z_star = fixed_point_oracle(problem, lp)
                 _, z_final, trace = solve(problem, step, config, z0=z0, z_star=z_star)
                 elapsed = 1e3 * (time.perf_counter() - start)
                 err = float(np.linalg.norm(z_final - z_star))
@@ -424,6 +337,9 @@ def synthetic_image(side: int = 64, seed: int = 0) -> np.ndarray:
     return np.clip(img, 0.0, 1.0)
 
 
+_RESTORE_METHODS = ("prs_lev", "prs", "fista1", "fista2")
+
+
 @dataclass(frozen=True)
 class MethodRun:
     method: str
@@ -465,7 +381,8 @@ def run_restoration_demo(
     each method then runs with the normalized-error stopping rule against its
     own fixed point and reports its error curve.  ``lam`` is the penalty
     weight lambda.  Invalid parameters raise ``ValueError`` naming the
-    parameter before any array is built.
+    parameter before any array is built, and a ``level`` too deep for the
+    image raises before any solve.
     """
     if image is None and not side >= 2:
         raise ValueError(f"side must be at least 2, got {side}")
@@ -476,6 +393,10 @@ def run_restoration_demo(
     ):
         if not (ok and math.isfinite(value)):
             raise ValueError(f"{name} must be finite and {what}, got {value!r}")
+    for name in methods:
+        if name not in _RESTORE_METHODS:
+            raise ValueError(f"unknown method {name!r}")
+    config = SolverConfig(max_iter=max_iter, tol=tol, stopping="normalized_error")
     kernel = gaussian_kernel(5, sigma)
     if image is None:
         x_true = synthetic_image(side, seed)
@@ -483,6 +404,7 @@ def run_restoration_demo(
         x_true = pgm.read_pgm(image)
     else:
         x_true = np.asarray(image, dtype=float)
+    _check_haar_shape(x_true, level)
     shape = x_true.shape
 
     blur = BlurOperator(kernel)
@@ -500,9 +422,7 @@ def run_restoration_demo(
 
     reference, reference_trace = _restoration_reference(problem)
     problem = replace(problem, solution_oracle=reference)
-    problem = replace(problem, fixed_point_oracle=partial(fixed_point_oracle, problem))
 
-    config = SolverConfig(max_iter=max_iter, tol=tol, stopping="normalized_error")
     runs: dict[str, MethodRun] = {}
     for name in methods:
         if name == "prs_lev":
@@ -513,10 +433,8 @@ def run_restoration_demo(
             x, _, trace = prs_classic_solve(problem, tau, config)
         elif name == "fista1":
             x, trace = fista_solve(problem, "forward_on_f", config)
-        elif name == "fista2":
+        else:  # fista2
             x, trace = fista_solve(problem, "forward_on_g", config)
-        else:
-            raise ValueError(f"unknown method {name!r}")
         dists = trace.distances()
         d0 = dists[0] if len(dists) and dists[0] > 0 else 1.0
         runs[name] = MethodRun(
@@ -603,24 +521,6 @@ def emit_trace(trace: SolveTrace, path) -> None:
         ratio = "" if rec.contraction_ratio is None else _fmt(rec.contraction_ratio)
         lines.append(f"{rec.iteration},{_fmt(rec.residual)},{dist},{ratio}")
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_trace(path) -> SolveTrace:
-    """Inverse of :func:`emit_trace`."""
-    lines = Path(path).read_text().strip().splitlines()
-    status = lines[0].split("=", 1)[1]
-    records = []
-    for line in lines[2:]:
-        it, residual, dist, ratio = line.split(",")
-        records.append(
-            TraceRecord(
-                iteration=int(it),
-                residual=float(residual),
-                dist_to_fixed_point=float(dist) if dist else None,
-                contraction_ratio=float(ratio) if ratio else None,
-            )
-        )
-    return SolveTrace(records=records, status=status, total_iterations=len(records))
 
 
 _PLOT_TEMPLATE = '''"""Auto-generated error-vs-iteration plot; run with python."""

@@ -28,7 +28,6 @@ __all__ = [
     "optimal_rate",
     "delta_star",
     "rate_constancy_check",
-    "classical_prs_rate",
     "classical_prs_optimal",
     "drs_optimal_rate",
     "fista_rate_bounds",
@@ -158,16 +157,6 @@ def rate_constancy_check(reg: RegularityParams, grid_size: int = 101) -> float:
 
 
 # --- classical baselines -------------------------------------------------------
-
-
-def classical_prs_rate(tau: float, reg: RegularityParams):
-    """Contraction factor of plain PRS with step ``tau`` (f strongly convex and smooth)."""
-    if reg.rho <= 0.0 or reg.alpha <= 0.0:
-        raise NotStronglyRegular("classical PRS tuning needs rho > 0 and alpha > 0")
-    return np.maximum(
-        (tau / reg.alpha - 1.0) / (tau / reg.alpha + 1.0),
-        (1.0 - tau * reg.rho) / (1.0 + tau * reg.rho),
-    )
 
 
 def classical_prs_optimal(reg: RegularityParams) -> tuple[float, float]:

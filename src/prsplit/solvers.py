@@ -24,6 +24,7 @@ from .core import (
     LeverageParams,
     SolveTrace,
     TraceRecord,
+    fixed_point_oracle,
     validate_leverage,
     validate_regularity,
 )
@@ -49,8 +50,9 @@ Stopping = Literal["fixed_point_distance", "normalized_error", "residual"]
 class SolverConfig:
     """Iteration budget, tolerance, stopping metric, and trace switch.
 
-    ``stopping=None`` picks ``fixed_point_distance`` when a z* oracle is
-    available and ``residual`` (on ``||p_n - x_n||``) otherwise.
+    ``stopping=None`` picks ``fixed_point_distance`` when z* is known (an
+    explicit ``z_star``, or a problem with a known minimizer and a gradient on
+    f) and ``residual`` (on ``||p_n - x_n||``) otherwise.
     """
 
     max_iter: int = 1000
@@ -99,7 +101,7 @@ class _Monitor:
         ``||z - z*||`` is computed once per iterate and kept as the next
         iteration's previous distance.
         """
-        self.trace.total_iterations = iteration + 1
+        self.trace.iterations = iteration + 1
         dist_prev = dist_next = None
         if self.z_star is not None:
             v = z - self.z_star
@@ -156,11 +158,12 @@ def _default_z0(problem: CompositeProblem, z0: Optional[np.ndarray]) -> np.ndarr
 def _resolve_fixed_point(
     problem: CompositeProblem, lp: LeverageParams, z_star: Optional[np.ndarray]
 ) -> Optional[np.ndarray]:
+    """The explicit ``z_star``, else z* from the problem's minimizer, if it has one."""
     if z_star is not None:
         return np.asarray(z_star, dtype=float)
-    if problem.fixed_point_oracle is not None:
-        return np.asarray(problem.fixed_point_oracle(lp), dtype=float)
-    return None
+    if problem.solution_oracle is None or problem.f.gradient is None:
+        return None
+    return fixed_point_oracle(problem, lp)
 
 
 def _split(
@@ -230,28 +233,21 @@ def drs_solve(
     config: SolverConfig = SolverConfig(),
     z0: Optional[np.ndarray] = None,
     z_star: Optional[np.ndarray] = None,
-    ordering: Literal["fg", "gf"] = "fg",
 ) -> tuple[np.ndarray, np.ndarray, SolveTrace]:
     """Relaxed splitting ``z+ = z + 2*lam*(p - x)``; ``lam = 1`` is plain PRS.
 
-    ``ordering="fg"`` proxes f first (the convention of the leveraged
-    recurrence, whose fixed point the attached oracle describes); ``"gf"``
-    swaps the roles, in which case a z*-based stopping rule needs an explicit
-    ``z_star``.
+    f is proxed first, the convention of the leveraged recurrence, so z* is
+    its ``delta = eta = 0`` fixed point.
     """
     if not (tau > 0.0):
         raise ValueError("tau must be positive")
     if not (0.0 < lam <= 1.0):
         raise ValueError("relaxation must lie in ]0, 1]")
-    if ordering not in ("fg", "gf"):
-        raise ValueError(f"unknown ordering {ordering!r}")
-    first, second = (problem.f, problem.g) if ordering == "fg" else (problem.g, problem.f)
     z = _default_z0(problem, z0)
-    if ordering == "fg":
-        zs = _resolve_fixed_point(problem, LeverageParams(0.0, 0.0, tau), z_star)
-    else:
-        zs = np.asarray(z_star, dtype=float) if z_star is not None else None
-    return _split(partial(first.prox, tau), partial(second.prox, tau), 2.0, lam, config, z, zs)
+    zs = _resolve_fixed_point(problem, LeverageParams(0.0, 0.0, tau), z_star)
+    return _split(
+        partial(problem.f.prox, tau), partial(problem.g.prox, tau), 2.0, lam, config, z, zs
+    )
 
 
 def prs_classic_solve(
@@ -260,29 +256,25 @@ def prs_classic_solve(
     config: SolverConfig = SolverConfig(),
     z0: Optional[np.ndarray] = None,
     z_star: Optional[np.ndarray] = None,
-    ordering: Literal["fg", "gf"] = "fg",
 ) -> tuple[np.ndarray, np.ndarray, SolveTrace]:
     """Plain Peaceman-Rachford: the unrelaxed (``lam = 1``) splitting."""
-    return drs_solve(problem, tau, 1.0, config, z0, z_star, ordering)
+    return drs_solve(problem, tau, 1.0, config, z0, z_star)
 
 
 def fista_solve(
     problem: CompositeProblem,
     mode: Literal["forward_on_f", "forward_on_g"],
     config: SolverConfig = SolverConfig(),
-    x0: Optional[np.ndarray] = None,
-    step: Optional[float] = None,
-    momentum: Optional[float] = None,
 ) -> tuple[np.ndarray, SolveTrace]:
     """Accelerated proximal gradient with strong-convexity momentum.
 
     Gradient steps are taken on the ``mode`` function and prox steps on the
-    other one.  The default step is the forward function's cocoercivity
-    modulus (1/Lipschitz) and the default momentum is the constant
-    ``(1 - sqrt(q)) / (1 + sqrt(q))`` with ``q = step * (rho + mu)``; both can
-    be overridden.  The objective is not monotone along the iterates, so
-    stopping uses the prox-gradient residual ``||x_{k+1} - y_k||``, or the
-    distance to ``solution_oracle`` for the distance-based rules.
+    other one, from the origin.  The step is the forward function's cocoercivity modulus
+    (1/Lipschitz) and the momentum is the constant
+    ``(1 - sqrt(q)) / (1 + sqrt(q))`` with ``q = step * (rho + mu)``.  The
+    objective is not monotone along the iterates, so stopping uses the
+    prox-gradient residual ``||x_{k+1} - y_k||``, or the distance to
+    ``solution_oracle`` for the distance-based rules.
 
     Like every solver here, it stops at the first iterate whose metric is
     within ``tol``.  The distance tail is not monotone either: it can hover
@@ -300,16 +292,14 @@ def fista_solve(
         raise ValueError(f"unknown mode {mode!r}")
     if smooth.gradient is None:
         raise NotSmooth(f"{mode} needs a gradient oracle on the forward function")
-    if coco <= 0.0 and step is None:
-        raise NotSmooth(f"{mode} needs a positive cocoercivity modulus (or an explicit step)")
-    gamma = coco if step is None else step
-    if momentum is None:
-        q = min(gamma * (reg.rho + reg.mu), 1.0)
-        momentum = (1.0 - math.sqrt(q)) / (1.0 + math.sqrt(q))
+    if coco <= 0.0:
+        raise NotSmooth(f"{mode} needs a positive cocoercivity modulus")
+    gamma = coco
+    q = min(gamma * (reg.rho + reg.mu), 1.0)
+    momentum = (1.0 - math.sqrt(q)) / (1.0 + math.sqrt(q))
 
-    x = _default_z0(problem, x0)
-    x_star = problem.solution_oracle
-    monitor = _Monitor(config, x, x_star)
+    x = problem.f.zero_point()
+    monitor = _Monitor(config, x, problem.solution_oracle)
     y = x
     for n in range(config.max_iter):
         x_next = proxed.prox(gamma, y - gamma * smooth.gradient(y))

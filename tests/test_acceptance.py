@@ -14,17 +14,11 @@ from prsplit.core import CompositeProblem, ProxFunction, RegularityParams
 from prsplit.harness import (
     InstanceSpec,
     generate_instance,
-    grid_search_rate,
     run_academic_benchmark,
     run_restoration_demo,
     run_tight_check,
 )
-from prsplit.leverage import (
-    QuadraticFunction,
-    ShiftedProxSpec,
-    quadratic_conjugate_shift,
-    shifted_prox,
-)
+from prsplit.leverage import QuadraticFunction
 from prsplit.rates import (
     delta_star,
     fista_rate_bounds,
@@ -36,6 +30,7 @@ from prsplit.rates import (
 from prsplit.solvers import SolverConfig, drs_solve, prs_classic_solve, prs_lev_solve
 
 from conftest import interior_delta, sample_regularity
+from oracles import ShiftedProxSpec, grid_search_rate, quadratic_conjugate_shift, shifted_prox
 
 
 def _report(number, name, ok, elapsed, detail=""):

@@ -1,6 +1,7 @@
 """Command-line surface: every subcommand runs and writes what it promises."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -14,7 +15,8 @@ import pytest
 import prsplit
 from prsplit import pgm
 from prsplit.cli import build_parser, main
-from prsplit.harness import read_trace
+
+from oracles import read_trace
 
 
 def test_rates_subcommand(capsys):
@@ -97,6 +99,31 @@ def test_solve_non_object_file_rejected(tmp_path, capsys, text):
     assert capsys.readouterr().err == "prsplit: error: problem file must hold a JSON object\n"
 
 
+BAD_INPUT = [  # (id, problem file or --dims text, message)
+    ("nan-in-A", {"A": [[1.0, math.nan]], "B": [[1.0, 0.0]]},
+     "problem file: matrix 'A' has a non-finite entry"),
+    ("B-columns", {"A": [[1.0, 0.0]], "B": [[1.0]]},
+     "problem file: matrices 'A' and 'B' need the same column count, got 2 and 1"),
+    ("1-D-B", {"A": [[1.0, 0.0]], "B": [1.0, 0.0]},
+     "problem file: matrix 'B' must be a nonempty 2-D array, got shape (2,)"),
+    ("a-length", {"A": [[1.0, 0.0]], "B": [[0.0, 1.0]], "a": [1.0, 2.0]},
+     "problem file: vector 'a' needs one entry per row of matrix 'A' (1), got 2"),
+    ("dims-pair", "20,20", "--dims: '20,20' is not a triple m,n,p of integers"),
+]
+
+
+@pytest.mark.parametrize("given, message", [c[1:] for c in BAD_INPUT],
+                         ids=[c[0] for c in BAD_INPUT])
+def test_bad_input_is_named_in_one_line(tmp_path, capsys, given, message):
+    if isinstance(given, dict):
+        (tmp_path / "bad.json").write_text(json.dumps(given))
+        argv = ["solve", "--problem-file", str(tmp_path / "bad.json")]
+    else:
+        argv = ["bench-academic", "--dims", given]
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"prsplit: error: {message}\n"
+
+
 def test_solve_missing_file_rejected(tmp_path, capsys):
     code = main(["solve", "--problem-file", str(tmp_path / "absent.json"),
                  "--out", str(tmp_path)])
@@ -166,7 +193,7 @@ def test_restore_subcommand(tmp_path, capsys):
 RESTORE_BAD_INPUT = [
     ("--side", "0"), ("--side", "-8"), ("--sigma", "0"), ("--sigma", "nan"),
     ("--lambda", "0"), ("--lambda", "inf"), ("--noise-var", "-1"), ("--noise-var", "nan"),
-    ("--epsilon", "0"),
+    ("--epsilon", "0"), ("--max-iter", "0"), ("--tol", "0"), ("--level", "0"),
 ]
 
 

@@ -8,7 +8,6 @@ from prsplit.core import (
     LeverageParams,
     ProxFunction,
     RegularityParams,
-    firm_nonexpansiveness_gap,
     validate_leverage,
     validate_regularity,
 )
@@ -27,6 +26,7 @@ from prsplit.proxlib import LeastSquaresFn, HuberFn
 from prsplit.rates import optimal_params
 
 from conftest import interior_delta, sample_regularity
+from oracles import firm_nonexpansiveness_gap
 
 TIGHT_REG = RegularityParams(rho=1.0, alpha=0.25, mu=0.0, beta=1.0)
 

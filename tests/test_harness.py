@@ -6,26 +6,30 @@ import re
 import numpy as np
 import pytest
 
-from prsplit.core import LeverageParams, RegularityParams, SolveTrace, TraceRecord
+from prsplit.core import (
+    LeverageParams,
+    RegularityParams,
+    SolveTrace,
+    TraceRecord,
+    fixed_point_oracle,
+)
+from prsplit import harness
 from prsplit.errors import NoGradient
 from prsplit.harness import (
     InstanceSpec,
     emit_plot_script,
     emit_trace,
-    fixed_point_oracle,
     generate_instance,
-    grid_search_rate,
-    read_trace,
     run_academic_benchmark,
     run_restoration_demo,
     run_tight_check,
     synthetic_image,
 )
-from prsplit.leverage import QuadraticFunction
 from prsplit.rates import delta_star, optimal_params, optimal_rate
 from prsplit.solvers import SolverConfig, prs_lev_solve
 
 from conftest import interior_delta
+from oracles import grid_search_rate, read_trace
 
 TIGHT_REG = RegularityParams(rho=1.0, alpha=0.25, mu=0.0, beta=1.0)
 
@@ -101,12 +105,7 @@ class TestFixedPointOracle:
 
     def test_gradient_required(self):
         problem = generate_instance(InstanceSpec(m=4, n=5, p=6, seed=0))
-        stripped = type(problem)(
-            f=QuadraticFunction(0.0, np.zeros(4), 0.0).to_prox_function(),
-            g=problem.g, regularity=problem.regularity,
-            solution_oracle=np.zeros(4),
-        )
-        bare = type(stripped)(
+        bare = type(problem)(
             f=type(problem.f)(prox=problem.f.prox, dimension=4),
             g=problem.g, regularity=problem.regularity, solution_oracle=np.zeros(4),
         )
@@ -248,6 +247,21 @@ class TestRestoration:
         with pytest.raises(ValueError):
             run_restoration_demo(side=16, methods=("newton",), max_iter=5)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"methods": ("newton",)}, "unknown method 'newton'"),
+        ({"max_iter": 0}, "max_iter must be >= 1"),
+        ({"tol": 0.0}, "tol must be positive"),
+        ({"level": 0}, "level must be >= 1"),
+        ({"level": 5}, "divisible by 2^level = 32"),
+    ], ids=["methods", "max_iter", "tol", "level", "deep_level"])
+    def test_bad_parameters_raise_before_the_reference_solve(self, monkeypatch, kwargs, message):
+        def no_reference(problem):
+            raise AssertionError("the reference solve ran")
+
+        monkeypatch.setattr(harness, "_restoration_reference", no_reference)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_restoration_demo(side=16, **kwargs)
+
     def test_synthetic_image_deterministic_and_bounded(self):
         a = synthetic_image(32, seed=3)
         b = synthetic_image(32, seed=3)
@@ -263,7 +277,7 @@ def _sample_trace():
         TraceRecord(1, 0.125, 0.25, None),
         TraceRecord(2, 0.03125, None, None),
     ]
-    return SolveTrace(records=records, status="converged", total_iterations=3)
+    return SolveTrace(records=records, status="converged", iterations=3)
 
 
 class TestEmission:

@@ -4,25 +4,26 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from prsplit.core import (
-    LeverageParams,
-    RegularityParams,
-    moreau_gap,
-)
-from prsplit.errors import ShiftDomain, StepDomain, TransferDomain
-from prsplit.leverage import (
+from prsplit.core import LeverageParams, RegularityParams
+from prsplit.harness import make_least_squares_problem
+from prsplit.leverage import QuadraticFunction
+
+from oracles import (
     AffinePart,
     MinusInfinity,
     PointIndicator,
-    QuadraticFunction,
+    ShiftDomain,
     ShiftedProxSpec,
+    StepDomain,
+    TransferDomain,
+    conjugate,
+    moreau_gap,
     quadratic_conjugate_shift,
     recover_solution,
     regularity_transfer,
     shifted_prox,
     shifted_reflect,
 )
-from prsplit.harness import make_least_squares_problem
 
 
 def random_quadratic(rng, dim=4, curv_range=(0.3, 3.0)):
@@ -95,13 +96,13 @@ class TestQuadraticConjugateShift:
 
     def test_quadratic_case_matches_pointwise_conjugation(self, rng):
         # independent oracle: conjugate twice through the scalar closed form
-        # of QuadraticFunction.conjugate plus the quadratic shift
+        # of the quadratic conjugate plus the quadratic shift
         for _ in range(10):
             q = random_quadratic(rng)
             delta, eta = float(rng.uniform(-0.2, 1.0)), float(rng.uniform(-0.2, 1.0))
             shifted = QuadraticFunction(q.offset, q.linear, float(q.quad) + delta)
-            conj = shifted.conjugate()
-            double = QuadraticFunction(conj.offset, conj.linear, float(conj.quad) + eta).conjugate()
+            conj = conjugate(shifted)
+            double = conjugate(QuadraticFunction(conj.offset, conj.linear, float(conj.quad) + eta))
             out = quadratic_conjugate_shift(q, delta, eta)
             assert isinstance(out, QuadraticFunction)
             x = rng.standard_normal(q.linear.size)
@@ -250,7 +251,7 @@ class TestMoreauDecomposition:
     def test_quadratic_conjugate_pair(self, rng):
         for _ in range(20):
             q = random_quadratic(rng)
-            conj = q.conjugate()
+            conj = conjugate(q)
             x = rng.standard_normal(4)
             gamma = float(rng.uniform(0.2, 3.0))
             assert moreau_gap(q.prox, conj.prox, gamma, x) <= 1e-12 * (1 + np.linalg.norm(x))

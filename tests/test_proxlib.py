@@ -7,7 +7,6 @@ import pytest
 from scipy import ndimage
 from scipy.optimize import minimize, minimize_scalar
 
-from prsplit.core import firm_nonexpansiveness_gap
 from prsplit.errors import ShapeMismatch
 from prsplit import pgm
 from prsplit.leverage import QuadraticFunction
@@ -26,6 +25,8 @@ from prsplit.proxlib import (
     haar_inverse,
     haar_transform,
 )
+
+from oracles import firm_nonexpansiveness_gap
 
 
 class TestLeastSquares:

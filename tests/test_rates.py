@@ -8,7 +8,6 @@ from prsplit.core import LeverageParams, RegularityParams
 from prsplit.errors import DeltaOutOfRange, NotStronglyRegular
 from prsplit.rates import (
     classical_prs_optimal,
-    classical_prs_rate,
     delta_star,
     dominance_report,
     drs_optimal_rate,
@@ -22,6 +21,7 @@ from prsplit.rates import (
 )
 
 from conftest import interior_delta, sample_regularity
+from oracles import classical_prs_rate
 
 REG = RegularityParams(rho=1.0, alpha=0.25, mu=0.0, beta=1.0)
 LP = LeverageParams(delta=-2.0 / 3.0, eta=0.0, tau=0.9486832980505138)  # = 1.5/sqrt(2.5)

@@ -1,6 +1,7 @@
 """Iteration schemes: contraction, reductions, witnesses, and stopping logic."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,10 +11,11 @@ from prsplit.core import (
     LeverageParams,
     ProxFunction,
     RegularityParams,
+    fixed_point_oracle,
 )
 from prsplit.errors import NotSmooth
 from prsplit.harness import make_least_squares_problem
-from prsplit.leverage import QuadraticFunction, ShiftedProxSpec, shifted_reflect
+from prsplit.leverage import QuadraticFunction
 from prsplit.rates import delta_star, optimal_params, optimal_rate, rate_r1, rate_r2
 from prsplit.solvers import (
     SolverConfig,
@@ -25,6 +27,7 @@ from prsplit.solvers import (
 )
 
 from conftest import interior_delta
+from oracles import ShiftedProxSpec, shifted_reflect
 
 TIGHT_REG = RegularityParams(rho=1.0, alpha=0.25, mu=0.0, beta=1.0)
 
@@ -39,10 +42,9 @@ NONFINITE_CASES = [
 def tight_problem(reg=TIGHT_REG):
     f = QuadraticFunction(0.0, np.zeros(2), np.diag([reg.rho, 1.0 / reg.alpha]))
     g = QuadraticFunction(0.0, np.zeros(2), np.diag([reg.mu, 1.0 / reg.beta]))
-    origin = np.zeros(2)
     return CompositeProblem(
         f=f.to_prox_function(), g=g.to_prox_function(), regularity=reg,
-        solution_oracle=origin, fixed_point_oracle=lambda lp: origin,
+        solution_oracle=np.zeros(2),
     )
 
 
@@ -66,7 +68,7 @@ def leveraged_step(problem, lp, z):
 class TestLeveragedStep:
     def test_reflected_point_identity(self, rng):
         # one step is classical PRS on the shifted pair: R_g~ R_f~ z, with the
-        # reflections of leverage.py as the independent copy of the shift algebra
+        # reflections of the test oracles as the independent copy of the shift algebra
         # (eta = 0 at delta*, so an interior shift exercises eta as well)
         problem = random_instance(rng)
         reg = problem.regularity
@@ -128,7 +130,7 @@ class TestLeveragedSolve:
     def test_starting_at_fixed_point_stops_immediately(self, rng):
         problem = random_instance(rng)
         lp = optimal_params(problem.regularity, delta_star(problem.regularity))
-        z_star = problem.fixed_point_oracle(lp)
+        z_star = fixed_point_oracle(problem, lp)
         config = SolverConfig(max_iter=50, tol=1e-10)
         _, _, trace = prs_lev_solve(problem, lp, config, z0=z_star)
         assert trace.status == "converged"
@@ -141,7 +143,7 @@ class TestLeveragedSolve:
         lp = optimal_params(reg, delta_star(reg))
         tol = 1e-10
         config = SolverConfig(max_iter=100000, tol=tol, stopping="fixed_point_distance")
-        z0 = problem.fixed_point_oracle(lp) + rng.standard_normal(problem.dimension)
+        z0 = fixed_point_oracle(problem, lp) + rng.standard_normal(problem.dimension)
         _, _, trace = prs_lev_solve(problem, lp, config, z0=z0)
         assert trace.status == "converged"
         d0 = trace.records[0].dist_to_fixed_point
@@ -303,24 +305,12 @@ class TestClassicAndRelaxed:
         assert trace.status == "nonfinite"
         assert trace.iterations == 1
 
-    def test_gf_ordering_still_converges(self, rng):
-        problem = random_instance(rng)
-        config = SolverConfig(max_iter=20000, tol=1e-11, stopping="residual")
-        x, _, trace = prs_classic_solve(
-            problem, 1.0, config, z0=rng.standard_normal(problem.dimension),
-            ordering="gf",
-        )
-        assert trace.status == "converged"
-        np.testing.assert_allclose(x, problem.solution_oracle, atol=1e-7)
-
     def test_parameter_validation(self, rng):
         problem = random_instance(rng)
         with pytest.raises(ValueError):
             drs_solve(problem, 1.0, 0.0)
         with pytest.raises(ValueError):
             drs_solve(problem, -1.0, 0.5)
-        with pytest.raises(ValueError):
-            prs_classic_solve(problem, 1.0, ordering="xy")
 
 
 class TestMonitor:
@@ -349,6 +339,15 @@ class TestMonitor:
         np.testing.assert_allclose(x_on, problem.solution_oracle, atol=1e-6)
         assert x_on.tobytes() == x_off.tobytes()
         assert z_on.tobytes() == z_off.tobytes()
+
+    def test_z_star_comes_from_a_known_minimizer_and_grad_f(self, rng):
+        # z* = x* + tau grad f(x*) for plain PRS; without grad f there is no z*
+        problem = random_instance(rng)
+        bare = replace(problem, f=replace(problem.f, gradient=None))
+        config = SolverConfig(max_iter=3, tol=1e-300)
+        for p, known in ((problem, True), (bare, False)):
+            _, _, trace = prs_classic_solve(p, 0.8, config)
+            assert (trace.records[0].dist_to_fixed_point is not None) == known
 
     def test_stops_at_first_crossing_of_tol(self):
         # the rule every solver shares, and the one FISTA's non-monotone
@@ -395,16 +394,6 @@ class TestFista:
         )
         with pytest.raises(NotSmooth):
             fista_solve(bare, "forward_on_g")
-
-    def test_step_and_momentum_overrides(self, rng):
-        problem = random_instance(rng, homogeneous=True)
-        config = SolverConfig(max_iter=20000, tol=1e-9, stopping="fixed_point_distance")
-        x, trace = fista_solve(
-            problem, "forward_on_f", config,
-            step=0.5 * problem.regularity.alpha, momentum=0.0,
-        )
-        assert trace.status == "converged"
-        np.testing.assert_allclose(x, 0.0, atol=1e-8)
 
     def test_asymptotic_contraction_not_below_leveraged_optimum(self, rng):
         # the leveraged rate lower-bounds what the accelerated baselines do
