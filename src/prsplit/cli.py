@@ -210,6 +210,37 @@ def cmd_restore(args) -> int:
     return 0 if all(status == "converged" for status in statuses) else 1
 
 
+def _is_negative_number(token: str) -> bool:
+    if not token.startswith("-"):
+        return False
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads ``--delta -5e-05`` as a flag and its value.
+
+    argparse takes a token that starts with ``-`` for an option unless it looks
+    like ``-1`` or ``-0.5``, so a negative number in scientific notation after
+    a flag would end with "expected one argument".  Each such pair is passed
+    on as ``--delta=-5e-05``.  Subcommand parsers are of this class too.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        joined: list[str] = []
+        for token in sys.argv[1:] if args is None else args:
+            prev = joined[-1] if joined else ""
+            after_flag = prev.startswith("--") and len(prev) > 2 and "=" not in prev
+            if after_flag and _is_negative_number(token):
+                joined[-1] = f"{prev}={token}"
+            else:
+                joined.append(token)
+        return super().parse_known_args(joined, namespace)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by later calls.
@@ -217,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     Parsing does not change the parser, and every command treats ``args`` as
     read-only, so no value can carry over from one ``main`` call to the next.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="prsplit",
         description="Leveraged Peaceman-Rachford solver and rate-verification benchmarks",
     )

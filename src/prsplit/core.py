@@ -180,6 +180,11 @@ class ProxFunction:
     them; the gradient of f gives the fixed point z*, and FISTA steps on one).
     Extended-real values use ``math.inf`` as the +infinity sentinel.
 
+    ``resolvent``, also optional, is for a vector-valued prox that is affine:
+    ``resolvent(gamma)`` returns ``(M, c)`` with ``prox(gamma, x) = M x + c``
+    for an m x m array ``M``.  When f and g both have it, the splitting
+    solvers precompose a whole step into one affine map.
+
     All oracles must be re-entrant: no interior mutation during calls.
     """
 
@@ -189,6 +194,7 @@ class ProxFunction:
     value: Optional[Callable[[np.ndarray], float]] = None
     gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
     shape: Optional[tuple[int, ...]] = None
+    resolvent: Optional[Callable[[float], tuple[np.ndarray, np.ndarray]]] = None
 
     def __post_init__(self):
         if self.dimension <= 0:

@@ -53,6 +53,8 @@ class LeastSquaresFn:
     resolvent ``M = V diag(1/(1 + gamma spectrum)) V^T`` and ``c = gamma M A^T a``.
     One resolvent is kept, for the last step size: it is rebuilt only when
     ``gamma`` changes, and the solvers hold ``gamma`` fixed for a whole solve.
+    ``resolvent(gamma)`` hands ``(M, c)`` out, so that the splitting solvers
+    can fold a whole step into one affine map.
     The ``(gamma, M, c)`` triple is read and replaced as one tuple, so
     concurrent callers can at worst build it twice, never mix two step sizes.
     The gradient ``A^T A x - A^T a`` is one product with the stored Gram
@@ -74,7 +76,8 @@ class LeastSquaresFn:
         self.moduli = _moduli_from_spectrum(self.spectrum, max(self.A.shape))
         self._resolvent = (None, None, None)
 
-    def prox(self, gamma: float, x: np.ndarray) -> np.ndarray:
+    def resolvent(self, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+        """``(M, c)`` with ``prox(gamma, x) = M x + c``, from the one cache."""
         step, M, c = self._resolvent
         if gamma != step:
             if not (gamma > 0.0):
@@ -83,6 +86,13 @@ class LeastSquaresFn:
             M = (V / (1.0 + gamma * self.spectrum)) @ V.T
             c = M @ (gamma * self.at_a)
             self._resolvent = (gamma, M, c)
+        return M, c
+
+    def prox(self, gamma: float, x: np.ndarray) -> np.ndarray:
+        # reads the cache inline, sparing FISTA's per-step prox a method call
+        step, M, c = self._resolvent
+        if gamma != step:
+            M, c = self.resolvent(gamma)
         return M.dot(x) + c
 
     def value(self, x: np.ndarray) -> float:
@@ -99,6 +109,7 @@ class LeastSquaresFn:
             regularity=self.moduli,
             value=self.value,
             gradient=self.gradient,
+            resolvent=self.resolvent,
         )
 
 

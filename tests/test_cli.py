@@ -32,6 +32,34 @@ def test_rates_with_explicit_delta(capsys):
     assert "r*" in capsys.readouterr().out
 
 
+def test_rates_reads_a_negative_delta_in_scientific_notation(capsys):
+    # argparse alone takes -1e-05 for an option and exits 2
+    assert main(["rates", "--rho", "1", "--alpha", "0.25", "--mu", "0", "--beta", "1",
+                 "--delta", "-1e-05"]) == 0
+    assert capsys.readouterr().out.startswith("delta      = -1e-05\n")
+
+
+_FLOAT_FLAGS = [
+    *(("rates", flag) for flag in ("--rho", "--alpha", "--mu", "--beta", "--delta")),
+    *(("tight-check", flag) for flag in ("--rho", "--beta", "--delta")),
+    ("sweep-delta", "--mu"),
+    ("bench-academic", "--tol"),
+    *(("solve", flag) for flag in ("--delta", "--tau", "--tol")),
+    *(("restore", flag) for flag in ("--sigma", "--lambda", "--epsilon", "--noise-var", "--tol")),
+]
+
+
+@pytest.mark.parametrize("command, flag", _FLOAT_FLAGS)
+def test_float_flags_take_negative_scientific_notation(command, flag):
+    required = {
+        "rates": ["--rho", "1", "--alpha", "1", "--mu", "1", "--beta", "1"],
+        "solve": ["--problem-file", "p.json"],
+    }
+    required["tight-check"] = required["sweep-delta"] = required["rates"]
+    args = build_parser().parse_args([command, *required.get(command, []), flag, "-2.5e-07"])
+    assert getattr(args, flag[2:].replace("-", "_")) == -2.5e-07
+
+
 def test_tight_check_subcommand(capsys):
     assert main(["tight-check", "--rho", "1", "--alpha", "0.25", "--mu", "0",
                  "--beta", "1", "--steps", "15"]) == 0
@@ -70,6 +98,17 @@ def test_solve_subcommand(tmp_path, rng):
     np.testing.assert_allclose(x, np.linalg.solve(gram, rhs), atol=1e-6)
     trace = read_trace(tmp_path / "trace.csv")
     assert trace.status == "converged"
+
+
+def test_solve_reads_a_negative_delta_in_scientific_notation(tmp_path, rng):
+    pf = tmp_path / "problem.json"
+    pf.write_text(json.dumps({
+        "A": rng.standard_normal((8, 5)).tolist(), "a": rng.standard_normal(8).tolist(),
+        "B": rng.standard_normal((7, 5)).tolist(), "b": rng.standard_normal(7).tolist(),
+    }))
+    # 0 or 1 by whether it converges; argparse's rejection would raise SystemExit(2)
+    code = main(["solve", "--problem-file", str(pf), "--delta", "-5e-05", "--out", str(tmp_path)])
+    assert code in (0, 1)
 
 
 @pytest.mark.parametrize("method", ["prs", "drs", "fista1"])
@@ -318,9 +357,10 @@ from prsplit.cli import main
 
 out = sys.argv[1]
 r = np.random.default_rng(0)
+# nonzero offsets, so that z* is not the starting point 0 and solve takes steps
 with open(out + "/p.json", "w") as fh:
-    json.dump({"A": r.standard_normal((8, 5)).tolist(),
-               "B": r.standard_normal((7, 5)).tolist()}, fh)
+    json.dump({"A": r.standard_normal((8, 5)).tolist(), "a": r.standard_normal(8).tolist(),
+               "B": r.standard_normal((7, 5)).tolist(), "b": r.standard_normal(7).tolist()}, fh)
 moduli = ["--rho", "1", "--alpha", "0.25", "--mu", "0", "--beta", "1"]
 for argv in (["rates", *moduli], ["tight-check", *moduli],
              ["solve", "--problem-file", out + "/p.json", "--out", out],
@@ -329,6 +369,10 @@ for argv in (["rates", *moduli], ["tight-check", *moduli],
     code = main(argv)
     if code != 0:
         sys.exit(f"{argv[0]} exited {code}")
+with open(out + "/trace.csv") as fh:
+    steps = len(fh.read().splitlines()) - 2
+if steps < 2:
+    sys.exit(f"solve stopped after {steps} iterations")
 loaded = sorted(m for m in sys.modules if m.startswith("scipy."))
 if loaded:
     sys.exit(f"scipy modules loaded: {loaded}")

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -191,6 +192,64 @@ class TestLeveragedSolve:
         )
 
 
+class TestAffineStep:
+    """Least-squares pairs have resolvents, so each step is one precomposed ``T z + t``."""
+
+    def test_iterates_match_the_two_prox_recurrence(self, rng):
+        problem = random_instance(rng)
+        f, g = problem.f, problem.g
+        assert f.resolvent is not None and g.resolvent is not None
+        reg = problem.regularity
+        steps = 40
+        config = SolverConfig(max_iter=steps, tol=1e-300, stopping="residual")
+        z0 = rng.standard_normal(problem.dimension)
+        delta = interior_delta(rng, reg)
+        assert delta != 0.0
+
+        def agree(solved, z, residuals):
+            # the iterate, and the residual ||p - x|| read back from z_next - z
+            _, z_split, trace = solved
+            tol = 1e-12 * (1 + np.linalg.norm(z))
+            assert np.linalg.norm(z_split - z) <= tol
+            np.testing.assert_allclose(trace.residuals(), residuals, rtol=0.0, atol=tol)
+
+        for lp in (optimal_params(reg, delta_star(reg)), optimal_params(reg, delta)):
+            t, e, sf, sg = lp.tau, lp.eta, lp.f_scale, lp.g_scale
+            z, residuals = z0, []
+            for _ in range(steps):
+                x = f.prox((t + e) / sf, z / sf)
+                y = (2 * t * x - (t - e) * z) / (t + e)
+                d = g.prox((t - e) / sg, y / sg) - x
+                z = z + 2 * t / (t - e) * d
+                residuals.append(np.linalg.norm(d))
+            agree(prs_lev_solve(problem, lp, config, z0=z0), z, residuals)
+        tau = 0.8
+        for lam, solve in ((1.0, partial(prs_classic_solve, problem, tau)),
+                           (0.5, partial(drs_solve, problem, tau, 0.5))):
+            z, residuals = z0, []
+            for _ in range(steps):
+                x = f.prox(tau, z)
+                d = g.prox(tau, 2 * x - z) - x
+                z = z + 2 * lam * d
+                residuals.append(np.linalg.norm(d))
+            agree(solve(config, z0=z0), z, residuals)
+
+    # x_final is the f-prox of the poisoned z, which numpy warns about
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("stopping", ["residual", "fixed_point_distance", "normalized_error"])
+    @pytest.mark.parametrize("record", [True, False])
+    def test_nonfinite_start_stops_at_once(self, rng, stopping, record):
+        problem = random_instance(rng)
+        lp = optimal_params(problem.regularity, delta_star(problem.regularity))
+        z0 = rng.standard_normal(problem.dimension)
+        z0[0] = math.inf
+        config = SolverConfig(max_iter=20000, tol=1e-12, stopping=stopping, record_trace=record)
+        for solve in (partial(prs_lev_solve, problem, lp), partial(prs_classic_solve, problem, 0.8)):
+            _, _, trace = solve(config, z0=z0)
+            assert trace.status == "nonfinite"
+            assert trace.iterations == 1
+
+
 def axis_indicator_problem():
     """f = indicator of the x-axis (prox projects), g = 0 (prox is identity)."""
     project = ProxFunction(
@@ -236,13 +295,25 @@ class TestClassicAndRelaxed:
         _, z_a, _ = prs_classic_solve(problem, tau, config, z0=z0)
         _, z_b, _ = drs_solve(problem, tau, 1.0, config, z0=z0)
         assert np.array_equal(z_a, z_b)
-        # and bit for bit the textbook recurrence, which pins the solve CSVs
+        # both data terms have a resolvent, so each step is the precomposed
+        # affine map, bit for bit
+        (M_f, c_f), (M_g, c_g) = problem.f.resolvent(tau), problem.g.resolvent(tau)
+        T = np.eye(z0.size) + 2.0 * (2.0 * (M_g @ M_f) - M_g - M_f)
+        t = 2.0 * (2.0 * M_g.dot(c_f) + c_g - c_f)
+        z = z0
+        for _ in range(steps):
+            z = T.dot(z) + t
+        np.testing.assert_array_equal(z_a, z)
+        # without the oracle, bit for bit the textbook two-prox recurrence
+        bare = replace(problem, f=replace(problem.f, resolvent=None),
+                       g=replace(problem.g, resolvent=None))
+        _, z_c, _ = prs_classic_solve(bare, tau, config, z0=z0)
         z = z0
         for _ in range(steps):
             x = problem.f.prox(tau, z)
             p = problem.g.prox(tau, 2 * x - z)
             z = z + 2 * (p - x)
-        np.testing.assert_array_equal(z_a, z)
+        np.testing.assert_array_equal(z_c, z)
 
     def test_tight_pair_classical_rate(self):
         # tau = sqrt(alpha/rho) contracts at least as fast as the classical bound
