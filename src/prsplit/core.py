@@ -31,7 +31,6 @@ __all__ = [
     "LeverageParams",
     "ProxFunction",
     "CompositeProblem",
-    "TraceRecord",
     "SolveTrace",
     "validate_regularity",
     "validate_leverage",
@@ -93,38 +92,32 @@ class LeverageParams:
         return 1.0 - self.delta * (self.tau - self.eta)
 
 
-def validate_regularity(
-    params: RegularityParams,
-    mode: Literal["general", "leveraged"] = "general",
-) -> RegularityParams:
-    """Check the modulus products and, for ``mode='leveraged'``, the solver hypotheses.
+def validate_regularity(params: RegularityParams) -> RegularityParams:
+    """Check the modulus products and the hypotheses of the leveraged solver.
 
     Raises
     ------
     BoundViolation
         if ``alpha*rho > 1`` or ``beta*mu > 1``.
     DegenerateQuadratic
-        leveraged mode with ``max(alpha*rho, beta*mu) = 1`` (exact quadratic).
+        if ``max(alpha*rho, beta*mu) = 1`` (exact quadratic).
     NoLeverage
-        leveraged mode with ``rho + mu = 0`` or ``alpha + beta = 0``.
+        if ``rho + mu = 0`` or ``alpha + beta = 0``.
     """
-    if mode not in ("general", "leveraged"):
-        raise ValueError(f"unknown mode {mode!r}")
     ar = params.alpha * params.rho
     bm = params.beta * params.mu
     if ar > 1.0 or bm > 1.0:
         raise BoundViolation(
             f"modulus products must lie in [0, 1]: alpha*rho={ar}, beta*mu={bm}"
         )
-    if mode == "leveraged":
-        if max(ar, bm) >= 1.0:
-            raise DegenerateQuadratic(
-                "leveraged solver requires max(alpha*rho, beta*mu) < 1"
-            )
-        if params.rho + params.mu <= 0.0 or params.alpha + params.beta <= 0.0:
-            raise NoLeverage(
-                "leveraged solver requires min(rho + mu, alpha + beta) > 0"
-            )
+    if max(ar, bm) >= 1.0:
+        raise DegenerateQuadratic(
+            "leveraged solver requires max(alpha*rho, beta*mu) < 1"
+        )
+    if params.rho + params.mu <= 0.0 or params.alpha + params.beta <= 0.0:
+        raise NoLeverage(
+            "leveraged solver requires min(rho + mu, alpha + beta) > 0"
+        )
     return params
 
 
@@ -249,41 +242,25 @@ def fixed_point_oracle(problem: CompositeProblem, lp: LeverageParams) -> np.ndar
     return (1.0 + lp.delta * span) * x_star + span * problem.f.gradient(x_star)
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One iteration of a solve: residual, and distance/ratio when z* is known."""
-
-    iteration: int
-    residual: float
-    dist_to_fixed_point: Optional[float] = None
-    contraction_ratio: Optional[float] = None
-
-
 @dataclass
 class SolveTrace:
-    """Per-iteration records plus the terminal status of a solve.
+    """Terminal status, step count and, when recorded, two float columns.
 
-    ``iterations`` counts steps even when record capture is switched off for
-    speed.
+    ``residuals`` holds one entry per step.  ``distances`` holds
+    ``||z_n - z*||`` for ``z_0 ... z_N``, one entry more than ``residuals``,
+    and is empty when z* is unknown.  Both stay empty when record capture is
+    switched off for speed; ``iterations`` counts steps either way.
     """
 
-    records: list[TraceRecord] = field(default_factory=list)
     status: Literal["converged", "max_iter", "diverged", "nonfinite"] = "max_iter"
     iterations: int = 0
-
-    def residuals(self) -> np.ndarray:
-        return np.array([r.residual for r in self.records])
-
-    def distances(self) -> np.ndarray:
-        """Distances to z* (NaN where unavailable)."""
-        return np.array(
-            [math.nan if r.dist_to_fixed_point is None else r.dist_to_fixed_point
-             for r in self.records]
-        )
+    residuals: list[float] = field(default_factory=list)
+    distances: list[float] = field(default_factory=list)
 
     def ratios(self) -> np.ndarray:
-        return np.array(
-            [math.nan if r.contraction_ratio is None else r.contraction_ratio
-             for r in self.records]
-        )
-
+        """Per-step contraction ``d_{n+1} / d_n``, NaN where z* is unknown or ``d_n = 0``."""
+        out = np.full(len(self.residuals), math.nan)
+        if self.distances:
+            d = np.asarray(self.distances)
+            np.divide(d[1:], d[:-1], out=out, where=d[:-1] > 0.0)
+        return out

@@ -73,13 +73,11 @@ def _fmt(value) -> str:
 
 @dataclass(frozen=True)
 class InstanceSpec:
-    """Dimensions, scales, offsets and seed of one random least-squares pair."""
+    """Dimensions, offsets and seed of one random least-squares pair."""
 
     m: int
     n: int
     p: int
-    scale_a: float = 0.5
-    scale_b: float = 15.0
     seed: int = 0
     offset_a: Optional[np.ndarray] = None
     offset_b: Optional[np.ndarray] = None
@@ -121,10 +119,10 @@ def make_least_squares_problem(
 
 
 def generate_instance(spec: InstanceSpec) -> CompositeProblem:
-    """Draw ``A = scale_a * U(0,1)^(n x m)`` and ``B = scale_b * U(0,1)^(p x m)``."""
+    """Draw ``A = 0.5 * U(0,1)^(n x m)`` and ``B = 15 * U(0,1)^(p x m)``."""
     rng = np.random.default_rng(spec.seed)
-    A = spec.scale_a * rng.random((spec.n, spec.m))
-    B = spec.scale_b * rng.random((spec.p, spec.m))
+    A = 0.5 * rng.random((spec.n, spec.m))
+    B = 15.0 * rng.random((spec.p, spec.m))
     return make_least_squares_problem(A, spec.offset_a, B, spec.offset_b)
 
 
@@ -132,19 +130,16 @@ def generate_instance(spec: InstanceSpec) -> CompositeProblem:
 
 
 def run_tight_check(
-    reg: RegularityParams,
-    steps: int = 20,
-    delta: Optional[float] = None,
-    z0: Optional[np.ndarray] = None,
+    reg: RegularityParams, steps: int = 20, delta: Optional[float] = None
 ) -> float:
     """Max deviation of the per-step contraction ratio from the optimal rate.
 
     Builds the diagonal quadratic pair whose coordinates contract by exactly
-    the optimal factor each step, runs the leveraged recurrence from (1, 1)
-    by default, and returns ``max_n |ratio_n - r*|`` (0.0 when no ratio is
-    defined, e.g. starting at the fixed point).
+    the optimal factor each step, runs the leveraged recurrence from (1, 1),
+    and returns ``max_n |ratio_n - r*|`` over the defined ratios (the first
+    always is: ``||z_0 - z*|| = sqrt(2)``).
     """
-    validate_regularity(reg, "leveraged")
+    validate_regularity(reg)
     if reg.alpha <= 0.0 or reg.beta <= 0.0:
         raise ValueError("the tight pair needs alpha > 0 and beta > 0")
     f = QuadraticFunction(0.0, np.zeros(2), np.diag([reg.rho, 1.0 / reg.alpha]))
@@ -155,16 +150,8 @@ def run_tight_check(
     )
     lp = optimal_params(reg, delta_star(reg) if delta is None else delta)
     config = SolverConfig(max_iter=steps, tol=1e-300, stopping="residual")
-    _, _, trace = prs_lev_solve(
-        problem, lp, config, z0=np.ones(2) if z0 is None else z0
-    )
-    r_star = optimal_rate(reg)
-    deviations = [
-        abs(rec.contraction_ratio - r_star)
-        for rec in trace.records
-        if rec.contraction_ratio is not None
-    ]
-    return max(deviations, default=0.0)
+    _, _, trace = prs_lev_solve(problem, lp, config, z0=np.ones(2))
+    return float(np.nanmax(np.abs(trace.ratios() - optimal_rate(reg))))
 
 
 # --- academic benchmark --------------------------------------------------------------
@@ -435,7 +422,8 @@ def run_restoration_demo(
             x, trace = fista_solve(problem, "forward_on_f", config)
         else:  # fista2
             x, trace = fista_solve(problem, "forward_on_g", config)
-        dists = trace.distances()
+        # the curve of z_0 ... z_{N-1}: one row per step
+        dists = np.array(trace.distances[:-1])
         d0 = dists[0] if len(dists) and dists[0] > 0 else 1.0
         runs[name] = MethodRun(
             method=name,
@@ -469,7 +457,7 @@ def _restoration_reference(problem: CompositeProblem) -> tuple[np.ndarray, Solve
     tol = 1e-13 * max(1.0, math.sqrt(problem.f.dimension) / 64.0)
     config = SolverConfig(max_iter=5000, tol=tol, stopping="residual")
     try:
-        validate_regularity(reg, "leveraged")
+        validate_regularity(reg)
         lp = optimal_params(reg, delta_star(reg))
         x, _, trace = prs_lev_solve(problem, lp, config)
     except SplittingError:
@@ -513,13 +501,20 @@ def _write_restoration_outputs(report: RestorationReport, out_dir) -> None:
 
 def emit_trace(trace: SolveTrace, path) -> None:
     """CSV with header ``iter,residual,dist,ratio`` plus a status comment line."""
-    if not trace.records:
+    if not trace.residuals:
         raise ValueError("refusing to emit an empty trace")
+    # _fmt's text, with the conversions mapped over whole columns
+    d = trace.distances
+    if d:
+        # a row's dist is d_n, and its ratio is blank where d_n is not positive
+        dist = map(repr, map(float, d))
+        ratio = [repr(r) if prev > 0.0 else "" for prev, r in zip(d, trace.ratios().tolist())]
+    else:
+        dist = ratio = [""] * len(trace.residuals)
+    residuals = map(repr, map(float, trace.residuals))
     lines = [f"# status={trace.status}", "iter,residual,dist,ratio"]
-    for rec in trace.records:
-        dist = "" if rec.dist_to_fixed_point is None else _fmt(rec.dist_to_fixed_point)
-        ratio = "" if rec.contraction_ratio is None else _fmt(rec.contraction_ratio)
-        lines.append(f"{rec.iteration},{_fmt(rec.residual)},{dist},{ratio}")
+    lines += [f"{n},{res},{dn},{rn}"
+              for n, (res, dn, rn) in enumerate(zip(residuals, dist, ratio))]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

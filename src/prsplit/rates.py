@@ -84,7 +84,7 @@ def _sqrt_terms(reg: RegularityParams) -> tuple[float, float, float, float]:
 
 def optimal_rate(reg: RegularityParams) -> float:
     """Best achievable contraction factor over all admissible (tau, eta, delta)."""
-    validate_regularity(reg, "leveraged")
+    validate_regularity(reg)
     a, b, c, d = _sqrt_terms(reg)
     return (a * c - b * d) / (a * c + b * d)
 
@@ -117,7 +117,7 @@ def optimal_params(reg: RegularityParams, delta: float) -> LeverageParams:
     is the boundary limit (still the right parameters for the rate formulas,
     but rejected by the strict solver validation).
     """
-    validate_regularity(reg, "leveraged")
+    validate_regularity(reg)
     if not (-reg.rho <= delta <= reg.mu):
         raise DeltaOutOfRange(f"delta={delta} outside [{-reg.rho}, {reg.mu}]")
     return LeverageParams(
@@ -133,7 +133,7 @@ def delta_star(reg: RegularityParams) -> float:
     Lies in ``]-rho, mu[`` whenever both cocoercivity moduli are positive
     (it touches an endpoint exactly when alpha = 0 or beta = 0).
     """
-    validate_regularity(reg, "leveraged")
+    validate_regularity(reg)
     rho, alpha, mu, beta = reg.rho, reg.alpha, reg.mu, reg.beta
     return (alpha * mu - beta * rho) / (beta * (1.0 + alpha * mu) + alpha * (1.0 + beta * rho))
 
@@ -144,7 +144,7 @@ def rate_constancy_check(reg: RegularityParams, grid_size: int = 101) -> float:
     Evaluates on an interior delta grid with margin ``1e-6*(rho+mu)`` to avoid
     the 0/0 endpoint degeneracies of ``eta(delta)``.
     """
-    validate_regularity(reg, "leveraged")
+    validate_regularity(reg)
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
     margin = 1e-6 * (reg.rho + reg.mu)
@@ -209,7 +209,7 @@ def dominance_report(reg: RegularityParams) -> list[tuple[str, Optional[float]]]
     that entry (within a few ulps, as the two formulas round differently).
     A violation raises ``RuntimeError``.
     """
-    validate_regularity(reg, "leveraged")
+    validate_regularity(reg)
     r_star = optimal_rate(reg)
     entries: list[tuple[str, Optional[float]]] = [("prs_lev", r_star)]
 

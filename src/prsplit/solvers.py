@@ -24,7 +24,6 @@ from .core import (
     CompositeProblem,
     LeverageParams,
     SolveTrace,
-    TraceRecord,
     fixed_point_oracle,
     validate_leverage,
     validate_regularity,
@@ -92,28 +91,23 @@ class _Monitor:
         # z*-based rules still see a non-finite iterate through the distance
         self.needs_residual = config.record_trace or stopping == "residual"
         self.dist0 = None if z_star is None else _norm(z0 - z_star)
-        self.trace = SolveTrace(records=[], status="max_iter")
+        self.trace = SolveTrace()
+        if config.record_trace and z_star is not None:
+            self.trace.distances.append(self.dist0)
         self._growth_run = 0
         self._metric0: Optional[float] = None
-        self._dist_prev = self.dist0
 
     def update(self, iteration: int, residual: float, z: np.ndarray) -> bool:
-        """Record the iteration that produced ``z``; return True when the solve should stop.
-
-        ``||z - z*||`` is computed once per iterate and kept as the next
-        iteration's previous distance.
-        """
+        """Record the iteration that produced ``z``; return True when the solve should stop."""
         self.trace.iterations = iteration + 1
-        dist_prev = dist_next = None
+        dist_next = None
         if self.z_star is not None:
             v = z - self.z_star
-            dist_prev, dist_next = self._dist_prev, math.sqrt(np.vdot(v, v))
-            self._dist_prev = dist_next
+            dist_next = math.sqrt(np.vdot(v, v))
         if self.config.record_trace:
-            ratio = dist_next / dist_prev if dist_prev is not None and dist_prev > 0.0 else None
-            self.trace.records.append(
-                TraceRecord(iteration, residual, dist_prev, ratio)
-            )
+            self.trace.residuals.append(residual)
+            if dist_next is not None:
+                self.trace.distances.append(dist_next)
         # NaN compares false in every test below: it would never converge or diverge
         if not math.isfinite(residual) or (
             dist_next is not None and not math.isfinite(dist_next)
@@ -239,7 +233,7 @@ def prs_lev_solve(
     ``x_final`` is the f-prox output at termination, which converges to a
     minimizer of the original problem.
     """
-    validate_regularity(problem.regularity, "leveraged")
+    validate_regularity(problem.regularity)
     validate_leverage(lp, problem.regularity)
     t, e = lp.tau, lp.eta
     sf, sg = lp.f_scale, lp.g_scale

@@ -19,8 +19,6 @@ from prsplit.core import (
     LeverageParams,
     ProxFunction,
     RegularityParams,
-    SolveTrace,
-    TraceRecord,
     validate_regularity,
 )
 from prsplit.errors import NotStronglyRegular, SplittingError
@@ -273,7 +271,7 @@ def grid_search_rate(
     optimizer so it can serve as its oracle.  The initial tau cap comes from
     the branch-crossing values at the eta endpoints, which bound the optimum.
     """
-    validate_regularity(reg, "leveraged")
+    validate_regularity(reg)
     rho, alpha, mu, beta = reg.rho, reg.alpha, reg.mu, reg.beta
     if not (-rho < delta < mu):
         raise ValueError("grid search needs an interior delta")
@@ -323,19 +321,13 @@ def classical_prs_rate(tau: float, reg: RegularityParams):
     )
 
 
-def read_trace(path) -> SolveTrace:
-    """Inverse of :func:`prsplit.harness.emit_trace`."""
+def read_trace(path) -> tuple[str, np.ndarray, np.ndarray, np.ndarray]:
+    """Inverse of :func:`prsplit.harness.emit_trace`: the status and the
+    residual, dist and ratio columns, NaN where a cell is blank."""
     lines = Path(path).read_text().strip().splitlines()
     status = lines[0].split("=", 1)[1]
-    records = []
-    for line in lines[2:]:
-        it, residual, dist, ratio = line.split(",")
-        records.append(
-            TraceRecord(
-                iteration=int(it),
-                residual=float(residual),
-                dist_to_fixed_point=float(dist) if dist else None,
-                contraction_ratio=float(ratio) if ratio else None,
-            )
-        )
-    return SolveTrace(records=records, status=status, iterations=len(records))
+    cells = zip(*(line.split(",")[1:] for line in lines[2:]))
+    residuals, dists, ratios = (
+        np.array([float(c) if c else math.nan for c in column]) for column in cells
+    )
+    return status, residuals, dists, ratios

@@ -33,24 +33,21 @@ TIGHT_REG = RegularityParams(rho=1.0, alpha=0.25, mu=0.0, beta=1.0)
 
 class TestValidateRegularity:
     def test_running_example_is_valid_for_leveraged_mode(self):
-        assert validate_regularity(TIGHT_REG, "leveraged") is TIGHT_REG
+        assert validate_regularity(TIGHT_REG) is TIGHT_REG
 
     def test_no_leverage(self):
         with pytest.raises(NoLeverage):
-            validate_regularity(RegularityParams(0, 0, 0, 0), "leveraged")
+            validate_regularity(RegularityParams(0, 0, 0, 0))
 
     def test_bound_violation_in_any_mode(self):
         bad = RegularityParams(rho=2.0, alpha=1.0, mu=0.0, beta=0.0)
         with pytest.raises(BoundViolation):
-            validate_regularity(bad, "general")
-        with pytest.raises(BoundViolation):
-            validate_regularity(bad, "leveraged")
+            validate_regularity(bad)
 
     def test_degenerate_quadratic_only_in_leveraged_mode(self):
         quad = RegularityParams(rho=1.0, alpha=1.0, mu=0.0, beta=1.0)
-        validate_regularity(quad, "general")
         with pytest.raises(DegenerateQuadratic):
-            validate_regularity(quad, "leveraged")
+            validate_regularity(quad)
 
     def test_negative_or_nonfinite_fields_rejected_at_construction(self):
         with pytest.raises(ValueError):

@@ -7,14 +7,16 @@ import numpy as np
 import pytest
 
 from prsplit.core import (
+    CompositeProblem,
     LeverageParams,
+    ProxFunction,
     RegularityParams,
     SolveTrace,
-    TraceRecord,
     fixed_point_oracle,
 )
 from prsplit import harness
 from prsplit.errors import NoGradient
+from prsplit.leverage import QuadraticFunction
 from prsplit.harness import (
     InstanceSpec,
     emit_plot_script,
@@ -26,7 +28,7 @@ from prsplit.harness import (
     synthetic_image,
 )
 from prsplit.rates import delta_star, optimal_params, optimal_rate
-from prsplit.solvers import SolverConfig, prs_lev_solve
+from prsplit.solvers import SolverConfig, prs_classic_solve, prs_lev_solve
 
 from conftest import interior_delta
 from oracles import grid_search_rate, read_trace
@@ -120,9 +122,6 @@ class TestTightCheck:
     def test_symmetric_moduli(self):
         reg = RegularityParams(rho=1.0, alpha=0.5, mu=1.0, beta=0.5)
         assert run_tight_check(reg, steps=20) <= 1e-12
-
-    def test_zero_start_reports_zero_deviation(self):
-        assert run_tight_check(TIGHT_REG, steps=5, z0=np.zeros(2)) == 0.0
 
     def test_requires_positive_cocoercivities(self):
         with pytest.raises(ValueError):
@@ -272,28 +271,53 @@ class TestRestoration:
 
 
 def _sample_trace():
-    records = [
-        TraceRecord(0, 0.5, 1.0, 0.25),
-        TraceRecord(1, 0.125, 0.25, None),
-        TraceRecord(2, 0.03125, None, None),
-    ]
-    return SolveTrace(records=records, status="converged", iterations=3)
+    # a ratio, a zero ratio, and a blank one where d_n = 0
+    return SolveTrace(
+        status="converged", iterations=3,
+        residuals=[0.5, 0.125, 0.03125], distances=[1.0, 0.25, 0.0, 0.0],
+    )
+
+
+def _nonfinite_trace(z_star):
+    # g's prox returns +inf, so the first step from (1, 1) is non-finite
+    poisoned = ProxFunction(prox=lambda gamma, x: np.full_like(x, np.inf), dimension=2)
+    zero = QuadraticFunction(0.0, np.zeros(2), 0.0).to_prox_function()
+    problem = CompositeProblem(f=zero, g=poisoned, regularity=RegularityParams(0, 0, 0, 0))
+    config = SolverConfig(stopping="residual")
+    return prs_classic_solve(problem, 1.0, config, z0=np.ones(2), z_star=z_star)[2]
+
+
+def _start_at_z_star_trace():
+    # zero offsets: x* = z* = 0, the default starting point
+    problem = generate_instance(InstanceSpec(m=4, n=5, p=6, seed=0))
+    return prs_classic_solve(problem, 1.0)[2]
 
 
 class TestEmission:
     def test_trace_round_trip(self, tmp_path):
-        trace = _sample_trace()
+        cases = [
+            (_sample_trace(), "converged",
+             ["0,0.5,1.0,0.25", "1,0.125,0.25,0.0", "2,0.03125,0.0,"]),
+            (_nonfinite_trace(None), "nonfinite", ["0,inf,,"]),
+            (_nonfinite_trace(np.zeros(2)), "nonfinite", ["0,inf,1.4142135623730951,inf"]),
+            (_start_at_z_star_trace(), "converged", ["0,0.0,0.0,"]),
+        ]
         path = tmp_path / "trace.csv"
-        emit_trace(trace, path)
-        back = read_trace(path)
-        assert back.status == trace.status
-        assert back.records == trace.records
-        text = path.read_text()
-        assert text.splitlines()[1] == "iter,residual,dist,ratio"
+        for trace, status, rows in cases:
+            emit_trace(trace, path)
+            lines = path.read_text().splitlines()
+            assert lines == [f"# status={status}", "iter,residual,dist,ratio"] + rows
+            back_status, residuals, dists, ratios = read_trace(path)
+            assert back_status == status
+            np.testing.assert_array_equal(residuals, trace.residuals)
+            np.testing.assert_array_equal(
+                dists, trace.distances[:-1] or np.full(len(rows), np.nan)
+            )
+            np.testing.assert_array_equal(ratios, trace.ratios())
 
     def test_empty_trace_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            emit_trace(SolveTrace(records=[], status="max_iter"), tmp_path / "x.csv")
+            emit_trace(SolveTrace(), tmp_path / "x.csv")
 
     def test_plot_script_bound_lines(self, tmp_path):
         trace_path = tmp_path / "trace.csv"

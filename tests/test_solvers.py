@@ -136,7 +136,7 @@ class TestLeveragedSolve:
         _, _, trace = prs_lev_solve(problem, lp, config, z0=z_star)
         assert trace.status == "converged"
         assert trace.iterations <= 1
-        assert trace.records[0].residual <= 1e-10
+        assert trace.residuals[0] <= 1e-10
 
     def test_iteration_count_obeys_the_rate_bound(self, rng):
         problem = random_instance(rng, m=12, n=14, p=13)
@@ -147,7 +147,7 @@ class TestLeveragedSolve:
         z0 = fixed_point_oracle(problem, lp) + rng.standard_normal(problem.dimension)
         _, _, trace = prs_lev_solve(problem, lp, config, z0=z0)
         assert trace.status == "converged"
-        d0 = trace.records[0].dist_to_fixed_point
+        d0 = trace.distances[0]
         r = rate_r1(lp, reg) * rate_r2(lp, reg)
         bound = math.log(tol / d0) / math.log(r) + 1
         assert trace.iterations <= bound
@@ -162,11 +162,8 @@ class TestLeveragedSolve:
             config = SolverConfig(max_iter=5000, tol=1e-6, stopping="normalized_error")
             z0 = rng.standard_normal(problem.dimension)
             _, _, trace = prs_lev_solve(problem, lp, config, z0=z0)
-            dists = trace.distances()
-            d0 = dists[0]
-            ratios = trace.ratios()
-            next_dists = dists * ratios
-            assert np.all(next_dists <= r * dists + 1e-10 * d0)
+            d = np.array(trace.distances)
+            assert np.all(d[1:] <= r * d[:-1] + 1e-10 * d[0])
 
     def test_final_x_is_first_order_stationary(self, rng):
         problem = random_instance(rng)
@@ -188,7 +185,7 @@ class TestLeveragedSolve:
         _, z_classic, trace_classic = prs_classic_solve(problem, tau, config, z0=z0)
         np.testing.assert_allclose(z_lev, z_classic, rtol=1e-12, atol=1e-13)
         np.testing.assert_allclose(
-            trace_lev.residuals(), trace_classic.residuals(), rtol=1e-10, atol=1e-14
+            trace_lev.residuals, trace_classic.residuals, rtol=1e-10, atol=1e-14
         )
 
 
@@ -211,7 +208,7 @@ class TestAffineStep:
             _, z_split, trace = solved
             tol = 1e-12 * (1 + np.linalg.norm(z))
             assert np.linalg.norm(z_split - z) <= tol
-            np.testing.assert_allclose(trace.residuals(), residuals, rtol=0.0, atol=tol)
+            np.testing.assert_allclose(trace.residuals, residuals, rtol=0.0, atol=tol)
 
         for lp in (optimal_params(reg, delta_star(reg)), optimal_params(reg, delta)):
             t, e, sf, sg = lp.tau, lp.eta, lp.f_scale, lp.g_scale
@@ -405,8 +402,9 @@ class TestMonitor:
         (x_on, z_on, on), (x_off, z_off, off) = outputs
         assert on.status == off.status == "converged"
         assert on.iterations == off.iterations
-        assert len(on.records) == on.iterations and off.records == []
-        assert all(r.residual > 0.0 for r in on.records)
+        assert len(on.residuals) == on.iterations == len(on.distances) - 1
+        assert off.residuals == off.distances == []
+        assert all(r > 0.0 for r in on.residuals)
         np.testing.assert_allclose(x_on, problem.solution_oracle, atol=1e-6)
         assert x_on.tobytes() == x_off.tobytes()
         assert z_on.tobytes() == z_off.tobytes()
@@ -418,7 +416,7 @@ class TestMonitor:
         config = SolverConfig(max_iter=3, tol=1e-300)
         for p, known in ((problem, True), (bare, False)):
             _, _, trace = prs_classic_solve(p, 0.8, config)
-            assert (trace.records[0].dist_to_fixed_point is not None) == known
+            assert bool(trace.distances) == known
 
     def test_stops_at_first_crossing_of_tol(self):
         # the rule every solver shares, and the one FISTA's non-monotone
@@ -472,7 +470,7 @@ class TestFista:
         reg = problem.regularity
         config = SolverConfig(max_iter=4000, tol=1e-11, stopping="fixed_point_distance")
         x, trace = fista_solve(problem, "forward_on_f", config)
-        dists = trace.distances()
+        dists = trace.distances
         k = len(dists) // 2
         observed = (dists[-1] / dists[k]) ** (1.0 / (len(dists) - 1 - k))
         assert observed >= optimal_rate(reg)
