@@ -8,7 +8,12 @@ The three splitting schemes run one loop, ``_split``: from resolvents
 and relaxed DRS is ``c0 = 2, lam < 1``.  Leveraged PRS is classical PRS on the
 shifted pair, written with the rescaled proxes of the original f and g, so no
 new oracles are ever required.  When both proxes are affine (each function has
-a ``resolvent``), the loop precomposes the whole step into one affine map.
+a ``resolvent``), the loop precomposes the whole step into one affine map
+``z -> T z + t``.  If nothing reads the intermediate iterates (trace off, a
+z*-based stopping rule) and ``||T||_2 < 1``, the loop skips ahead to the step
+before its stopping step by repeated squaring of ``T``, and steps the rest.
+It skips only after its first m steps (m the size of z), which cost about
+as much as the skip's own setup, so solves that short run as before.
 """
 
 from __future__ import annotations
@@ -42,6 +47,8 @@ __all__ = [
 # sustained growth signals a user-input error rather than a numerical hiccup.
 DIVERGENCE_FACTOR = 10.0
 DIVERGENCE_STEPS = 50
+# ||T||_2 must sit this far below 1 for the skip-ahead, above the svd's rounding
+CONTRACTION_MARGIN = 1e-12
 
 Stopping = Literal["fixed_point_distance", "normalized_error", "residual"]
 Affine = tuple[np.ndarray, np.ndarray]  # (A, b): the map v -> A v + b
@@ -172,6 +179,30 @@ def _resolvents(
     return f(gamma_f), g(gamma_g)
 
 
+def _power_descent(
+    T: np.ndarray, e: np.ndarray, bound: float, cap: int
+) -> tuple[int, np.ndarray]:
+    """The largest ``n <= cap`` with ``||T^n e|| > bound`` (0 if none), and ``T^n e``.
+
+    When ``||T||_2 < 1``, ``||T^n e||`` strictly decreases in n, so the n with
+    ``||T^n e|| > bound`` form a prefix of 0, 1, 2, ...  Squaring gives the
+    powers ``T^(2^k)`` while ``||T^(2^k) e||`` is still above ``bound``, and a
+    greedy descent over them, largest first, finds the end of that prefix
+    (exponentiation by squaring; Higham, *Functions of Matrices*, SIAM 2008).
+    """
+    powers, P, jump = [], T, 1
+    while jump <= cap and _norm(P.dot(e)) > bound:
+        powers.append(P)
+        P, jump = P @ P, 2 * jump
+    n = 0
+    for k in reversed(range(len(powers))):
+        if n + (1 << k) <= cap:
+            e_next = powers[k].dot(e)
+            if _norm(e_next) > bound:
+                n, e = n + (1 << k), e_next
+    return n, e
+
+
 def _split(
     first: Callable[[np.ndarray], np.ndarray],
     second: Callable[[np.ndarray], np.ndarray],
@@ -190,6 +221,19 @@ def _split(
     ``t = s (c0 A2 b1 + b2 - b1)``, built once per solve: one product per step
     in place of two proxes.  ``||d||`` is read back as ``||z_next - z|| / s``,
     which it equals in exact arithmetic.
+
+    The affine loop skips ahead when the trace is off, the stopping rule is
+    ``fixed_point_distance`` or ``normalized_error``, ``z`` is finite and not
+    z*, and ``sigma_max(T) < 1 - CONTRACTION_MARGIN``.  The error after n steps
+    is then ``T^n (z - z*)`` and its norm strictly decreases, so
+    :func:`_power_descent` finds the last step, capped at ``max_iter - 1``,
+    that the stopping bound (``tol``, or ``tol * ||z_0 - z*||``) still calls
+    unconverged.  The loop resumes from ``z* + T^n (z - z*)`` there and the
+    monitor judges the remaining steps as always, so the count and the status
+    are the loop's, up to a rounding near-tie at the bound; only the last bits
+    of the final iterate move.  The gate and each squaring cost about ``m^3``
+    and a step about ``m^2`` for ``z`` of size m, so the loop first takes m
+    ordinary steps: a solve that stops within them runs as if nothing skipped.
     """
     monitor = _Monitor(config, z, z_star)
     needs_residual = monitor.needs_residual
@@ -203,17 +247,40 @@ def _split(
         (A1, b1), (A2, b2) = maps
         T = np.eye(b1.size) + s * (c0 * (A2 @ A1) - A2 - A1)
         t = s * (c0 * A2.dot(b1) + b2 - b1)
-    for n in range(config.max_iter):
-        if T is None:
-            x = first(z)
-            d = second(c0 * x - z) - x
-            z = z + step * d
-            residual = _norm(d) if needs_residual else 0.0
-        else:
-            z_prev, z = z, T.dot(z) + t
-            residual = _norm(z - z_prev) / s if needs_residual else 0.0
-        if monitor.update(n, residual, z):
-            break
+
+    def steps(z: np.ndarray, begin: int, end: int) -> tuple[np.ndarray, bool]:
+        """Iterations ``begin .. end-1`` from ``z``; True when the monitor stopped."""
+        for n in range(begin, end):
+            if T is None:
+                x = first(z)
+                d = second(c0 * x - z) - x
+                z = z + step * d
+                residual = _norm(d) if needs_residual else 0.0
+            else:
+                z_prev, z = z, T.dot(z) + t
+                residual = _norm(z - z_prev) / s if needs_residual else 0.0
+            if monitor.update(n, residual, z):
+                return z, True
+        return z, False
+
+    taken = config.max_iter
+    if T is not None and not config.record_trace and monitor.stopping != "residual":
+        taken = min(b1.size, taken)
+    z, stopped = steps(z, 0, taken)
+    d0 = monitor.dist0
+    if (
+        not stopped
+        and taken < config.max_iter
+        and 0.0 < d0 < math.inf
+        and np.isfinite(T).all()
+        and np.linalg.svd(T, compute_uv=False)[0] < 1.0 - CONTRACTION_MARGIN
+    ):
+        bound = config.tol * (d0 if monitor.stopping == "normalized_error" else 1.0)
+        skipped, e = _power_descent(T, z - z_star, bound, config.max_iter - 1 - taken)
+        if skipped:
+            z, taken = z_star + e, taken + skipped
+    if not stopped:
+        z, _ = steps(z, taken, config.max_iter)
     # the solution estimate belongs to the terminal z, not the previous one
     return first(z), z, monitor.trace
 

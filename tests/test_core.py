@@ -32,19 +32,19 @@ TIGHT_REG = RegularityParams(rho=1.0, alpha=0.25, mu=0.0, beta=1.0)
 
 
 class TestValidateRegularity:
-    def test_running_example_is_valid_for_leveraged_mode(self):
+    def test_running_example_is_valid(self):
         assert validate_regularity(TIGHT_REG) is TIGHT_REG
 
     def test_no_leverage(self):
         with pytest.raises(NoLeverage):
             validate_regularity(RegularityParams(0, 0, 0, 0))
 
-    def test_bound_violation_in_any_mode(self):
+    def test_bound_violation(self):
         bad = RegularityParams(rho=2.0, alpha=1.0, mu=0.0, beta=0.0)
         with pytest.raises(BoundViolation):
             validate_regularity(bad)
 
-    def test_degenerate_quadratic_only_in_leveraged_mode(self):
+    def test_degenerate_quadratic_rejected(self):
         quad = RegularityParams(rho=1.0, alpha=1.0, mu=0.0, beta=1.0)
         with pytest.raises(DegenerateQuadratic):
             validate_regularity(quad)

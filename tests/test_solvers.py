@@ -7,6 +7,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from prsplit import solvers
 from prsplit.core import (
     CompositeProblem,
     LeverageParams,
@@ -17,6 +18,7 @@ from prsplit.core import (
 from prsplit.errors import NotSmooth
 from prsplit.harness import make_least_squares_problem
 from prsplit.leverage import QuadraticFunction
+from prsplit.proxlib import LeastSquaresFn
 from prsplit.rates import delta_star, optimal_params, optimal_rate, rate_r1, rate_r2
 from prsplit.solvers import (
     SolverConfig,
@@ -247,6 +249,132 @@ class TestAffineStep:
             assert trace.iterations == 1
 
 
+class TestSkipAhead:
+    """With the trace off and a z*-based rule, a contractive affine pair takes
+    m ordinary steps, skips ahead by powers of ``T``, and steps the rest."""
+
+    @pytest.fixture
+    def skips(self, monkeypatch):
+        # how far each solve skipped past its first m steps
+        skipped, descend = [], solvers._power_descent
+
+        def spy(*args):
+            n, e = descend(*args)
+            skipped.append(n)
+            return n, e
+
+        monkeypatch.setattr(solvers, "_power_descent", spy)
+        return skipped
+
+    @staticmethod
+    def methods(rng, problem):
+        reg = problem.regularity
+        tau = 0.8
+        return {
+            "prs_lev_delta_star": partial(prs_lev_solve, problem, optimal_params(reg, delta_star(reg))),
+            "prs_lev_interior": partial(
+                prs_lev_solve, problem, optimal_params(reg, interior_delta(rng, reg))
+            ),
+            "prs": partial(prs_classic_solve, problem, tau),
+            "drs": partial(drs_solve, problem, tau, 0.5),
+        }
+
+    @pytest.mark.parametrize("stopping", ["fixed_point_distance", "normalized_error"])
+    def test_counts_and_statuses_equal_the_recorded_loop(self, rng, skips, stopping):
+        long_solves = 0
+        for m, n, p in ((8, 10, 9), (12, 14, 13), (20, 30, 30), (20, 10, 20)):
+            problem = random_instance(rng, m=m, n=n, p=p)
+            z0 = rng.standard_normal(m)
+            for name, solve in self.methods(rng, problem).items():
+                solved = []
+                for record in (True, False):
+                    config = SolverConfig(
+                        max_iter=50000, tol=1e-10, stopping=stopping, record_trace=record
+                    )
+                    solved.append(solve(config, z0=z0))
+                (_, z_on, on), (_, z_off, off) = solved
+                assert (off.iterations, off.status) == (on.iterations, on.status), name
+                assert on.status == "converged"
+                assert np.linalg.norm(z_on - z_off) <= 1e-12 * (1 + np.linalg.norm(z_on))
+                # only the unrecorded solve skips, and only past its first m
+                # steps; it lands on the last unconverged step, or one before
+                # it on a rounding near-tie, and the loop takes what is left
+                if on.iterations <= m:
+                    assert skips == []
+                    continue
+                long_solves += 1
+                assert on.iterations - 2 <= m + skips.pop() <= on.iterations - 1
+                assert skips == []
+        assert long_solves >= 8
+
+    def test_max_iter_below_the_count_stops_at_max_iter(self, rng, skips):
+        problem = random_instance(rng)
+        m = problem.dimension
+        z0 = rng.standard_normal(m)
+        full = SolverConfig(max_iter=50000, record_trace=False)
+        long_solves = 0
+        for solve in self.methods(rng, problem).values():
+            needed = solve(full, z0=z0)[2].iterations
+            if needed <= m + 2:
+                continue
+            long_solves += 1
+            skips.clear()
+            for max_iter in (2, m, m + 1, needed - 1):
+                config = SolverConfig(max_iter=max_iter, record_trace=False)
+                _, _, trace = solve(config, z0=z0)
+                assert (trace.status, trace.iterations) == ("max_iter", max_iter)
+            # within m steps nothing skips; past them the skip stops one short
+            assert [m + n for n in skips] == [m, needed - 2]
+        assert long_solves >= 2
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("stopping", ["fixed_point_distance", "normalized_error"])
+    def test_a_start_at_z_star_or_not_finite_runs_the_loop(self, rng, skips, stopping):
+        problem = random_instance(rng)
+        reg = problem.regularity
+        lp = optimal_params(reg, delta_star(reg))
+        z_star = fixed_point_oracle(problem, lp)
+        poisoned = rng.standard_normal(problem.dimension)
+        poisoned[0] = math.inf
+        for z0, status in ((z_star, "converged"), (poisoned, "nonfinite")):
+            solved = [
+                prs_lev_solve(
+                    problem, lp,
+                    SolverConfig(max_iter=100, stopping=stopping, record_trace=record),
+                    z0=z0,
+                )
+                for record in (True, False)
+            ]
+            (_, z_on, on), (_, z_off, off) = solved
+            assert (off.status, off.iterations) == (on.status, on.iterations) == (status, 1)
+            assert z_on.tobytes() == z_off.tobytes()
+        assert skips == []
+
+    def test_a_non_contractive_pair_runs_the_loop_bit_for_bit(self, rng, skips):
+        # a zero column shared by A and B leaves that coordinate out of both
+        # terms: T keeps it fixed, so ||T||_2 = 1 and the distance never shrinks
+        A, B = rng.random((10, 6)), rng.random((9, 6))
+        A[:, 2] = B[:, 2] = 0.0
+        f, g = LeastSquaresFn(A), LeastSquaresFn(B)
+        problem = CompositeProblem(
+            f=f.to_prox_function(), g=g.to_prox_function(),
+            regularity=RegularityParams(0.0, f.moduli[1], 0.0, g.moduli[1]),
+        )
+        z0, z_star = rng.standard_normal(6), np.zeros(6)
+        for lam in (1.0, 0.5):
+            solved = [
+                drs_solve(
+                    problem, 0.8, lam,
+                    SolverConfig(max_iter=200, record_trace=record), z0=z0, z_star=z_star,
+                )
+                for record in (True, False)
+            ]
+            (_, z_on, on), (_, z_off, off) = solved
+            assert (off.status, off.iterations) == (on.status, on.iterations) == ("max_iter", 200)
+            assert z_on.tobytes() == z_off.tobytes()
+        assert skips == []
+
+
 def axis_indicator_problem():
     """f = indicator of the x-axis (prox projects), g = 0 (prox is identity)."""
     project = ProxFunction(
@@ -385,29 +513,38 @@ class TestMonitor:
     @pytest.mark.parametrize("method", ["prs_lev", "prs", "drs"])
     @pytest.mark.parametrize("stopping", ["residual", "fixed_point_distance", "normalized_error"])
     def test_recording_does_not_change_the_solve(self, rng, method, stopping):
-        # with record_trace off the z*-based rules never compute ||d||; the
-        # solve must still stop at the same iterate with the same bits
-        problem = random_instance(rng)
-        lp = optimal_params(problem.regularity, interior_delta(rng, problem.regularity))
-        z0 = rng.standard_normal(problem.dimension)
-        outputs = []
-        for record in (True, False):
-            config = SolverConfig(max_iter=5000, tol=1e-10, stopping=stopping, record_trace=record)
-            if method == "prs_lev":
-                outputs.append(prs_lev_solve(problem, lp, config, z0=z0))
-            elif method == "prs":
-                outputs.append(prs_classic_solve(problem, 0.8, config, z0=z0))
+        # with record_trace off the z*-based rules never compute ||d||, and an
+        # affine pair skips ahead by powers of T; the solve must still stop at
+        # the same step, with the same bits on the two-prox path (no resolvent
+        # on f) and within rounding on the affine one
+        affine = random_instance(rng)
+        two_prox = replace(affine, f=replace(affine.f, resolvent=None))
+        lp = optimal_params(affine.regularity, interior_delta(rng, affine.regularity))
+        z0 = rng.standard_normal(affine.dimension)
+        for problem in (two_prox, affine):
+            outputs = []
+            for record in (True, False):
+                config = SolverConfig(
+                    max_iter=5000, tol=1e-10, stopping=stopping, record_trace=record
+                )
+                if method == "prs_lev":
+                    outputs.append(prs_lev_solve(problem, lp, config, z0=z0))
+                elif method == "prs":
+                    outputs.append(prs_classic_solve(problem, 0.8, config, z0=z0))
+                else:
+                    outputs.append(drs_solve(problem, 0.8, 0.6, config, z0=z0))
+            (x_on, z_on, on), (x_off, z_off, off) = outputs
+            assert on.status == off.status == "converged"
+            assert on.iterations == off.iterations
+            assert len(on.residuals) == on.iterations == len(on.distances) - 1
+            assert off.residuals == off.distances == []
+            assert all(r > 0.0 for r in on.residuals)
+            np.testing.assert_allclose(x_on, problem.solution_oracle, atol=1e-6)
+            if problem is two_prox:
+                assert x_on.tobytes() == x_off.tobytes()
+                assert z_on.tobytes() == z_off.tobytes()
             else:
-                outputs.append(drs_solve(problem, 0.8, 0.6, config, z0=z0))
-        (x_on, z_on, on), (x_off, z_off, off) = outputs
-        assert on.status == off.status == "converged"
-        assert on.iterations == off.iterations
-        assert len(on.residuals) == on.iterations == len(on.distances) - 1
-        assert off.residuals == off.distances == []
-        assert all(r > 0.0 for r in on.residuals)
-        np.testing.assert_allclose(x_on, problem.solution_oracle, atol=1e-6)
-        assert x_on.tobytes() == x_off.tobytes()
-        assert z_on.tobytes() == z_off.tobytes()
+                assert np.linalg.norm(z_on - z_off) <= 1e-12 * (1 + np.linalg.norm(z_on))
 
     def test_z_star_comes_from_a_known_minimizer_and_grad_f(self, rng):
         # z* = x* + tau grad f(x*) for plain PRS; without grad f there is no z*
@@ -439,8 +576,6 @@ class TestFista:
         m = 6
         A = rng.standard_normal((9, m))
         a = rng.standard_normal(9)
-        from prsplit.proxlib import LeastSquaresFn
-
         f = LeastSquaresFn(A, a)
         x_star = np.linalg.solve(f.gram, f.at_a)
         problem = CompositeProblem(
