@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import harness, rates
-from .core import RegularityParams, validate_leverage
-from .solvers import SolverConfig, drs_solve, fista_solve, prs_classic_solve, prs_lev_solve
+from .core import RegularityParams
+from .solvers import SolverConfig
 
 
 def _out_dir(args) -> Path:
@@ -145,35 +145,16 @@ def _load_problem_file(path):
             if offsets[key].size != rows:
                 raise ValueError(f"problem file: vector {key!r} needs one entry per row of "
                                  f"matrix {key.upper()!r} ({rows}), got {offsets[key].size}")
-    return harness.make_least_squares_problem(A, offsets.get("a"), B, offsets.get("b"))
+    try:
+        return harness.make_least_squares_problem(A, offsets.get("a"), B, offsets.get("b"))
+    except OverflowError as exc:
+        raise ValueError(f"problem file: {exc}") from None
 
 
 def cmd_solve(args) -> int:
     problem = _load_problem_file(args.problem_file)
-    reg = problem.regularity
     config = SolverConfig(max_iter=args.max_iter, tol=args.tol)
-    if args.method == "prs_lev":
-        if args.delta is not None:
-            delta = args.delta
-        elif reg.alpha == 0.0 or reg.beta == 0.0:
-            # delta* sits on an endpoint of [-rho, mu] here, where eta = 0 is
-            # out of range; r* is flat on the interval, so take its midpoint
-            delta = (reg.mu - reg.rho) / 2.0
-        else:
-            delta = rates.delta_star(reg)
-        lp = validate_leverage(rates.optimal_params(reg, delta), reg)
-        x, _, trace = prs_lev_solve(problem, lp, config)
-    elif args.method == "prs":
-        tau = args.tau if args.tau is not None else rates.classical_prs_optimal(reg)[0]
-        x, _, trace = prs_classic_solve(problem, tau, config)
-    elif args.method == "drs":
-        tau, lam, _ = rates.drs_optimal_rate(reg, args.tau)
-        x, _, trace = drs_solve(problem, tau, lam, config)
-    elif args.method in ("fista1", "fista2"):
-        mode = "forward_on_f" if args.method == "fista1" else "forward_on_g"
-        x, trace = fista_solve(problem, mode, config)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(args.method)
+    x, _, trace = harness.solve_method(problem, args.method, config, delta=args.delta, tau=args.tau)
     out = _out_dir(args)
     np.savetxt(out / "solution.csv", x, delimiter=",")
     harness.emit_trace(trace, out / "trace.csv")
@@ -283,10 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve a least-squares pair from a JSON file")
     p.add_argument("--problem-file", type=str, required=True,
                    help='JSON with "A", "B" and optional "a", "b"')
-    p.add_argument("--method", choices=["prs_lev", "prs", "drs", "fista1", "fista2"],
-                   default="prs_lev")
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--tau", type=float, default=None)
+    p.add_argument("--method", choices=harness.SOLVE_METHODS, default="prs_lev")
+    p.add_argument("--delta", type=float, default=None, help="shift, prs_lev only")
+    p.add_argument("--tau", type=float, default=None, help="step, prs and drs only")
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--max-iter", type=int, default=10000)
     p.add_argument("--out", type=str, default=None)
@@ -303,9 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=int, default=1, help="wavelet levels")
     p.add_argument("--noise-var", type=float, default=0.008)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--methods", nargs="+",
-                   default=["prs_lev", "prs", "fista1", "fista2"],
-                   choices=["prs_lev", "prs", "fista1", "fista2"])
+    p.add_argument("--methods", nargs="+", default=list(harness.RESTORE_METHODS),
+                   choices=harness.RESTORE_METHODS)
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--max-iter", type=int, default=1000)
     p.add_argument("--out", type=str, default=None)

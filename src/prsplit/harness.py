@@ -18,15 +18,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import pgm
-from .core import (
-    CompositeProblem,
-    LeverageParams,
-    RegularityParams,
-    SolveTrace,
-    fixed_point_oracle,
-    validate_regularity,
-)
-from .errors import NoLeverage, SplittingError
+from .core import CompositeProblem, RegularityParams, SolveTrace, validate_regularity
+from .errors import NoLeverage, NotStronglyRegular, SplittingError
 from .leverage import QuadraticFunction
 from .proxlib import (
     BlurOperator,
@@ -40,12 +33,17 @@ from .proxlib import (
 from .rates import (
     classical_prs_optimal,
     delta_star,
+    drs_optimal_rate,
     optimal_params,
     optimal_rate,
 )
-from .solvers import SolverConfig, fista_solve, prs_classic_solve, prs_lev_solve
+from .solvers import SolverConfig, drs_solve, fista_solve, prs_classic_solve, prs_lev_solve
 
 __all__ = [
+    "SOLVE_METHODS",
+    "RESTORE_METHODS",
+    "BENCH_METHODS",
+    "solve_method",
     "InstanceSpec",
     "make_least_squares_problem",
     "generate_instance",
@@ -66,6 +64,58 @@ __all__ = [
 def _fmt(value) -> str:
     """Round-trippable decimal text for CSV cells."""
     return repr(float(value))
+
+
+# --- one tuned solve per method name ------------------------------------------------
+
+SOLVE_METHODS = ("prs_lev", "prs", "drs", "fista1", "fista2")
+RESTORE_METHODS = ("prs_lev", "prs", "fista1", "fista2")
+BENCH_METHODS = ("prs_lev", "prs1", "prs2")
+
+
+def solve_method(
+    problem: CompositeProblem,
+    method: str,
+    config: SolverConfig,
+    z0: Optional[np.ndarray] = None,
+    delta: Optional[float] = None,
+    tau: Optional[float] = None,
+) -> tuple[np.ndarray, Optional[np.ndarray], SolveTrace]:
+    """Solve by ``method``, tuned by its closed form; ``(x, z, trace)`` with ``z = None`` for FISTA.
+
+    ``prs_lev`` takes the shift ``delta``, else ``delta*``, else the midpoint
+    of ``[-rho, mu]`` when ``alpha = 0`` or ``beta = 0`` (``delta*`` is then an
+    endpoint, where ``eta = 0`` is out of range; ``r*`` is flat on the
+    interval).  ``prs``/``prs1`` take the classical step ``tau`` on f's moduli
+    and ``prs2`` on g's, ``drs`` its tuned step and relaxation, unless
+    ``tau`` is given.  ``fista1``/``fista2`` step forward on f/g from the
+    origin; ``z0`` starts the splitting methods.  A ``delta`` or ``tau`` the
+    method does not take, or an unknown name, raises ``ValueError``; moduli
+    a classical tuning cannot use raise
+    :class:`~prsplit.errors.NotStronglyRegular`.
+    """
+    reg = problem.regularity
+    if delta is not None and method != "prs_lev":
+        raise ValueError(f"method {method!r} takes no delta")
+    if tau is not None and method in ("prs_lev", "fista1", "fista2"):
+        raise ValueError(f"method {method!r} takes no tau")
+    if method == "prs_lev":
+        if delta is None:
+            endpoint = reg.alpha == 0.0 or reg.beta == 0.0  # where delta* lies then
+            delta = (reg.mu - reg.rho) / 2.0 if endpoint else delta_star(reg)
+        return prs_lev_solve(problem, optimal_params(reg, delta), config, z0)
+    if method in ("prs", "prs1", "prs2"):
+        if tau is None:
+            tau = classical_prs_optimal(reg.swap() if method == "prs2" else reg)[0]
+        return prs_classic_solve(problem, tau, config, z0)
+    if method == "drs":
+        tau, lam, _ = drs_optimal_rate(reg, tau)
+        return drs_solve(problem, tau, lam, config, z0)
+    if method in ("fista1", "fista2"):
+        mode = "forward_on_f" if method == "fista1" else "forward_on_g"
+        x, trace = fista_solve(problem, mode, config)
+        return x, None, trace
+    raise ValueError(f"unknown method {method!r}")
 
 
 # --- random least-squares instances (academic benchmark) ---------------------------
@@ -98,10 +148,16 @@ def make_least_squares_problem(
     Attaches the normal-equations solution
     ``x* = (A^T A + B^T B)^{-1} (A^T a + B^T b)``, from which the solvers take
     their fixed points.  Raises :class:`NoLeverage` when ``A^T A + B^T B`` is
-    singular.
+    singular, and an ``OverflowError`` naming the matrix when ``A^T A`` or
+    ``A^T a`` (or their B terms) overflows.
     """
-    f = LeastSquaresFn(A, a)
-    g = LeastSquaresFn(B, b)
+    terms = []
+    for name, M, v in (("A", A, a), ("B", B, b)):
+        try:
+            terms.append(LeastSquaresFn(M, v))
+        except OverflowError as exc:
+            raise OverflowError(f"matrix {name!r}: {exc}") from None
+    f, g = terms
     reg = RegularityParams(f.moduli[0], f.moduli[1], g.moduli[0], g.moduli[1])
     try:
         x_star = np.linalg.solve(f.gram + g.gram, f.at_a + g.at_a)
@@ -148,9 +204,8 @@ def run_tight_check(
         f=f.to_prox_function(), g=g.to_prox_function(), regularity=reg,
         solution_oracle=np.zeros(2),
     )
-    lp = optimal_params(reg, delta_star(reg) if delta is None else delta)
     config = SolverConfig(max_iter=steps, tol=1e-300, stopping="residual")
-    _, _, trace = prs_lev_solve(problem, lp, config, z0=np.ones(2))
+    _, _, trace = solve_method(problem, "prs_lev", config, z0=np.ones(2), delta=delta)
     return float(np.nanmax(np.abs(trace.ratios() - optimal_rate(reg))))
 
 
@@ -161,7 +216,6 @@ def run_tight_check(
 class MethodStats:
     """Aggregates of one method over the repetitions of one dimension tuple."""
 
-    method: str
     defined: bool
     avg_iterations: Optional[float] = None
     median_iterations: Optional[float] = None
@@ -183,9 +237,6 @@ class BenchmarkRow:
 @dataclass(frozen=True)
 class BenchmarkReport:
     rows: list[BenchmarkRow]
-    repetitions: int
-    tol: float
-    seed: int
 
     def to_csv(self, path) -> None:
         """Deterministic CSV (timings are excluded: they are hardware noise)."""
@@ -209,9 +260,6 @@ class BenchmarkReport:
         Path(path).write_text("\n".join(lines) + "\n")
 
 
-_BENCH_METHODS = ("prs_lev", "prs1", "prs2")
-
-
 def run_academic_benchmark(
     dims_list: Sequence[tuple[int, int, int]],
     repetitions: int = 30,
@@ -222,18 +270,23 @@ def run_academic_benchmark(
 ) -> BenchmarkReport:
     """Average/median iterations to ``||z_k - z*|| <= tol`` per method and dims.
 
-    Each repetition draws a fresh instance (offsets zero, so x* = z* = 0) and
-    a fresh random starting point.  Methods whose step-size tuning hypotheses
-    fail are reported as undefined, mirroring the "-" table entries.
+    Each repetition draws a fresh instance (offsets zero, so x* = z* = 0 and
+    the final error is ``||z_final||``) and a fresh random starting point.
+    Methods whose step-size tuning hypotheses fail are reported as undefined,
+    mirroring the "-" table entries.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
+    config = SolverConfig(
+        max_iter=max_iter, tol=tol, stopping="fixed_point_distance", record_trace=False,
+    )
     rows = []
     for di, dims in enumerate(dims_list):
         m, n, p = dims
         moduli_acc = np.zeros(4)
-        results: dict[str, list] = {name: [] for name in _BENCH_METHODS}
-        defined: dict[str, bool] = {name: True for name in _BENCH_METHODS}
+        # per method, one (iterations, ms, error, converged) tuple per repetition,
+        # or None where its tuning is undefined
+        results: dict[str, list] = {name: [] for name in BENCH_METHODS}
         for rep in range(repetitions):
             inst_seed = np.random.SeedSequence(entropy=seed, spawn_key=(di, rep))
             spec = InstanceSpec(m=m, n=n, p=p, seed=int(inst_seed.generate_state(1)[0]))
@@ -244,44 +297,26 @@ def run_academic_benchmark(
                 np.random.SeedSequence(entropy=seed, spawn_key=(di, rep, 1))
             )
             z0 = z_rng.standard_normal(m)
-            config = SolverConfig(
-                max_iter=max_iter, tol=tol,
-                stopping="fixed_point_distance", record_trace=False,
-            )
-
-            def _run(name, solve, step, lp):
+            for name in BENCH_METHODS:
                 start = time.perf_counter()
-                z_star = fixed_point_oracle(problem, lp)
-                _, z_final, trace = solve(problem, step, config, z0=z0, z_star=z_star)
+                try:
+                    _, z_final, trace = solve_method(problem, name, config, z0=z0)
+                except NotStronglyRegular:
+                    results[name].append(None)
+                    continue
                 elapsed = 1e3 * (time.perf_counter() - start)
-                err = float(np.linalg.norm(z_final - z_star))
-                results[name].append(
-                    (trace.iterations, elapsed, err, trace.status == "converged")
-                )
-
-            lp = optimal_params(reg, delta_star(reg))
-            _run("prs_lev", prs_lev_solve, lp, lp)
-            if reg.rho > 0.0 and reg.alpha > 0.0:
-                tau1 = classical_prs_optimal(reg)[0]
-                _run("prs1", prs_classic_solve, tau1, LeverageParams(0.0, 0.0, tau1))
-            else:
-                defined["prs1"] = False
-            if reg.mu > 0.0 and reg.beta > 0.0:
-                tau2 = classical_prs_optimal(reg.swap())[0]
-                _run("prs2", prs_classic_solve, tau2, LeverageParams(0.0, 0.0, tau2))
-            else:
-                defined["prs2"] = False
+                results[name].append((trace.iterations, elapsed, float(np.linalg.norm(z_final)),
+                                      trace.status == "converged"))
 
         moduli_avg = moduli_acc / repetitions
         methods = {}
-        for name in _BENCH_METHODS:
+        for name in BENCH_METHODS:
             runs = results[name]
-            if not defined[name] or not runs:
-                methods[name] = MethodStats(method=name, defined=False)
+            if None in runs:
+                methods[name] = MethodStats(defined=False)
                 continue
             iters = np.array([r[0] for r in runs], dtype=float)
             methods[name] = MethodStats(
-                method=name,
                 defined=True,
                 avg_iterations=float(iters.mean()),
                 median_iterations=float(np.median(iters)),
@@ -299,7 +334,7 @@ def run_academic_benchmark(
                 methods=methods,
             )
         )
-    report = BenchmarkReport(rows=rows, repetitions=repetitions, tol=tol, seed=seed)
+    report = BenchmarkReport(rows=rows)
     if out_path is not None:
         report.to_csv(out_path)
     return report
@@ -324,12 +359,8 @@ def synthetic_image(side: int = 64, seed: int = 0) -> np.ndarray:
     return np.clip(img, 0.0, 1.0)
 
 
-_RESTORE_METHODS = ("prs_lev", "prs", "fista1", "fista2")
-
-
 @dataclass(frozen=True)
 class MethodRun:
-    method: str
     iterations: int
     status: str
     final_x: np.ndarray
@@ -356,7 +387,7 @@ def run_restoration_demo(
     level: int = 1,
     noise_var: float = 0.008,
     seed: int = 0,
-    methods: Sequence[str] = ("prs_lev", "prs", "fista1", "fista2"),
+    methods: Sequence[str] = RESTORE_METHODS,
     tol: float = 1e-12,
     max_iter: int = 1000,
     out_dir=None,
@@ -381,7 +412,7 @@ def run_restoration_demo(
         if not (ok and math.isfinite(value)):
             raise ValueError(f"{name} must be finite and {what}, got {value!r}")
     for name in methods:
-        if name not in _RESTORE_METHODS:
+        if name not in RESTORE_METHODS:
             raise ValueError(f"unknown method {name!r}")
     config = SolverConfig(max_iter=max_iter, tol=tol, stopping="normalized_error")
     kernel = gaussian_kernel(5, sigma)
@@ -412,26 +443,12 @@ def run_restoration_demo(
 
     runs: dict[str, MethodRun] = {}
     for name in methods:
-        if name == "prs_lev":
-            lp = optimal_params(reg, delta_star(reg))
-            x, _, trace = prs_lev_solve(problem, lp, config)
-        elif name == "prs":
-            tau = classical_prs_optimal(reg)[0]
-            x, _, trace = prs_classic_solve(problem, tau, config)
-        elif name == "fista1":
-            x, trace = fista_solve(problem, "forward_on_f", config)
-        else:  # fista2
-            x, trace = fista_solve(problem, "forward_on_g", config)
+        x, _, trace = solve_method(problem, name, config)
         # the curve of z_0 ... z_{N-1}: one row per step
         dists = np.array(trace.distances[:-1])
         d0 = dists[0] if len(dists) and dists[0] > 0 else 1.0
-        runs[name] = MethodRun(
-            method=name,
-            iterations=trace.iterations,
-            status=trace.status,
-            final_x=x,
-            normalized_errors=dists / d0,
-        )
+        runs[name] = MethodRun(iterations=trace.iterations, status=trace.status,
+                               final_x=x, normalized_errors=dists / d0)
 
     report = RestorationReport(
         true_image=x_true, observed=observed, reference=reference,
@@ -453,18 +470,14 @@ def _restoration_reference(problem: CompositeProblem) -> tuple[np.ndarray, Solve
     under that floor from about 300 x 300 pixels on, and the solve would then
     spend its whole budget.
     """
-    reg = problem.regularity
     tol = 1e-13 * max(1.0, math.sqrt(problem.f.dimension) / 64.0)
     config = SolverConfig(max_iter=5000, tol=tol, stopping="residual")
     try:
-        validate_regularity(reg)
-        lp = optimal_params(reg, delta_star(reg))
-        x, _, trace = prs_lev_solve(problem, lp, config)
+        x, _, trace = solve_method(problem, "prs_lev", config)
     except SplittingError:
         # degenerate moduli (e.g. an exactly quadratic data term): fall back
         # to plain PRS, which only needs rho > 0 and alpha > 0
-        tau = classical_prs_optimal(reg)[0]
-        x, _, trace = prs_classic_solve(problem, tau, config)
+        x, _, trace = solve_method(problem, "prs", config)
     return x, trace
 
 

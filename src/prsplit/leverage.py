@@ -1,4 +1,4 @@
-"""The one quadratic, in isotropic or matrix form.
+"""A quadratic with an explicit Hessian, in isotropic or matrix form.
 
 :class:`QuadraticFunction` builds the tight 2-D pair of ``tight-check`` and
 serves as a closed-form oracle in the tests.  Its moduli come from its

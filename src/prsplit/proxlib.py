@@ -60,7 +60,8 @@ class LeastSquaresFn:
     The gradient ``A^T A x - A^T a`` is one product with the stored Gram
     matrix.  Both products go through ``ndarray.dot``: it reaches the same
     BLAS ``dgemv`` as ``@``, so the bits are equal, at about half the call
-    cost for small m.  The moduli are the extreme eigenvalues.
+    cost for small m.  The moduli are the extreme eigenvalues.  An
+    ``OverflowError`` is raised when ``A^T A`` or ``A^T a`` overflows.
     """
 
     def __init__(self, A: np.ndarray, a: Optional[np.ndarray] = None):
@@ -69,8 +70,13 @@ class LeastSquaresFn:
         self.a = np.zeros(n) if a is None else np.asarray(a, dtype=float)
         if self.a.shape != (n,):
             raise ShapeMismatch(f"offset shape {self.a.shape} != ({n},)")
-        self.gram = self.A.T @ self.A
-        self.at_a = self.A.T @ self.a
+        with np.errstate(over="ignore"):  # raised below as an OverflowError instead
+            self.gram = self.A.T @ self.A
+            self.at_a = self.A.T @ self.a
+        for what, value in (("its Gram matrix", self.gram),
+                            ("its product with the offset", self.at_a)):
+            if not np.isfinite(value).all():
+                raise OverflowError(f"{what} overflows")
         self.dimension = m
         self.spectrum, self.basis = np.linalg.eigh(self.gram)
         self.moduli = _moduli_from_spectrum(self.spectrum, max(self.A.shape))

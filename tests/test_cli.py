@@ -148,6 +148,11 @@ BAD_INPUT = [  # (id, problem file or --dims text, message)
     ("a-length", {"A": [[1.0, 0.0]], "B": [[0.0, 1.0]], "a": [1.0, 2.0]},
      "problem file: vector 'a' needs one entry per row of matrix 'A' (1), got 2"),
     ("dims-pair", "20,20", "--dims: '20,20' is not a triple m,n,p of integers"),
+    ("A-gram-overflow", {"A": [[1e200, 1e200], [1.0, 2.0]], "B": [[1.0, 0.0], [0.0, 1.0]]},
+     "problem file: matrix 'A': its Gram matrix overflows"),
+    ("Bb-overflow", {"A": [[1.0, 0.0], [0.0, 1.0]],
+                     "B": [[1e10, 0.0], [0.0, 1.0]], "b": [1e300, 0.0]},
+     "problem file: matrix 'B': its product with the offset overflows"),
 ]
 
 
@@ -161,6 +166,23 @@ def test_bad_input_is_named_in_one_line(tmp_path, capsys, given, message):
         argv = ["bench-academic", "--dims", given]
     assert main([*argv, "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"prsplit: error: {message}\n"
+
+
+UNTAKEN_FLAGS = [(method, "--delta", "0") for method in ("prs", "drs", "fista1", "fista2")]
+UNTAKEN_FLAGS += [(method, "--tau", value)
+                  for method in ("prs_lev", "fista1", "fista2") for value in ("0", "1")]
+
+
+@pytest.mark.parametrize("method, flag, value", UNTAKEN_FLAGS,
+                         ids=[f"{m}-{f[2:]}={v}" for m, f, v in UNTAKEN_FLAGS])
+def test_solve_rejects_a_flag_its_method_does_not_take(tmp_path, capsys, method, flag, value):
+    _write_problem(tmp_path / "p.json", 0)
+    code = main(["solve", "--problem-file", str(tmp_path / "p.json"), "--method", method,
+                 flag, value, "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"prsplit: error: method {method!r} takes no {flag[2:]}\n"
+    assert not (tmp_path / "solution.csv").exists()
 
 
 def test_solve_missing_file_rejected(tmp_path, capsys):

@@ -22,18 +22,96 @@ from prsplit.harness import (
     emit_plot_script,
     emit_trace,
     generate_instance,
+    make_least_squares_problem,
     run_academic_benchmark,
     run_restoration_demo,
     run_tight_check,
+    solve_method,
     synthetic_image,
 )
-from prsplit.rates import delta_star, optimal_params, optimal_rate
-from prsplit.solvers import SolverConfig, prs_classic_solve, prs_lev_solve
+from prsplit.rates import (
+    classical_prs_optimal,
+    delta_star,
+    drs_optimal_rate,
+    optimal_params,
+    optimal_rate,
+)
+from prsplit.solvers import (
+    SolverConfig,
+    drs_solve,
+    fista_solve,
+    prs_classic_solve,
+    prs_lev_solve,
+)
 
 from conftest import interior_delta
 from oracles import grid_search_rate, read_trace
 
 TIGHT_REG = RegularityParams(rho=1.0, alpha=0.25, mu=0.0, beta=1.0)
+
+
+def _tuned_directly(problem, method, config, z0):
+    """The solver call, with its tuning, that each caller wrote out before ``solve_method``."""
+    reg = problem.regularity
+    if method == "prs_lev":
+        alpha_or_beta_zero = reg.alpha == 0.0 or reg.beta == 0.0
+        delta = (reg.mu - reg.rho) / 2.0 if alpha_or_beta_zero else delta_star(reg)
+        return prs_lev_solve(problem, optimal_params(reg, delta), config, z0=z0)
+    if method in ("prs", "prs1", "prs2"):
+        tau = classical_prs_optimal(reg.swap() if method == "prs2" else reg)[0]
+        return prs_classic_solve(problem, tau, config, z0=z0)
+    if method == "drs":
+        tau, lam, _ = drs_optimal_rate(reg)
+        return drs_solve(problem, tau, lam, config, z0=z0)
+    mode = {"fista1": "forward_on_f", "fista2": "forward_on_g"}[method]
+    x, trace = fista_solve(problem, mode, config)
+    return x, None, trace
+
+
+def _offset_pair(zero_a=False):
+    r = np.random.default_rng(8)
+    A = np.zeros((9, 6)) if zero_a else 0.5 * r.random((9, 6))
+    return make_least_squares_problem(A, r.standard_normal(9), 15.0 * r.random((8, 6)),
+                                      r.standard_normal(8))
+
+
+class TestSolveMethod:
+    CASES = [(name, False) for name in
+             ("prs_lev", "prs", "prs1", "prs2", "drs", "fista1", "fista2")]
+    CASES.append(("prs_lev", True))  # alpha = 0: the midpoint of [-rho, mu]
+
+    @pytest.mark.parametrize("method, zero_a", CASES,
+                             ids=[m + ("-zero-A" if z else "") for m, z in CASES])
+    def test_matches_the_direct_solver_call_bit_for_bit(self, method, zero_a):
+        problem = _offset_pair(zero_a)
+        assert all(v > 0.0 for v in vars(problem.regularity).values()) != zero_a
+        z0 = np.random.default_rng(9).standard_normal(6)
+        config = SolverConfig(max_iter=5000, tol=1e-10)
+        x, z, trace = solve_method(problem, method, config, z0=z0)
+        x_ref, z_ref, trace_ref = _tuned_directly(problem, method, config, z0)
+        assert trace.status == trace_ref.status == "converged"
+        assert trace.iterations == trace_ref.iterations > 1
+        assert x.tobytes() == x_ref.tobytes()
+        assert (z is None and z_ref is None) or z.tobytes() == z_ref.tobytes()
+
+    @pytest.mark.parametrize("method, kwargs, direct", [
+        ("prs_lev", {"delta": 0.0},
+         lambda p, c: prs_lev_solve(p, optimal_params(p.regularity, 0.0), c)),
+        ("prs", {"tau": 0.5}, lambda p, c: prs_classic_solve(p, 0.5, c)),
+        ("drs", {"tau": 0.5},
+         lambda p, c: drs_solve(p, 0.5, drs_optimal_rate(p.regularity, 0.5)[1], c)),
+    ], ids=["prs_lev-delta", "prs-tau", "drs-tau"])
+    def test_explicit_shift_or_step_replaces_the_tuned_one(self, method, kwargs, direct):
+        problem = _offset_pair()
+        config = SolverConfig(max_iter=5000, tol=1e-10)
+        x, _, trace = solve_method(problem, method, config, **kwargs)
+        x_ref, _, trace_ref = direct(problem, config)
+        assert (trace.status, trace.iterations) == (trace_ref.status, trace_ref.iterations)
+        assert x.tobytes() == x_ref.tobytes()
+
+    def test_unknown_name_raises(self):
+        with pytest.raises(ValueError, match="unknown method 'bogus'"):
+            solve_method(_offset_pair(), "bogus", SolverConfig())
 
 
 class TestInstances:
@@ -248,11 +326,12 @@ class TestRestoration:
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"methods": ("newton",)}, "unknown method 'newton'"),
+        ({"methods": ["prs", "bogus"]}, "unknown method 'bogus'"),
         ({"max_iter": 0}, "max_iter must be >= 1"),
         ({"tol": 0.0}, "tol must be positive"),
         ({"level": 0}, "level must be >= 1"),
         ({"level": 5}, "divisible by 2^level = 32"),
-    ], ids=["methods", "max_iter", "tol", "level", "deep_level"])
+    ], ids=["methods", "methods_list", "max_iter", "tol", "level", "deep_level"])
     def test_bad_parameters_raise_before_the_reference_solve(self, monkeypatch, kwargs, message):
         def no_reference(problem):
             raise AssertionError("the reference solve ran")
