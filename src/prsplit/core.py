@@ -100,7 +100,7 @@ def validate_regularity(params: RegularityParams) -> RegularityParams:
     BoundViolation
         if ``alpha*rho > 1`` or ``beta*mu > 1``.
     DegenerateQuadratic
-        if ``max(alpha*rho, beta*mu) = 1`` (exact quadratic).
+        if ``alpha*rho = 1`` or ``beta*mu = 1`` (f or g an exact quadratic).
     NoLeverage
         if ``rho + mu = 0`` or ``alpha + beta = 0``.
     """
@@ -110,10 +110,11 @@ def validate_regularity(params: RegularityParams) -> RegularityParams:
         raise BoundViolation(
             f"modulus products must lie in [0, 1]: alpha*rho={ar}, beta*mu={bm}"
         )
-    if max(ar, bm) >= 1.0:
-        raise DegenerateQuadratic(
-            "leveraged solver requires max(alpha*rho, beta*mu) < 1"
-        )
+    for name, product, value in (("f", "alpha*rho", ar), ("g", "beta*mu", bm)):
+        if value >= 1.0:
+            raise DegenerateQuadratic(
+                f"{name} is an exact quadratic ({product} = 1), which the leveraged solver excludes"
+            )
     if params.rho + params.mu <= 0.0 or params.alpha + params.beta <= 0.0:
         raise NoLeverage(
             "leveraged solver requires min(rho + mu, alpha + beta) > 0"
@@ -146,22 +147,6 @@ def validate_leverage(lp: LeverageParams, reg: RegularityParams) -> LeveragePara
             f"prox-step denominators must be positive: {lp.f_scale}, {lp.g_scale}"
         )
     return lp
-
-
-def _moduli_from_spectrum(w: np.ndarray, size: int) -> tuple[float, float]:
-    """``(rho, alpha)`` of a quadratic from the eigenvalues ``w`` of its Hessian.
-
-    ``rho`` is the smallest eigenvalue, reported as 0 (absent) below the
-    numerical rank tolerance ``max(w) * size * eps``, e.g. for a wide or
-    rank-deficient A in ``A^T A``; ``alpha`` is the reciprocal of the largest.
-    An all-zero Hessian has neither property: ``(0.0, 0.0)``.
-    """
-    lam_max = float(w.max())
-    if lam_max <= 0.0:
-        return 0.0, 0.0
-    lam_min = float(w.min())
-    rho = lam_min if lam_min > lam_max * size * np.finfo(float).eps else 0.0
-    return rho, 1.0 / lam_max
 
 
 @dataclass(frozen=True)

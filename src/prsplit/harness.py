@@ -497,13 +497,11 @@ def _write_restoration_outputs(report: RestorationReport, out_dir) -> None:
         longest = max(longest, run.iterations)
     bounds = []
     try:
-        bounds.append(("prs_lev bound", optimal_rate(report.regularity), 1.0, longest))
+        bounds.append(("prs_lev bound", optimal_rate(report.regularity), longest))
     except SplittingError:
         pass
     try:
-        bounds.append(
-            ("prs bound", classical_prs_optimal(report.regularity)[1], 1.0, longest)
-        )
+        bounds.append(("prs bound", classical_prs_optimal(report.regularity)[1], longest))
     except SplittingError:
         pass
     emit_plot_script(traces, bounds, out / "plot_errors.py")
@@ -566,17 +564,17 @@ print(f"wrote {{out}}")
 
 def emit_plot_script(
     traces: dict[str, str],
-    bound_lines: Sequence[tuple[str, float, float, int]],
+    bound_lines: Sequence[tuple[str, float, int]],
     path,
 ) -> None:
     """Standalone matplotlib script overlaying trace CSVs with theory lines.
 
-    Each bound line ``(label, rate, dist0, length)`` is materialized as the
-    literal sequence ``dist0 * rate**n`` so the script carries its own data.
+    Each bound line ``(label, rate, length)`` is materialized as the literal
+    sequence ``rate**n``, from 1 at n = 0, so the script carries its own data.
     """
     bounds = {}
-    for label, rate, dist0, length in bound_lines:
-        bounds[label] = [float(dist0) * float(rate) ** n for n in range(length)]
+    for label, rate, length in bound_lines:
+        bounds[label] = [float(rate) ** n for n in range(length)]
     bounds_literal = (
         "{"
         + ", ".join(

@@ -5,8 +5,9 @@ matrix, or a circular convolution solved in closed form by the 2-D FFT), the
 Huber penalty with an optional orthogonal transform, an orthonormal
 multi-level Haar transform, and a small circular blur operator applied by the
 2-D FFT through its transfer function.  Both data terms take their moduli from
-their Gram spectrum by the one rule shared with
-:class:`~prsplit.leverage.QuadraticFunction`.  Everything here needs numpy only.
+their Gram spectrum by one rule; :class:`~prsplit.leverage.QuadraticFunction`
+is the dense one with its Hessian as the Gram matrix.  Everything here needs
+numpy only.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ProxFunction, _moduli_from_spectrum
+from .core import ProxFunction
 from .errors import ShapeMismatch
 
 __all__ = [
@@ -33,6 +34,22 @@ __all__ = [
     "gram_norm",
     "gram_smallest_eigenvalue",
 ]
+
+
+def _moduli_from_spectrum(w: np.ndarray, size: int) -> tuple[float, float]:
+    """``(rho, alpha)`` of a quadratic from the eigenvalues ``w`` of its Hessian.
+
+    ``rho`` is the smallest eigenvalue, reported as 0 (absent) below the
+    numerical rank tolerance ``max(w) * size * eps``, e.g. for a wide or
+    rank-deficient A in ``A^T A``; ``alpha`` is the reciprocal of the largest.
+    An all-zero Hessian has neither property: ``(0.0, 0.0)``.
+    """
+    lam_max = float(w.max())
+    if lam_max <= 0.0:
+        return 0.0, 0.0
+    lam_min = float(w.min())
+    rho = lam_min if lam_min > lam_max * size * np.finfo(float).eps else 0.0
+    return rho, 1.0 / lam_max
 
 
 def estimate_moduli(A: np.ndarray) -> tuple[float, float]:
@@ -77,9 +94,13 @@ class LeastSquaresFn:
                             ("its product with the offset", self.at_a)):
             if not np.isfinite(value).all():
                 raise OverflowError(f"{what} overflows")
-        self.dimension = m
+        self._factor(max(n, m))
+
+    def _factor(self, size: int) -> None:
+        """Diagonalize ``gram`` once and empty the cache; ``size`` scales the rank tolerance."""
+        self.dimension = self.gram.shape[0]
         self.spectrum, self.basis = np.linalg.eigh(self.gram)
-        self.moduli = _moduli_from_spectrum(self.spectrum, max(self.A.shape))
+        self.moduli = _moduli_from_spectrum(self.spectrum, size)
         self._resolvent = (None, None, None)
 
     def resolvent(self, gamma: float) -> tuple[np.ndarray, np.ndarray]:

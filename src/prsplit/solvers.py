@@ -282,7 +282,11 @@ def _split(
     if not stopped:
         z, _ = steps(z, taken, config.max_iter)
     # the solution estimate belongs to the terminal z, not the previous one
-    return first(z), z, monitor.trace
+    if monitor.trace.status != "nonfinite":
+        return first(z), z, monitor.trace
+    # the status already names the fault, so the prox of that z need not warn
+    with np.errstate(invalid="ignore", over="ignore"):
+        return first(z), z, monitor.trace
 
 
 def prs_lev_solve(

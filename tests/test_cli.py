@@ -153,6 +153,8 @@ BAD_INPUT = [  # (id, problem file or --dims text, message)
     ("Bb-overflow", {"A": [[1.0, 0.0], [0.0, 1.0]],
                      "B": [[1e10, 0.0], [0.0, 1.0]], "b": [1e300, 0.0]},
      "problem file: matrix 'B': its product with the offset overflows"),
+    ("B-identity", {"A": [[1.0, 2.0], [3.0, 4.0], [0.5, -1.0]], "B": [[1.0, 0.0], [0.0, 1.0]]},
+     "g is an exact quadratic (beta*mu = 1), which the leveraged solver excludes"),
 ]
 
 

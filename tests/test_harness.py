@@ -402,11 +402,11 @@ class TestEmission:
         trace_path = tmp_path / "trace.csv"
         emit_trace(_sample_trace(), trace_path)
         script = tmp_path / "plot.py"
-        rate, dist0, length = 0.25, 2.0, 6
-        emit_plot_script({"run": str(trace_path)}, [("bound", rate, dist0, length)], script)
+        rate, length = 0.25, 6
+        emit_plot_script({"run": str(trace_path)}, [("bound", rate, length)], script)
         text = script.read_text()
         literal = re.search(r"BOUNDS = (\{.*\})", text).group(1)
         bounds = ast.literal_eval(literal)
-        expected = [dist0 * rate ** n for n in range(length)]
+        expected = [rate ** n for n in range(length)]
         np.testing.assert_allclose(bounds["bound"], expected, rtol=1e-15)
         compile(text, str(script), "exec")  # script must at least be valid python

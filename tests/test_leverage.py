@@ -109,6 +109,23 @@ class TestQuadraticConjugateShift:
             assert out.value(x) == pytest.approx(double.value(x), rel=1e-10)
 
 
+class TestQuadraticResolvent:
+    def test_matches_the_closed_form_prox(self, rng):
+        M, W = rng.standard_normal((4, 4)), rng.standard_normal((2, 4))
+        for quad in (1.7, 0.0, np.diag([0.5, 2.0, 0.0, 1.0]), M.T @ M, W.T @ W):
+            q = QuadraticFunction(0.3, rng.standard_normal(4), quad)
+            x = rng.standard_normal(4)
+            for gamma in (0.7, 2.5):
+                if q.isotropic:
+                    closed = (x - gamma * q.linear) / (1.0 + gamma * quad)
+                else:
+                    w, V = np.linalg.eigh(quad)
+                    closed = V @ ((V.T @ (x - gamma * q.linear)) / (1.0 + gamma * w))
+                R, c = q.resolvent(gamma)
+                assert np.linalg.norm(R @ x + c - closed) <= 1e-14 * np.linalg.norm(closed)
+                assert np.array_equal(q.prox(gamma, x), R.dot(x) + c)
+
+
 class TestShiftedProx:
     def test_zero_shifts_reduce_to_plain_prox(self, rng):
         q = random_quadratic(rng)

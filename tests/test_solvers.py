@@ -29,7 +29,7 @@ from prsplit.solvers import (
     prs_lev_solve,
 )
 
-from conftest import interior_delta
+from conftest import interior_delta, sample_regularity
 from oracles import ShiftedProxSpec, shifted_reflect
 
 TIGHT_REG = RegularityParams(rho=1.0, alpha=0.25, mu=0.0, beta=1.0)
@@ -233,8 +233,6 @@ class TestAffineStep:
                 residuals.append(np.linalg.norm(d))
             agree(solve(config, z0=z0), z, residuals)
 
-    # x_final is the f-prox of the poisoned z, which numpy warns about
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("stopping", ["residual", "fixed_point_distance", "normalized_error"])
     @pytest.mark.parametrize("record", [True, False])
     def test_nonfinite_start_stops_at_once(self, rng, stopping, record):
@@ -247,6 +245,31 @@ class TestAffineStep:
             _, _, trace = solve(config, z0=z0)
             assert trace.status == "nonfinite"
             assert trace.iterations == 1
+
+    def test_tight_pair_operator_norm_is_r_star(self, rng):
+        # the paper's worst case, read off the step itself: ||T||_2 = r* at
+        # delta* and at an interior shift, for every moduli set the tight pair
+        # runs on in the tests (the fixed ones and criterion 1's twenty draws)
+        draws = np.random.default_rng(101)
+        moduli = [TIGHT_REG, RegularityParams(1.0, 0.5, 1.0, 0.5),
+                  RegularityParams(0.5, 0.5, 0.0, 1.0)]
+        moduli += [sample_regularity(draws, zero_rho=draws.random() < 0.25,
+                                     zero_mu=draws.random() < 0.25) for _ in range(20)]
+        z = rng.standard_normal(2)
+        for reg in moduli:
+            problem = tight_problem(reg)
+            for delta in (delta_star(reg), interior_delta(rng, reg)):
+                lp = optimal_params(reg, delta)
+                t, e, sf, sg = lp.tau, lp.eta, lp.f_scale, lp.g_scale
+                M_f, _ = problem.f.resolvent((t + e) / sf)
+                M_g, _ = problem.g.resolvent((t - e) / sg)
+                A1, A2 = M_f / sf, M_g * ((t - e) / ((t + e) * sg))
+                c0 = 2.0 * t / (t - e)
+                T = np.eye(2) + c0 * (c0 * (A2 @ A1) - A2 - A1)
+                assert abs(np.linalg.svd(T, compute_uv=False)[0] - optimal_rate(reg)) <= 1e-14
+                # and it is the step the solver takes
+                np.testing.assert_allclose(leveraged_step(problem, lp, z), T @ z,
+                                           rtol=0.0, atol=1e-15)
 
 
 class TestSkipAhead:
@@ -327,7 +350,6 @@ class TestSkipAhead:
             assert [m + n for n in skips] == [m, needed - 2]
         assert long_solves >= 2
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("stopping", ["fixed_point_distance", "normalized_error"])
     def test_a_start_at_z_star_or_not_finite_runs_the_loop(self, rng, skips, stopping):
         problem = random_instance(rng)
