@@ -163,6 +163,11 @@ class ProxFunction:
     for an m x m array ``M``.  When f and g both have it, the splitting
     solvers precompose a whole step into one affine map.
 
+    ``hessian``, also optional, is for an affine gradient: the constant
+    m x m matrix ``G`` with ``gradient(x) = G x + gradient(0)``.  When FISTA's
+    forward function has it and the proxed one has a ``resolvent``, the whole
+    forward-backward step is one affine map, built once per solve.
+
     All oracles must be re-entrant: no interior mutation during calls.
     """
 
@@ -173,6 +178,7 @@ class ProxFunction:
     gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
     shape: Optional[tuple[int, ...]] = None
     resolvent: Optional[Callable[[float], tuple[np.ndarray, np.ndarray]]] = None
+    hessian: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.dimension <= 0:

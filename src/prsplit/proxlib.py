@@ -75,10 +75,12 @@ class LeastSquaresFn:
     The ``(gamma, M, c)`` triple is read and replaced as one tuple, so
     concurrent callers can at worst build it twice, never mix two step sizes.
     The gradient ``A^T A x - A^T a`` is one product with the stored Gram
-    matrix.  Both products go through ``ndarray.dot``: it reaches the same
-    BLAS ``dgemv`` as ``@``, so the bits are equal, at about half the call
-    cost for small m.  The moduli are the extreme eigenvalues.  An
-    ``OverflowError`` is raised when ``A^T A`` or ``A^T a`` overflows.
+    matrix, which ``to_prox_function`` also hands out as the ``hessian``, so
+    that FISTA can fold its step into one affine map.  Both products go
+    through ``ndarray.dot``: it reaches the same BLAS ``dgemv`` as ``@``, so
+    the bits are equal, at about half the call cost for small m.  The moduli
+    are the extreme eigenvalues.  An ``OverflowError`` is raised when
+    ``A^T A`` or ``A^T a`` overflows.
     """
 
     def __init__(self, A: np.ndarray, a: Optional[np.ndarray] = None):
@@ -137,6 +139,7 @@ class LeastSquaresFn:
             value=self.value,
             gradient=self.gradient,
             resolvent=self.resolvent,
+            hessian=self.gram,
         )
 
 

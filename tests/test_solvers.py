@@ -18,7 +18,7 @@ from prsplit.core import (
 from prsplit.errors import NotSmooth
 from prsplit.harness import make_least_squares_problem
 from prsplit.leverage import QuadraticFunction
-from prsplit.proxlib import LeastSquaresFn
+from prsplit.proxlib import HuberFn, LeastSquaresFn
 from prsplit.rates import delta_star, optimal_params, optimal_rate, rate_r1, rate_r2
 from prsplit.solvers import (
     SolverConfig,
@@ -610,6 +610,59 @@ class TestFista:
         x, trace = fista_solve(problem, "forward_on_f", config)
         assert trace.status == "converged"
         np.testing.assert_allclose(x, x_star, atol=1e-10)
+
+    @staticmethod
+    def counted(fn: ProxFunction, calls: list) -> ProxFunction:
+        """``fn`` with its prox and gradient calls appended to ``calls``."""
+        def prox(gamma, x):
+            calls.append("prox")
+            return fn.prox(gamma, x)
+
+        def gradient(x):
+            calls.append("gradient")
+            return fn.gradient(x)
+
+        return replace(fn, prox=prox, gradient=gradient)
+
+    @pytest.mark.parametrize("mode", ["forward_on_f", "forward_on_g"])
+    def test_affine_step_matches_oracle_step(self, rng, mode):
+        # the offsets make the step's constant term nonzero; without a hessian
+        # the same functions run the gradient-and-prox step.  The two differ in
+        # the last bits, which move the count only where the distance tail
+        # nears the float floor (by up to 6 steps at tol 1e-12 over 40 seeds)
+        problem = random_instance(rng)
+        calls = []
+        affine = replace(problem, f=self.counted(problem.f, calls),
+                         g=self.counted(problem.g, calls))
+        oracle = replace(problem, f=replace(problem.f, hessian=None),
+                         g=replace(problem.g, hessian=None))
+        config = SolverConfig(max_iter=5000, tol=1e-10, stopping="fixed_point_distance")
+        x, trace = fista_solve(affine, mode, config)
+        x_ref, trace_ref = fista_solve(oracle, mode, config)
+        assert trace.status == trace_ref.status == "converged"
+        assert abs(trace.iterations - trace_ref.iterations) <= 1
+        np.testing.assert_allclose(x, x_ref, rtol=0.0, atol=1e-10)
+        # one gradient at the origin builds the map; no step calls an oracle
+        assert calls == ["gradient"]
+
+    def test_partner_without_resolvent_keeps_oracle_step(self, rng):
+        # a Huber partner has no affine prox, so the forward function's hessian
+        # goes unread and every step is the gradient-and-prox step, bit for bit
+        m = 8
+        ls = LeastSquaresFn(rng.random((10, m)), rng.standard_normal(10))
+        calls = []
+        problem = CompositeProblem(
+            f=ls.to_prox_function(),
+            g=self.counted(HuberFn(0.5, 2.0).to_prox_function((m,)), calls),
+            regularity=RegularityParams(ls.moduli[0], ls.moduli[1], 0.0, 0.25),
+        )
+        bare = replace(problem, f=replace(problem.f, hessian=None))
+        config = SolverConfig(max_iter=300, tol=1e-12, stopping="residual")
+        x, trace = fista_solve(problem, "forward_on_f", config)
+        assert calls == ["prox"] * trace.iterations
+        x_ref, trace_ref = fista_solve(bare, "forward_on_f", config)
+        np.testing.assert_array_equal(x, x_ref)
+        assert trace == trace_ref
 
     def test_forward_function_must_be_smooth(self, rng):
         problem = random_instance(rng)
