@@ -18,7 +18,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import pgm
-from .core import CompositeProblem, RegularityParams, SolveTrace, validate_regularity
+from .core import (
+    CompositeProblem, LeverageParams, RegularityParams, SolveTrace, validate_regularity,
+)
 from .errors import NoLeverage, NotStronglyRegular, SplittingError
 from .leverage import QuadraticFunction
 from .proxlib import (
@@ -37,7 +39,7 @@ from .rates import (
     optimal_params,
     optimal_rate,
 )
-from .solvers import SolverConfig, drs_solve, fista_solve, prs_classic_solve, prs_lev_solve
+from .solvers import SolverConfig, fista_solve, prs_lev_solve
 
 __all__ = [
     "SOLVE_METHODS",
@@ -88,10 +90,11 @@ def solve_method(
     endpoint, where ``eta = 0`` is out of range; ``r*`` is flat on the
     interval).  ``prs``/``prs1`` take the classical step ``tau`` on f's moduli
     and ``prs2`` on g's, ``drs`` its tuned step and relaxation, unless
-    ``tau`` is given.  ``fista1``/``fista2`` step forward on f/g from the
-    origin; ``z0`` starts the splitting methods.  A ``delta`` or ``tau`` the
-    method does not take, or an unknown name, raises ``ValueError``; moduli
-    a classical tuning cannot use raise
+    ``tau`` is given: all four are one ``prs_lev_solve`` call, the classical
+    ones at ``LeverageParams(0, 0, tau)``.  ``fista1``/``fista2`` step forward
+    on f/g from the origin; ``z0`` starts the splitting methods.  A ``delta``
+    or ``tau`` the method does not take, or an unknown name, raises
+    ``ValueError``; moduli a classical tuning cannot use raise
     :class:`~prsplit.errors.NotStronglyRegular`.
     """
     reg = problem.regularity
@@ -99,23 +102,25 @@ def solve_method(
         raise ValueError(f"method {method!r} takes no delta")
     if tau is not None and method in ("prs_lev", "fista1", "fista2"):
         raise ValueError(f"method {method!r} takes no tau")
-    if method == "prs_lev":
-        if delta is None:
-            endpoint = reg.alpha == 0.0 or reg.beta == 0.0  # where delta* lies then
-            delta = (reg.mu - reg.rho) / 2.0 if endpoint else delta_star(reg)
-        return prs_lev_solve(problem, optimal_params(reg, delta), config, z0)
-    if method in ("prs", "prs1", "prs2"):
-        if tau is None:
-            tau = classical_prs_optimal(reg.swap() if method == "prs2" else reg)[0]
-        return prs_classic_solve(problem, tau, config, z0)
-    if method == "drs":
-        tau, lam, _ = drs_optimal_rate(reg, tau)
-        return drs_solve(problem, tau, lam, config, z0)
     if method in ("fista1", "fista2"):
         mode = "forward_on_f" if method == "fista1" else "forward_on_g"
         x, trace = fista_solve(problem, mode, config)
         return x, None, trace
-    raise ValueError(f"unknown method {method!r}")
+    lam = 1.0
+    if method == "prs_lev":
+        if delta is None:
+            endpoint = reg.alpha == 0.0 or reg.beta == 0.0  # where delta* lies then
+            delta = (reg.mu - reg.rho) / 2.0 if endpoint else delta_star(reg)
+        lp = optimal_params(reg, delta)
+    elif method in ("prs", "prs1", "prs2", "drs"):
+        if method == "drs":
+            tau, lam, _ = drs_optimal_rate(reg, tau)
+        elif tau is None:
+            tau = classical_prs_optimal(reg.swap() if method == "prs2" else reg)[0]
+        lp = LeverageParams(0.0, 0.0, tau)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return prs_lev_solve(problem, lp, config, z0, lam=lam)
 
 
 # --- random least-squares instances (academic benchmark) ---------------------------
@@ -185,15 +190,22 @@ def generate_instance(spec: InstanceSpec) -> CompositeProblem:
 # --- tight two-dimensional contraction check ---------------------------------------
 
 
+class TightDeviation(float):
+    """``max_n |ratio_n - r*|``, with ``steps``, the number of steps that ran."""
+
+    steps: int
+
+
 def run_tight_check(
     reg: RegularityParams, steps: int = 20, delta: Optional[float] = None
-) -> float:
+) -> TightDeviation:
     """Max deviation of the per-step contraction ratio from the optimal rate.
 
     Builds the diagonal quadratic pair whose coordinates contract by exactly
     the optimal factor each step, runs the leveraged recurrence from (1, 1),
-    and returns ``max_n |ratio_n - r*|`` over the defined ratios (the first
-    always is: ``||z_0 - z*|| = sqrt(2)``).
+    and returns ``max_n |ratio_n - r*|`` over the ratios of two distances of
+    at least ``sqrt(tiny)``, below which their squares are subnormal.  The
+    solve stops at the float floor, so ``steps`` may be fewer than asked.
     """
     validate_regularity(reg)
     if reg.alpha <= 0.0 or reg.beta <= 0.0:
@@ -206,7 +218,12 @@ def run_tight_check(
     )
     config = SolverConfig(max_iter=steps, tol=1e-300, stopping="residual")
     _, _, trace = solve_method(problem, "prs_lev", config, z0=np.ones(2), delta=delta)
-    return float(np.nanmax(np.abs(trace.ratios() - optimal_rate(reg))))
+    d = np.asarray(trace.distances)
+    kept = np.minimum(d[:-1], d[1:]) >= math.sqrt(np.finfo(float).tiny)
+    gaps = np.abs(trace.ratios()[kept] - optimal_rate(reg))
+    deviation = TightDeviation(np.max(gaps, initial=0.0))
+    deviation.steps = trace.iterations
+    return deviation
 
 
 # --- academic benchmark --------------------------------------------------------------

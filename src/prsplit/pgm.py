@@ -40,9 +40,11 @@ def read_pgm(path) -> np.ndarray:
     if magic == b"P2":
         values = np.array(data[pos:].split(), dtype=float)
     else:
-        pos += 1  # exactly one whitespace byte after maxval
-        dtype = np.dtype(">u2") if maxval > 255 else np.uint8
-        values = np.frombuffer(data, dtype=dtype, count=width * height, offset=pos).astype(float)
+        body = memoryview(data)[pos + 1:]  # exactly one whitespace byte after maxval
+        dtype = np.dtype(">u2" if maxval > 255 else "u1")
+        # a truncated file yields fewer pixels, which the size check names
+        count = min(width * height, len(body) // dtype.itemsize)
+        values = np.frombuffer(body, dtype=dtype, count=count).astype(float)
     if values.size != width * height:
         raise IOError(f"{path}: expected {width * height} pixels, got {values.size}")
     return values.reshape(height, width) / maxval

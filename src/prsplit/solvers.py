@@ -1,14 +1,16 @@
-"""Iterative schemes: leveraged PRS, classical PRS, relaxed DRS, and FISTA.
+"""Iterative schemes: one splitting solve, ``prs_lev_solve``, and FISTA.
 
 All solvers share the stopping logic and trace capture of :class:`SolverConfig`.
-The three splitting schemes run one loop, ``_split``: from resolvents
-``first`` and ``second``, a reflection coefficient ``c0`` and a relaxation
-``lam`` it iterates ``x = first(z)``, ``d = second(c0*x - z) - x``,
-``z += lam*c0*d``.  Classical PRS is ``c0 = 2, lam = 1`` with the plain proxes
-and relaxed DRS is ``c0 = 2, lam < 1``.  Leveraged PRS is classical PRS on the
-shifted pair, written with the rescaled proxes of the original f and g, so no
-new oracles are ever required.  When both proxes are affine (each function has
-a ``resolvent``), the loop precomposes the whole step into one affine map
+``prs_lev_solve`` is leveraged PRS: classical PRS on the pair shifted by
+``delta`` and ``eta``, written with the rescaled proxes of the original f and
+g, so no new oracles are ever required.  At ``delta = eta = 0`` the shifted
+pair is the original one, so ``LeverageParams(0, 0, tau)`` is classical PRS,
+and with a relaxation ``lam < 1`` relaxed DRS.  It runs one loop, ``_split``:
+from resolvents ``first`` and ``second``, a reflection coefficient ``c0`` and
+the relaxation ``lam`` it iterates ``x = first(z)``,
+``d = second(c0*x - z) - x``, ``z += lam*c0*d``, with ``c0 = 2`` at
+``eta = 0``.  When both proxes are affine (each function has a
+``resolvent``), the loop precomposes the whole step into one affine map
 ``z -> T z + t``.  If nothing reads the intermediate iterates (trace off, a
 z*-based stopping rule) and ``||T||_2 < 1``, the loop skips ahead to the step
 before its stopping step by repeated squaring of ``T``, and steps the rest.
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Literal, Optional
 
 import numpy as np
@@ -37,7 +38,7 @@ from .core import (
     validate_leverage,
     validate_regularity,
 )
-from .errors import NotSmooth
+from .errors import NotSmooth, TauTooSmall
 
 __all__ = [
     "SolverConfig",
@@ -154,33 +155,6 @@ class _Monitor:
         if self._metric0 is None:
             self._metric0 = metric
         return self._metric0
-
-
-def _default_z0(problem: CompositeProblem, z0: Optional[np.ndarray]) -> np.ndarray:
-    if z0 is None:
-        return problem.f.zero_point()
-    return np.asarray(z0, dtype=float)
-
-
-def _resolve_fixed_point(
-    problem: CompositeProblem, lp: LeverageParams, z_star: Optional[np.ndarray]
-) -> Optional[np.ndarray]:
-    """The explicit ``z_star``, else z* from the problem's minimizer, if it has one."""
-    if z_star is not None:
-        return np.asarray(z_star, dtype=float)
-    if problem.solution_oracle is None or problem.f.gradient is None:
-        return None
-    return fixed_point_oracle(problem, lp)
-
-
-def _resolvents(
-    problem: CompositeProblem, gamma_f: float, gamma_g: float
-) -> Optional[tuple[Affine, Affine]]:
-    """The affine proxes ``(M, c)`` of f and g, when both have that oracle."""
-    f, g = problem.f.resolvent, problem.g.resolvent
-    if f is None or g is None:
-        return None
-    return f(gamma_f), g(gamma_g)
 
 
 def _forward_backward(
@@ -316,18 +290,31 @@ def prs_lev_solve(
     config: SolverConfig = SolverConfig(),
     z0: Optional[np.ndarray] = None,
     z_star: Optional[np.ndarray] = None,
+    lam: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray, SolveTrace]:
     """Run the leveraged recurrence; returns ``(x_final, z_final, trace)``.
 
     Each step is two rescaled proxes of the original f and g: ``x`` is the
     f-prox at ``(tau+eta)/f_scale`` and the g-prox at ``(tau-eta)/g_scale``
-    takes the reflected point ``(2*tau*x - (tau-eta)*z) / (tau+eta)``.
-    ``x_final`` is the f-prox output at termination, which converges to a
-    minimizer of the original problem.
+    takes the reflected point ``(2*tau*x - (tau-eta)*z) / (tau+eta)``, and z
+    moves by ``lam`` times the full step.  ``x_final`` is the f-prox output at
+    termination, which converges to a minimizer of the original problem.
+
+    ``LeverageParams(0, 0, tau)`` is classical PRS, ``z+ = z + 2*lam*(p - x)``
+    with both proxes at ``tau``, or relaxed DRS when ``lam < 1``: every
+    rescaling is then by an exact 1.  ``tau > |eta|`` and ``lam`` in ``]0, 1]``
+    are checked always, the leveraged hypotheses only for a nonzero ``delta``
+    or ``eta``, so classical PRS runs on any moduli.  z* is ``z_star``, else
+    the fixed point of the problem's minimizer, if it has one and grad f.
     """
-    validate_regularity(problem.regularity)
-    validate_leverage(lp, problem.regularity)
     t, e = lp.tau, lp.eta
+    if lp.delta != 0.0 or e != 0.0:
+        validate_regularity(problem.regularity)
+        validate_leverage(lp, problem.regularity)
+    elif not t > 0.0:
+        raise TauTooSmall(f"tau={t} must be positive")
+    if not (0.0 < lam <= 1.0):
+        raise ValueError("relaxation must lie in ]0, 1]")
     sf, sg = lp.f_scale, lp.g_scale
     gamma_f, gamma_g = (t + e) / sf, (t - e) / sg
     # boxed like _split's scalars; the prox step sizes stay Python floats,
@@ -340,49 +327,27 @@ def prs_lev_solve(
     def second(v: np.ndarray) -> np.ndarray:
         return problem.g.prox(gamma_g, v * g_in)
 
-    maps = _resolvents(problem, gamma_f, gamma_g)
-    if maps is not None:
-        (M_f, c_f), (M_g, c_g) = maps
+    maps = None
+    if problem.f.resolvent is not None and problem.g.resolvent is not None:
+        (M_f, c_f), (M_g, c_g) = problem.f.resolvent(gamma_f), problem.g.resolvent(gamma_g)
         maps = (M_f / sf, c_f), (g_in * M_g, c_g)
-    z = _default_z0(problem, z0)
-    zs = _resolve_fixed_point(problem, lp, z_star)
-    return _split(first, second, 2.0 * t / (t - e), 1.0, config, z, zs, maps)
+    z = problem.f.zero_point() if z0 is None else np.asarray(z0, dtype=float)
+    if z_star is not None:
+        z_star = np.asarray(z_star, dtype=float)
+    elif problem.solution_oracle is not None and problem.f.gradient is not None:
+        z_star = fixed_point_oracle(problem, lp)
+    return _split(first, second, 2.0 * t / (t - e), lam, config, z, z_star, maps)
 
 
-def drs_solve(
-    problem: CompositeProblem,
-    tau: float,
-    lam: float,
-    config: SolverConfig = SolverConfig(),
-    z0: Optional[np.ndarray] = None,
-    z_star: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, np.ndarray, SolveTrace]:
-    """Relaxed splitting ``z+ = z + 2*lam*(p - x)``; ``lam = 1`` is plain PRS.
-
-    f is proxed first, the convention of the leveraged recurrence, so z* is
-    its ``delta = eta = 0`` fixed point.
-    """
-    if not (tau > 0.0):
-        raise ValueError("tau must be positive")
-    if not (0.0 < lam <= 1.0):
-        raise ValueError("relaxation must lie in ]0, 1]")
-    z = _default_z0(problem, z0)
-    zs = _resolve_fixed_point(problem, LeverageParams(0.0, 0.0, tau), z_star)
-    return _split(
-        partial(problem.f.prox, tau), partial(problem.g.prox, tau), 2.0, lam, config, z, zs,
-        _resolvents(problem, tau, tau),
-    )
+# perfbench/tracing.py wraps these two names; they go once it no longer does
+def drs_solve(problem, tau, lam, config=SolverConfig(), z0=None, z_star=None):
+    """Relaxed DRS: :func:`prs_lev_solve` at ``LeverageParams(0, 0, tau)``."""
+    return prs_lev_solve(problem, LeverageParams(0.0, 0.0, tau), config, z0, z_star, lam)
 
 
-def prs_classic_solve(
-    problem: CompositeProblem,
-    tau: float,
-    config: SolverConfig = SolverConfig(),
-    z0: Optional[np.ndarray] = None,
-    z_star: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, np.ndarray, SolveTrace]:
-    """Plain Peaceman-Rachford: the unrelaxed (``lam = 1``) splitting."""
-    return drs_solve(problem, tau, 1.0, config, z0, z_star)
+def prs_classic_solve(problem, tau, config=SolverConfig(), z0=None, z_star=None):
+    """Classical PRS: :func:`prs_lev_solve` at ``LeverageParams(0, 0, tau)``."""
+    return prs_lev_solve(problem, LeverageParams(0.0, 0.0, tau), config, z0, z_star)
 
 
 def fista_solve(

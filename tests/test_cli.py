@@ -61,9 +61,12 @@ def test_float_flags_take_negative_scientific_notation(command, flag):
 
 
 def test_tight_check_subcommand(capsys):
-    assert main(["tight-check", "--rho", "1", "--alpha", "0.25", "--mu", "0",
-                 "--beta", "1", "--steps", "15"]) == 0
+    moduli = ["--rho", "1", "--alpha", "0.25", "--mu", "0", "--beta", "1"]
+    assert main(["tight-check", *moduli, "--steps", "15"]) == 0
     assert "max |ratio - r*|" in capsys.readouterr().out
+    # the residual rule stops at the float floor, after 175 of the 300 steps
+    assert main(["tight-check", *moduli, "--steps", "300"]) == 0
+    assert "max |ratio - r*| over 175 steps = 4.163e-17\n" in capsys.readouterr().out
 
 
 def test_sweep_delta_subcommand(capsys):
@@ -187,6 +190,17 @@ def test_solve_rejects_a_flag_its_method_does_not_take(tmp_path, capsys, method,
     assert not (tmp_path / "solution.csv").exists()
 
 
+@pytest.mark.parametrize("method, tau", [("prs", "0"), ("drs", "-1")])
+def test_solve_rejects_a_step_that_is_not_positive(tmp_path, capsys, method, tau):
+    _write_problem(tmp_path / "p.json", 0)
+    code = main(["solve", "--problem-file", str(tmp_path / "p.json"), "--method", method,
+                 "--tau", tau, "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"prsplit: error: tau={float(tau)} must be positive\n"
+    assert not (tmp_path / "solution.csv").exists()
+
+
 def test_solve_missing_file_rejected(tmp_path, capsys):
     code = main(["solve", "--problem-file", str(tmp_path / "absent.json"),
                  "--out", str(tmp_path)])
@@ -294,6 +308,16 @@ def test_restore_non_square_pgm(tmp_path, capsys):
     assert out.count("status=converged") == 4
     for name in ("true", "observed", "restored_prs_lev", "restored_fista2"):
         assert pgm.read_pgm(tmp_path / "out" / f"{name}.pgm").shape == (48, 80)
+
+
+def test_restore_names_a_truncated_pgm(tmp_path, capsys):
+    path = tmp_path / "cut.pgm"
+    pgm.write_pgm(path, np.full((16, 16), 0.5))
+    path.write_bytes(path.read_bytes()[:-10])
+    code = main(["restore", "--image", str(path), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"prsplit: error: {path}: expected 256 pixels, got 246\n"
 
 
 def test_outdir_env_var(tmp_path, monkeypatch, capsys):

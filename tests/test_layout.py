@@ -6,8 +6,10 @@ from pathlib import Path
 import prsplit
 
 # perfbench/tracing.py wraps these by name, so they stay until a benchmark
-# change gives them a caller or drops them from its target list
-TRACED_ONLY = {"estimate_moduli", "gram_norm", "gram_smallest_eigenvalue"}
+# change gives them a caller or drops them from its target list; the two
+# solvers are one-line forwards to prs_lev_solve at delta = eta = 0
+TRACED_ONLY = {"estimate_moduli", "gram_norm", "gram_smallest_eigenvalue",
+               "drs_solve", "prs_classic_solve"}
 
 
 def test_every_exported_name_is_used_in_src():

@@ -456,6 +456,15 @@ class TestSmallHelpers:
         back = pgm.read_pgm(path)
         np.testing.assert_allclose(back, img, atol=1.0 / 65535)
 
+    # a cut inside a 16-bit sample leaves a partial one, which is no pixel
+    @pytest.mark.parametrize("maxval, cut, got", [(255, 5, 7), (65535, 1, 11), (65535, 6, 9)])
+    def test_pgm_truncated_binary_names_the_file(self, tmp_path, maxval, cut, got):
+        path = tmp_path / "cut.pgm"
+        pgm.write_pgm(path, np.zeros((3, 4)), maxval=maxval)
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(IOError, match=f"cut.pgm: expected 12 pixels, got {got}$"):
+            pgm.read_pgm(path)
+
     def test_pgm_ascii_reader(self, tmp_path):
         path = tmp_path / "a.pgm"
         path.write_text("P2\n# comment\n3 2\n255\n0 128 255\n64 32 16\n")

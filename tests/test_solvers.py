@@ -15,7 +15,7 @@ from prsplit.core import (
     RegularityParams,
     fixed_point_oracle,
 )
-from prsplit.errors import NotSmooth
+from prsplit.errors import DegenerateQuadratic, NotSmooth, TauTooSmall
 from prsplit.harness import make_least_squares_problem
 from prsplit.leverage import QuadraticFunction
 from prsplit.proxlib import HuberFn, LeastSquaresFn
@@ -23,9 +23,7 @@ from prsplit.rates import delta_star, optimal_params, optimal_rate, rate_r1, rat
 from prsplit.solvers import (
     SolverConfig,
     _Monitor,
-    drs_solve,
     fista_solve,
-    prs_classic_solve,
     prs_lev_solve,
 )
 
@@ -60,6 +58,11 @@ def random_instance(rng, m=8, n=10, p=9, homogeneous=False):
 
 
 ONE_STEP = SolverConfig(max_iter=1, tol=1e-300, stopping="residual")
+
+
+def classical(tau):
+    """Classical PRS with step ``tau``, and relaxed DRS with a ``lam`` < 1."""
+    return LeverageParams(0.0, 0.0, tau)
 
 
 def leveraged_step(problem, lp, z):
@@ -176,20 +179,6 @@ class TestLeveragedSolve:
         grad = problem.f.gradient(x) + problem.g.gradient(x)
         assert np.linalg.norm(grad) <= 1e-6 * (1 + np.linalg.norm(problem.f.gradient(x)))
 
-    def test_zero_shift_solve_matches_classical_sequences(self, rng):
-        problem = random_instance(rng)
-        tau = 0.9
-        config = SolverConfig(max_iter=40, tol=1e-300, stopping="residual")
-        z0 = rng.standard_normal(problem.dimension)
-        _, z_lev, trace_lev = prs_lev_solve(
-            problem, LeverageParams(0.0, 0.0, tau), config, z0=z0
-        )
-        _, z_classic, trace_classic = prs_classic_solve(problem, tau, config, z0=z0)
-        np.testing.assert_allclose(z_lev, z_classic, rtol=1e-12, atol=1e-13)
-        np.testing.assert_allclose(
-            trace_lev.residuals, trace_classic.residuals, rtol=1e-10, atol=1e-14
-        )
-
 
 class TestAffineStep:
     """Least-squares pairs have resolvents, so each step is one precomposed ``T z + t``."""
@@ -223,15 +212,15 @@ class TestAffineStep:
                 residuals.append(np.linalg.norm(d))
             agree(prs_lev_solve(problem, lp, config, z0=z0), z, residuals)
         tau = 0.8
-        for lam, solve in ((1.0, partial(prs_classic_solve, problem, tau)),
-                           (0.5, partial(drs_solve, problem, tau, 0.5))):
+        for lam in (1.0, 0.5):
             z, residuals = z0, []
             for _ in range(steps):
                 x = f.prox(tau, z)
                 d = g.prox(tau, 2 * x - z) - x
                 z = z + 2 * lam * d
                 residuals.append(np.linalg.norm(d))
-            agree(solve(config, z0=z0), z, residuals)
+            solved = prs_lev_solve(problem, classical(tau), config, z0=z0, lam=lam)
+            agree(solved, z, residuals)
 
     @pytest.mark.parametrize("stopping", ["residual", "fixed_point_distance", "normalized_error"])
     @pytest.mark.parametrize("record", [True, False])
@@ -241,8 +230,8 @@ class TestAffineStep:
         z0 = rng.standard_normal(problem.dimension)
         z0[0] = math.inf
         config = SolverConfig(max_iter=20000, tol=1e-12, stopping=stopping, record_trace=record)
-        for solve in (partial(prs_lev_solve, problem, lp), partial(prs_classic_solve, problem, 0.8)):
-            _, _, trace = solve(config, z0=z0)
+        for params in (lp, classical(0.8)):
+            _, _, trace = prs_lev_solve(problem, params, config, z0=z0)
             assert trace.status == "nonfinite"
             assert trace.iterations == 1
 
@@ -298,8 +287,8 @@ class TestSkipAhead:
             "prs_lev_interior": partial(
                 prs_lev_solve, problem, optimal_params(reg, interior_delta(rng, reg))
             ),
-            "prs": partial(prs_classic_solve, problem, tau),
-            "drs": partial(drs_solve, problem, tau, 0.5),
+            "prs": partial(prs_lev_solve, problem, classical(tau)),
+            "drs": partial(prs_lev_solve, problem, classical(tau), lam=0.5),
         }
 
     @pytest.mark.parametrize("stopping", ["fixed_point_distance", "normalized_error"])
@@ -385,9 +374,9 @@ class TestSkipAhead:
         z0, z_star = rng.standard_normal(6), np.zeros(6)
         for lam in (1.0, 0.5):
             solved = [
-                drs_solve(
-                    problem, 0.8, lam,
-                    SolverConfig(max_iter=200, record_trace=record), z0=z0, z_star=z_star,
+                prs_lev_solve(
+                    problem, classical(0.8), SolverConfig(max_iter=200, record_trace=record),
+                    z0=z0, z_star=z_star, lam=lam,
                 )
                 for record in (True, False)
             ]
@@ -418,7 +407,7 @@ class TestClassicAndRelaxed:
         finals = []
         for k in range(1, 7):
             config = SolverConfig(max_iter=k, tol=1e-10, stopping="residual")
-            _, z, trace = prs_classic_solve(problem, 1.0, config, z0=z0)
+            _, z, trace = prs_lev_solve(problem, classical(1.0), config, z0=z0)
             finals.append(z)
             assert trace.status == "max_iter"
         orbit = [z0] + finals
@@ -429,38 +418,40 @@ class TestClassicAndRelaxed:
     def test_half_relaxation_converges_on_the_witness(self):
         problem = axis_indicator_problem()
         config = SolverConfig(max_iter=50, tol=1e-12, stopping="residual")
-        x, z, trace = drs_solve(problem, 1.0, 0.5, config, z0=np.array([1.0, 1.0]))
+        x, z, trace = prs_lev_solve(
+            problem, classical(1.0), config, z0=np.array([1.0, 1.0]), lam=0.5
+        )
         assert trace.status == "converged"
         np.testing.assert_allclose(z, [1.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(x, [1.0, 0.0], atol=1e-12)
 
-    def test_full_relaxation_is_bitwise_classic(self, rng):
+    @pytest.mark.parametrize("lam", [1.0, 0.5])
+    def test_zero_shift_is_bitwise_the_textbook_recurrence(self, rng, lam):
+        # at delta = eta = 0 every rescaling is by an exact 1.0 and c0 = 2, so
+        # both data terms' resolvents give the precomposed affine map
+        # z -> z + 2 lam (M_g (2 M_f z + 2 c_f - z) + c_g - M_f z - c_f), bit for bit
         problem = random_instance(rng)
         tau, steps = 0.8, 40
         config = SolverConfig(max_iter=steps, tol=1e-300, stopping="residual")
         z0 = rng.standard_normal(problem.dimension)
-        _, z_a, _ = prs_classic_solve(problem, tau, config, z0=z0)
-        _, z_b, _ = drs_solve(problem, tau, 1.0, config, z0=z0)
-        assert np.array_equal(z_a, z_b)
-        # both data terms have a resolvent, so each step is the precomposed
-        # affine map, bit for bit
+        _, z_affine, _ = prs_lev_solve(problem, classical(tau), config, z0=z0, lam=lam)
         (M_f, c_f), (M_g, c_g) = problem.f.resolvent(tau), problem.g.resolvent(tau)
-        T = np.eye(z0.size) + 2.0 * (2.0 * (M_g @ M_f) - M_g - M_f)
-        t = 2.0 * (2.0 * M_g.dot(c_f) + c_g - c_f)
+        T = np.eye(z0.size) + 2.0 * lam * (2.0 * (M_g @ M_f) - M_g - M_f)
+        t = 2.0 * lam * (2.0 * M_g.dot(c_f) + c_g - c_f)
         z = z0
         for _ in range(steps):
             z = T.dot(z) + t
-        np.testing.assert_array_equal(z_a, z)
+        np.testing.assert_array_equal(z_affine, z)
         # without the oracle, bit for bit the textbook two-prox recurrence
         bare = replace(problem, f=replace(problem.f, resolvent=None),
                        g=replace(problem.g, resolvent=None))
-        _, z_c, _ = prs_classic_solve(bare, tau, config, z0=z0)
+        _, z_bare, _ = prs_lev_solve(bare, classical(tau), config, z0=z0, lam=lam)
         z = z0
         for _ in range(steps):
             x = problem.f.prox(tau, z)
             p = problem.g.prox(tau, 2 * x - z)
-            z = z + 2 * (p - x)
-        np.testing.assert_array_equal(z_c, z)
+            z = z + 2 * lam * (p - x)
+        np.testing.assert_array_equal(z_bare, z)
 
     def test_tight_pair_classical_rate(self):
         # tau = sqrt(alpha/rho) contracts at least as fast as the classical bound
@@ -469,8 +460,8 @@ class TestClassicAndRelaxed:
         tau = math.sqrt(reg.alpha / reg.rho)
         bound = (1 - math.sqrt(reg.alpha * reg.rho)) / (1 + math.sqrt(reg.alpha * reg.rho))
         config = SolverConfig(max_iter=30, tol=1e-300, stopping="residual")
-        _, _, trace = prs_classic_solve(
-            problem, tau, config, z0=np.array([1.0, 1.0]),
+        _, _, trace = prs_lev_solve(
+            problem, classical(tau), config, z0=np.array([1.0, 1.0]),
             z_star=np.zeros(2),
         )
         ratios = trace.ratios()
@@ -486,8 +477,8 @@ class TestClassicAndRelaxed:
         tau, lam, bound = drs_optimal_rate(reg)
         assert bound == pytest.approx(0.5)
         config = SolverConfig(max_iter=60, tol=1e-300, stopping="residual")
-        _, _, trace = drs_solve(
-            problem, tau, lam, config, z0=np.array([1.0, 1.0]), z_star=np.zeros(2)
+        _, _, trace = prs_lev_solve(
+            problem, classical(tau), config, z0=np.array([1.0, 1.0]), z_star=np.zeros(2), lam=lam
         )
         ratios = trace.ratios()
         # ignore the last few steps where distances reach the float floor
@@ -501,7 +492,7 @@ class TestClassicAndRelaxed:
             regularity=RegularityParams(0, 0, 0, 0),
         )
         config = SolverConfig(max_iter=1000, tol=1e-12, stopping="residual")
-        _, _, trace = prs_classic_solve(problem, 1.0, config, z0=np.ones(3))
+        _, _, trace = prs_lev_solve(problem, classical(1.0), config, z0=np.ones(3))
         assert trace.status == "diverged"
 
     @pytest.mark.parametrize(
@@ -519,16 +510,36 @@ class TestClassicAndRelaxed:
         f, g = (poisoned, zero) if math.isnan(poison) else (zero, poisoned)
         problem = CompositeProblem(f=f, g=g, regularity=RegularityParams(0, 0, 0, 0))
         config = SolverConfig(max_iter=20000, tol=1e-12, stopping=stopping, record_trace=record)
-        _, _, trace = prs_classic_solve(problem, 1.0, config, z0=np.ones(3), z_star=np.zeros(3))
+        _, _, trace = prs_lev_solve(
+            problem, classical(1.0), config, z0=np.ones(3), z_star=np.zeros(3)
+        )
         assert trace.status == "nonfinite"
         assert trace.iterations == 1
 
     def test_parameter_validation(self, rng):
+        # tau > |eta| and lam in ]0, 1] hold for every shift, the zero one too
         problem = random_instance(rng)
-        with pytest.raises(ValueError):
-            drs_solve(problem, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            drs_solve(problem, -1.0, 0.5)
+        for lam in (0.0, -0.5, 1.5):
+            with pytest.raises(ValueError, match="relaxation"):
+                prs_lev_solve(problem, classical(1.0), lam=lam)
+        for tau in (0.0, -1.0):
+            with pytest.raises(TauTooSmall):
+                prs_lev_solve(problem, classical(tau), lam=0.5)
+
+    def test_moduli_are_checked_only_for_a_nonzero_shift(self, rng):
+        # B = I makes g an exact quadratic (beta*mu = 1), which the leveraged
+        # hypotheses exclude: classical PRS solves it (as it runs the witness
+        # above, which has no moduli at all), a shifted solve rejects it
+        m = 5
+        exact = make_least_squares_problem(rng.random((8, m)), rng.standard_normal(8),
+                                           np.eye(m), rng.standard_normal(m))
+        assert exact.regularity.beta * exact.regularity.mu == 1.0
+        x, _, trace = prs_lev_solve(exact, classical(1.0), SolverConfig(max_iter=5000))
+        assert trace.status == "converged"
+        np.testing.assert_allclose(x, exact.solution_oracle, atol=1e-8)
+        for lp in (LeverageParams(0.1, 0.0, 1.0), LeverageParams(0.0, 0.1, 1.0)):
+            with pytest.raises(DegenerateQuadratic):
+                prs_lev_solve(exact, lp)
 
 
 class TestMonitor:
@@ -551,10 +562,9 @@ class TestMonitor:
                 )
                 if method == "prs_lev":
                     outputs.append(prs_lev_solve(problem, lp, config, z0=z0))
-                elif method == "prs":
-                    outputs.append(prs_classic_solve(problem, 0.8, config, z0=z0))
                 else:
-                    outputs.append(drs_solve(problem, 0.8, 0.6, config, z0=z0))
+                    lam = 1.0 if method == "prs" else 0.6
+                    outputs.append(prs_lev_solve(problem, classical(0.8), config, z0=z0, lam=lam))
             (x_on, z_on, on), (x_off, z_off, off) = outputs
             assert on.status == off.status == "converged"
             assert on.iterations == off.iterations
@@ -574,7 +584,7 @@ class TestMonitor:
         bare = replace(problem, f=replace(problem.f, gradient=None))
         config = SolverConfig(max_iter=3, tol=1e-300)
         for p, known in ((problem, True), (bare, False)):
-            _, _, trace = prs_classic_solve(p, 0.8, config)
+            _, _, trace = prs_lev_solve(p, classical(0.8), config)
             assert bool(trace.distances) == known
 
     def test_stops_at_first_crossing_of_tol(self):
