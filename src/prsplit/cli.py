@@ -127,8 +127,10 @@ def _problem_array(spec: dict, key: str, ndim: int) -> np.ndarray:
 
 def _load_problem_file(path):
     """The least-squares pair of a JSON problem file, its shapes checked before any solve."""
-    with open(path) as fh:
-        spec = json.load(fh)
+    try:
+        spec = json.loads(Path(path).read_text())
+    except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
+        raise ValueError(f"problem file: {exc}") from None
     if not isinstance(spec, dict):
         raise ValueError("problem file must hold a JSON object")
     for key in ("A", "B"):

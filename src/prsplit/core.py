@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import (
     BoundViolation,
-    DegenerateQuadratic,
     DeltaOutOfRange,
     EtaOutOfRange,
     NoGradient,
@@ -33,6 +32,7 @@ __all__ = [
     "CompositeProblem",
     "SolveTrace",
     "validate_regularity",
+    "validate_delta",
     "validate_leverage",
     "fixed_point_oracle",
 ]
@@ -95,12 +95,12 @@ class LeverageParams:
 def validate_regularity(params: RegularityParams) -> RegularityParams:
     """Check the modulus products and the hypotheses of the leveraged solver.
 
+    A product of exactly 1 (f or g an exact quadratic, where r* = 0) is valid.
+
     Raises
     ------
     BoundViolation
         if ``alpha*rho > 1`` or ``beta*mu > 1``.
-    DegenerateQuadratic
-        if ``alpha*rho = 1`` or ``beta*mu = 1`` (f or g an exact quadratic).
     NoLeverage
         if ``rho + mu = 0`` or ``alpha + beta = 0``.
     """
@@ -110,11 +110,6 @@ def validate_regularity(params: RegularityParams) -> RegularityParams:
         raise BoundViolation(
             f"modulus products must lie in [0, 1]: alpha*rho={ar}, beta*mu={bm}"
         )
-    for name, product, value in (("f", "alpha*rho", ar), ("g", "beta*mu", bm)):
-        if value >= 1.0:
-            raise DegenerateQuadratic(
-                f"{name} is an exact quadratic ({product} = 1), which the leveraged solver excludes"
-            )
     if params.rho + params.mu <= 0.0 or params.alpha + params.beta <= 0.0:
         raise NoLeverage(
             "leveraged solver requires min(rho + mu, alpha + beta) > 0"
@@ -122,16 +117,27 @@ def validate_regularity(params: RegularityParams) -> RegularityParams:
     return params
 
 
-def validate_leverage(lp: LeverageParams, reg: RegularityParams) -> LeverageParams:
-    """Check a shift/step triple against the validated moduli.
+def validate_delta(delta: float, reg: RegularityParams) -> float:
+    """Check the moduli, then ``delta in [-rho, mu]`` without the endpoint where
+    an exact quadratic (``alpha*rho = 1`` or ``beta*mu = 1``) makes
+    ``1 + alpha*delta`` or ``1 - beta*delta`` vanish, and with it the eta interval."""
+    validate_regularity(reg)
+    if not (-reg.rho <= delta <= reg.mu):
+        raise DeltaOutOfRange(f"delta={delta} outside [-rho, mu] = [{-reg.rho}, {reg.mu}]")
+    if min(1.0 + reg.alpha * delta, 1.0 - reg.beta * delta) <= 0.0:
+        term = "1 + alpha*delta" if delta < 0.0 else "1 - beta*delta"
+        raise DeltaOutOfRange(f"delta={delta} makes {term} = 0 (an exact quadratic's endpoint)")
+    return delta
 
-    The admissible set is ``delta in [-rho, mu]``, ``eta`` strictly inside
-    ``]-alpha/(1+alpha*delta), beta/(1-beta*delta)[``, ``tau > |eta|``, and
-    ``tau*|delta| < 1 + delta*eta``.
+
+def validate_leverage(lp: LeverageParams, reg: RegularityParams) -> LeverageParams:
+    """Check the moduli and a shift/step triple against them.
+
+    The admissible set is ``delta`` as :func:`validate_delta` checks it,
+    ``eta`` strictly inside ``]-alpha/(1+alpha*delta), beta/(1-beta*delta)[``,
+    ``tau > |eta|``, and ``tau*|delta| < 1 + delta*eta``.
     """
-    d, e, t = lp.delta, lp.eta, lp.tau
-    if not (-reg.rho <= d <= reg.mu):
-        raise DeltaOutOfRange(f"delta={d} outside [-rho, mu] = [{-reg.rho}, {reg.mu}]")
+    d, e, t = validate_delta(lp.delta, reg), lp.eta, lp.tau
     eta_lo = -reg.alpha / (1.0 + reg.alpha * d)
     eta_hi = reg.beta / (1.0 - reg.beta * d)
     if not (eta_lo < e < eta_hi):

@@ -11,11 +11,6 @@ class BoundViolation(SplittingError):
     """A modulus product exceeds the Cauchy-Schwarz bound (alpha*rho or beta*mu > 1)."""
 
 
-class DegenerateQuadratic(SplittingError):
-    """alpha*rho = 1 or beta*mu = 1: the function is an exact quadratic, excluded
-    from the leveraged solver."""
-
-
 class NoLeverage(SplittingError):
     """No strong convexity (rho+mu = 0) or no smoothness (alpha+beta = 0) anywhere."""
 
@@ -23,7 +18,7 @@ class NoLeverage(SplittingError):
 # --- leverage-parameter validation -------------------------------------------
 
 class DeltaOutOfRange(SplittingError):
-    pass
+    """delta outside [-rho, mu], or at an exact quadratic's degenerate endpoint."""
 
 
 class EtaOutOfRange(SplittingError):

@@ -18,10 +18,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import pgm
-from .core import (
-    CompositeProblem, LeverageParams, RegularityParams, SolveTrace, validate_regularity,
-)
-from .errors import NoLeverage, NotStronglyRegular, SplittingError
+from .core import CompositeProblem, LeverageParams, RegularityParams, SolveTrace
+from .errors import NoLeverage, NotStronglyRegular
 from .leverage import QuadraticFunction
 from .proxlib import (
     BlurOperator,
@@ -207,7 +205,6 @@ def run_tight_check(
     at least ``sqrt(tiny)``, below which their squares are subnormal.  The
     solve stops at the float floor, so ``steps`` may be fewer than asked.
     """
-    validate_regularity(reg)
     if reg.alpha <= 0.0 or reg.beta <= 0.0:
         raise ValueError("the tight pair needs alpha > 0 and beta > 0")
     f = QuadraticFunction(0.0, np.zeros(2), np.diag([reg.rho, 1.0 / reg.alpha]))
@@ -294,6 +291,8 @@ def run_academic_benchmark(
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     config = SolverConfig(
         max_iter=max_iter, tol=tol, stopping="fixed_point_distance", record_trace=False,
     )
@@ -421,6 +420,8 @@ def run_restoration_demo(
     """
     if image is None and not side >= 2:
         raise ValueError(f"side must be at least 2, got {side}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     for name, value, ok, what in (
         ("lambda", lam, lam > 0.0, "positive"),
         ("epsilon", epsilon, epsilon > 0.0, "positive"),
@@ -455,7 +456,7 @@ def run_restoration_demo(
         regularity=reg,
     )
 
-    reference, reference_trace = _restoration_reference(problem)
+    reference, _, reference_trace = _restoration_reference(problem)
     problem = replace(problem, solution_oracle=reference)
 
     runs: dict[str, MethodRun] = {}
@@ -478,8 +479,8 @@ def run_restoration_demo(
     return report
 
 
-def _restoration_reference(problem: CompositeProblem) -> tuple[np.ndarray, SolveTrace]:
-    """Shared minimizer at far-beyond-stopping precision, and its solve's trace.
+def _restoration_reference(problem: CompositeProblem) -> tuple[np.ndarray, np.ndarray, SolveTrace]:
+    """``(x, z, trace)`` of the shared minimizer's ``prs_lev`` solve, far past stopping precision.
 
     The residual tolerance is 1e-13 up to N = 64 x 64 pixels and grows as
     ``sqrt(N)`` beyond, as the roundoff floor of an N-term sum does (Higham,
@@ -489,13 +490,7 @@ def _restoration_reference(problem: CompositeProblem) -> tuple[np.ndarray, Solve
     """
     tol = 1e-13 * max(1.0, math.sqrt(problem.f.dimension) / 64.0)
     config = SolverConfig(max_iter=5000, tol=tol, stopping="residual")
-    try:
-        x, _, trace = solve_method(problem, "prs_lev", config)
-    except SplittingError:
-        # degenerate moduli (e.g. an exactly quadratic data term): fall back
-        # to plain PRS, which only needs rho > 0 and alpha > 0
-        x, _, trace = solve_method(problem, "prs", config)
-    return x, trace
+    return solve_method(problem, "prs_lev", config)
 
 
 def _write_restoration_outputs(report: RestorationReport, out_dir) -> None:
@@ -512,15 +507,10 @@ def _write_restoration_outputs(report: RestorationReport, out_dir) -> None:
         (out / f"error_{name}.csv").write_text("\n".join(lines) + "\n")
         traces[name] = str(out / f"error_{name}.csv")
         longest = max(longest, run.iterations)
-    bounds = []
-    try:
-        bounds.append(("prs_lev bound", optimal_rate(report.regularity), longest))
-    except SplittingError:
-        pass
-    try:
-        bounds.append(("prs bound", classical_prs_optimal(report.regularity)[1], longest))
-    except SplittingError:
-        pass
+    # the reference solve validated rho + mu > 0, and mu = 0, so rho > 0; the
+    # kernel sums to 1, so alpha > 0: the classical tuning is defined too
+    bounds = [("prs_lev bound", optimal_rate(report.regularity), longest),
+              ("prs bound", classical_prs_optimal(report.regularity)[1], longest)]
     emit_plot_script(traces, bounds, out / "plot_errors.py")
 
 

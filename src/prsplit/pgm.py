@@ -24,7 +24,7 @@ def read_pgm(path) -> np.ndarray:
         if not chunk:
             raise IOError(f"{path}: truncated PGM header")
         if chunk == b"#":
-            pos = data.index(b"\n", pos) + 1
+            pos = data.find(b"\n", pos) + 1 or len(data)  # no newline: to the end
             continue
         if chunk.isspace():
             pos += 1
@@ -32,13 +32,19 @@ def read_pgm(path) -> np.ndarray:
         m = re.match(rb"[^\s#]+", data[pos:])
         tokens.append(m.group(0))
         pos += m.end()
-    magic, width, height, maxval = tokens[0], int(tokens[1]), int(tokens[2]), int(tokens[3])
+    magic, fields = tokens[0], tokens[1:]
     if magic not in (b"P2", b"P5"):
         raise IOError(f"{path}: not a PGM file (magic {magic!r})")
+    if not all(field.isdigit() for field in fields):
+        raise IOError(f"{path}: PGM width, height and maxval must be unsigned integers")
+    width, height, maxval = map(int, fields)
     if not (0 < maxval < 65536):
         raise IOError(f"{path}: bad maxval {maxval}")
     if magic == b"P2":
-        values = np.array(data[pos:].split(), dtype=float)
+        try:
+            values = np.array(data[pos:].split(), dtype=float)
+        except ValueError:
+            raise IOError(f"{path}: a P2 pixel value is not a number") from None
     else:
         body = memoryview(data)[pos + 1:]  # exactly one whitespace byte after maxval
         dtype = np.dtype(">u2" if maxval > 255 else "u1")

@@ -16,8 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import LeverageParams, RegularityParams, validate_regularity
-from .errors import DeltaOutOfRange, NotStronglyRegular
+from .core import LeverageParams, RegularityParams, validate_delta, validate_regularity
+from .errors import NotStronglyRegular
 
 __all__ = [
     "RateBundle",
@@ -86,7 +86,9 @@ def optimal_rate(reg: RegularityParams) -> float:
     """Best achievable contraction factor over all admissible (tau, eta, delta)."""
     validate_regularity(reg)
     a, b, c, d = _sqrt_terms(reg)
-    return (a * c - b * d) / (a * c + b * d)
+    # (ac)^2 - (bd)^2 = (1 - alpha*rho)(1 - beta*mu) >= 0, so r* is 0 at an
+    # exact quadratic; rounding leaves it a few ulps either side of 0 there
+    return max(0.0, (a * c - b * d) / (a * c + b * d))
 
 
 def _param_denominator(reg: RegularityParams, delta):
@@ -115,11 +117,10 @@ def optimal_params(reg: RegularityParams, delta: float) -> LeverageParams:
     At interior ``delta`` the result satisfies :func:`~prsplit.core.validate_leverage`;
     at the endpoints one eta-interval side degenerates and the returned triple
     is the boundary limit (still the right parameters for the rate formulas,
-    but rejected by the strict solver validation).
+    but rejected by the strict solver validation), except where an exact
+    quadratic makes them 0/0, which :func:`~prsplit.core.validate_delta` rejects.
     """
-    validate_regularity(reg)
-    if not (-reg.rho <= delta <= reg.mu):
-        raise DeltaOutOfRange(f"delta={delta} outside [{-reg.rho}, {reg.mu}]")
+    validate_delta(delta, reg)  # and the moduli
     return LeverageParams(
         delta=float(delta),
         eta=float(_eta_of(reg, delta)),
@@ -207,10 +208,10 @@ def dominance_report(reg: RegularityParams) -> list[tuple[str, Optional[float]]]
     defined entry, with one exception: when one function has ``rho = alpha = 0``
     the leveraged scheme is classical PRS on the other one, and ``r*`` equals
     that entry (within a few ulps, as the two formulas round differently).
-    A violation raises ``RuntimeError``.
+    A baseline of 0 (an exact quadratic, where ``r* = 0``) or one that rounds
+    to 1 may tie it too.  A violation raises ``RuntimeError``.
     """
-    validate_regularity(reg)
-    r_star = optimal_rate(reg)
+    r_star = optimal_rate(reg)  # validates the moduli
     entries: list[tuple[str, Optional[float]]] = [("prs_lev", r_star)]
 
     if reg.rho > 0.0 and reg.alpha > 0.0:
@@ -231,7 +232,8 @@ def dominance_report(reg: RegularityParams) -> list[tuple[str, Optional[float]]]
 
     tie = "prs2" if reg.rho == reg.alpha == 0.0 else "prs1" if reg.mu == reg.beta == 0.0 else None
     slack = 4.0 * np.finfo(float).eps
-    if not all(r_star < rate or (name == tie and r_star <= rate + slack)
+    if not all(r_star < rate or ((name == tie or not slack < rate < 1.0 - slack)
+                                 and r_star <= rate + slack)
                for name, rate in entries[1:] if rate is not None):
         defined = [rate for _, rate in entries[1:] if rate is not None]
         raise RuntimeError(f"leveraged rate {r_star} does not dominate {defined}")

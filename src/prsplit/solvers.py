@@ -36,7 +36,6 @@ from .core import (
     SolveTrace,
     fixed_point_oracle,
     validate_leverage,
-    validate_regularity,
 )
 from .errors import NotSmooth, TauTooSmall
 
@@ -309,7 +308,6 @@ def prs_lev_solve(
     """
     t, e = lp.tau, lp.eta
     if lp.delta != 0.0 or e != 0.0:
-        validate_regularity(problem.regularity)
         validate_leverage(lp, problem.regularity)
     elif not t > 0.0:
         raise TauTooSmall(f"tau={t} must be positive")

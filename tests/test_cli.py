@@ -141,36 +141,83 @@ def test_solve_non_object_file_rejected(tmp_path, capsys, text):
     assert capsys.readouterr().err == "prsplit: error: problem file must hold a JSON object\n"
 
 
-BAD_INPUT = [  # (id, problem file or --dims text, message)
-    ("nan-in-A", {"A": [[1.0, math.nan]], "B": [[1.0, 0.0]]},
+BAD_INPUT = [  # (id, command, JSON (dict or text), PGM bytes or flags, message; {path} the file)
+    ("nan-in-A", "solve", {"A": [[1.0, math.nan]], "B": [[1.0, 0.0]]},
      "problem file: matrix 'A' has a non-finite entry"),
-    ("B-columns", {"A": [[1.0, 0.0]], "B": [[1.0]]},
+    ("B-columns", "solve", {"A": [[1.0, 0.0]], "B": [[1.0]]},
      "problem file: matrices 'A' and 'B' need the same column count, got 2 and 1"),
-    ("1-D-B", {"A": [[1.0, 0.0]], "B": [1.0, 0.0]},
+    ("1-D-B", "solve", {"A": [[1.0, 0.0]], "B": [1.0, 0.0]},
      "problem file: matrix 'B' must be a nonempty 2-D array, got shape (2,)"),
-    ("a-length", {"A": [[1.0, 0.0]], "B": [[0.0, 1.0]], "a": [1.0, 2.0]},
+    ("a-length", "solve", {"A": [[1.0, 0.0]], "B": [[0.0, 1.0]], "a": [1.0, 2.0]},
      "problem file: vector 'a' needs one entry per row of matrix 'A' (1), got 2"),
-    ("dims-pair", "20,20", "--dims: '20,20' is not a triple m,n,p of integers"),
-    ("A-gram-overflow", {"A": [[1e200, 1e200], [1.0, 2.0]], "B": [[1.0, 0.0], [0.0, 1.0]]},
+    ("dims-pair", "bench-academic", ["--dims", "20,20"],
+     "--dims: '20,20' is not a triple m,n,p of integers"),
+    ("A-gram-overflow", "solve",
+     {"A": [[1e200, 1e200], [1.0, 2.0]], "B": [[1.0, 0.0], [0.0, 1.0]]},
      "problem file: matrix 'A': its Gram matrix overflows"),
-    ("Bb-overflow", {"A": [[1.0, 0.0], [0.0, 1.0]],
-                     "B": [[1e10, 0.0], [0.0, 1.0]], "b": [1e300, 0.0]},
+    ("Bb-overflow", "solve", {"A": [[1.0, 0.0], [0.0, 1.0]],
+                              "B": [[1e10, 0.0], [0.0, 1.0]], "b": [1e300, 0.0]},
      "problem file: matrix 'B': its product with the offset overflows"),
-    ("B-identity", {"A": [[1.0, 2.0], [3.0, 4.0], [0.5, -1.0]], "B": [[1.0, 0.0], [0.0, 1.0]]},
-     "g is an exact quadratic (beta*mu = 1), which the leveraged solver excludes"),
+    ("json-syntax", "solve", '{"A": [[1.0]]\n"B": [[1.0]]}',
+     "problem file: Expecting ',' delimiter: line 2 column 1 (char 14)"),
+    ("seed-negative", "bench-academic", ["--seed", "-1"], "seed must be >= 0, got -1"),
+    ("pgm-comment-to-end", "restore", b"P5 # no newline", "{path}: truncated PGM header"),
+    ("pgm-width", "restore", b"P5\nx 4\n255\n",
+     "{path}: PGM width, height and maxval must be unsigned integers"),
+    ("pgm-P2-body", "restore", b"P2\n2 2\n255\n1 2 a 4\n",
+     "{path}: a P2 pixel value is not a number"),
 ]
 
 
-@pytest.mark.parametrize("given, message", [c[1:] for c in BAD_INPUT],
+@pytest.mark.parametrize("command, given, message", [c[1:] for c in BAD_INPUT],
                          ids=[c[0] for c in BAD_INPUT])
-def test_bad_input_is_named_in_one_line(tmp_path, capsys, given, message):
-    if isinstance(given, dict):
-        (tmp_path / "bad.json").write_text(json.dumps(given))
-        argv = ["solve", "--problem-file", str(tmp_path / "bad.json")]
+def test_bad_input_is_named_in_one_line(tmp_path, capsys, command, given, message):
+    path = tmp_path / "bad"
+    if command == "solve":
+        path.write_text(given if isinstance(given, str) else json.dumps(given))
+        argv = ["solve", "--problem-file", str(path)]
+    elif command == "restore":
+        path.write_bytes(given)
+        argv = ["restore", "--image", str(path)]
     else:
-        argv = ["bench-academic", "--dims", given]
+        argv = [command, *given]
     assert main([*argv, "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err == f"prsplit: error: {message}\n"
+    assert capsys.readouterr().err == f"prsplit: error: {message.replace('{path}', str(path))}\n"
+
+
+def test_solve_an_exact_quadratic_in_one_step(tmp_path, capsys):
+    # B = I makes g an exact quadratic (beta*mu = 1), where r* = 0
+    A, a = np.array([[1.0, 2.0], [3.0, 4.0], [0.5, -1.0]]), np.array([1.0, -2.0, 0.5])
+    B, b = np.eye(2), np.array([0.3, -0.7])
+    pf = tmp_path / "exact.json"
+    pf.write_text(json.dumps({"A": A.tolist(), "a": a.tolist(), "B": B.tolist(), "b": b.tolist()}))
+    assert main(["solve", "--problem-file", str(pf), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.startswith("status: converged after 1 iterations\n")
+    x = np.loadtxt(tmp_path / "solution.csv", delimiter=",")
+    x_star = np.linalg.solve(A.T @ A + B.T @ B, A.T @ a + B.T @ b)
+    np.testing.assert_allclose(x, x_star, rtol=0.0, atol=1e-8)
+
+
+DEGENERATE_ENDPOINTS = [  # (argv, without the problem file for solve; message)
+    (["rates", "--rho", "1", "--alpha", "1", "--mu", "0", "--beta", "1", "--delta", "-1"],
+     "delta=-1.0 makes 1 + alpha*delta = 0 (an exact quadratic's endpoint)"),
+    (["solve", "--delta", "1"],
+     "delta=1.0 makes 1 - beta*delta = 0 (an exact quadratic's endpoint)"),
+]
+
+
+@pytest.mark.parametrize("argv, message", DEGENERATE_ENDPOINTS, ids=["rates", "solve"])
+def test_degenerate_endpoint_delta_is_one_line(tmp_path, capsys, argv, message):
+    # the endpoint delta = -rho (alpha*rho = 1) or delta = mu (beta*mu = 1) of an
+    # exact quadratic, where the optimal parameters are 0/0
+    if argv[0] == "solve":
+        pf = tmp_path / "identity.json"
+        pf.write_text(json.dumps({"A": [[1.0, 2.0], [3.0, 4.0]], "a": [1.0, -1.0],
+                                  "B": [[1.0, 0.0], [0.0, 1.0]], "b": [0.5, 0.5]}))
+        argv = [*argv, "--problem-file", str(pf), "--out", str(tmp_path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"prsplit: error: {message}\n"
 
 
 UNTAKEN_FLAGS = [(method, "--delta", "0") for method in ("prs", "drs", "fista1", "fista2")]
@@ -207,6 +254,21 @@ def test_solve_missing_file_rejected(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("prsplit: error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("moduli, r_star, table", [
+    (("1", "1", "0", "1"), "0", ["prs_lev      0", "prs1         0", "fista1       0"]),
+    (("0", "1", "1", "1"), "0", ["prs_lev      0", "prs2         0", "fista2       0"]),
+    (("1e-33", "1", "0", "1"), "1", ["prs_lev      1", "prs1         1", "drs          1"]),
+], ids=["f_exact", "g_exact", "rates_round_to_one"])
+def test_rates_where_floating_point_ties(capsys, moduli, r_star, table):
+    # r* = 0 at an exact quadratic ties the baselines of 0 on that side; with
+    # rho = 1e-33 every rate rounds to 1, so dominance cannot show strictly
+    rho, alpha, mu, beta = moduli
+    assert main(["rates", "--rho", rho, "--alpha", alpha, "--mu", mu, "--beta", beta]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and f"\nr*         = {r_star}\n" in out
+    assert "\n".join(table) in out.split("method       rate\n")[1]
 
 
 def test_rates_without_leverage_is_a_one_line_error(capsys):
@@ -271,6 +333,7 @@ RESTORE_BAD_INPUT = [
     ("--side", "0"), ("--side", "-8"), ("--sigma", "0"), ("--sigma", "nan"),
     ("--lambda", "0"), ("--lambda", "inf"), ("--noise-var", "-1"), ("--noise-var", "nan"),
     ("--epsilon", "0"), ("--max-iter", "0"), ("--tol", "0"), ("--level", "0"),
+    ("--seed", "-1"),
 ]
 
 
@@ -286,6 +349,15 @@ def test_restore_rejects_bad_input_in_one_line(tmp_path, capsys, flag, value):
     assert err.startswith("prsplit: error: ") and err.count("\n") == 1
     assert f" {flag[2:].replace('-', '_')} must be " in err
     assert not (tmp_path / "observed.pgm").exists()
+
+
+def test_restore_with_an_identity_blur(tmp_path, capsys):
+    # sigma = 0.001 makes the blur the identity, so alpha*rho = 1 and r* = 0
+    code = main(["restore", "--side", "16", "--sigma", "0.001", "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "moduli: rho=1 alpha=1 " in out
+    assert out.count("status=converged") == 4
 
 
 def test_restore_exits_1_when_a_solve_stops_short(tmp_path, capsys):

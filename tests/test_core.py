@@ -8,12 +8,12 @@ from prsplit.core import (
     LeverageParams,
     ProxFunction,
     RegularityParams,
+    validate_delta,
     validate_leverage,
     validate_regularity,
 )
 from prsplit.errors import (
     BoundViolation,
-    DegenerateQuadratic,
     DeltaOutOfRange,
     EtaOutOfRange,
     NoLeverage,
@@ -44,10 +44,14 @@ class TestValidateRegularity:
         with pytest.raises(BoundViolation):
             validate_regularity(bad)
 
-    def test_degenerate_quadratic_rejected(self):
-        quad = RegularityParams(rho=1.0, alpha=1.0, mu=0.0, beta=1.0)
-        with pytest.raises(DegenerateQuadratic):
-            validate_regularity(quad)
+    def test_exact_quadratic_accepted(self):
+        # a product of exactly 1 is an exact quadratic, where r* = 0; past 1
+        # the moduli contradict each other
+        for reg in (RegularityParams(rho=1.0, alpha=1.0, mu=0.0, beta=1.0),
+                    RegularityParams(rho=0.0, alpha=1.0, mu=4.0, beta=0.25)):
+            assert validate_regularity(reg) is reg
+        with pytest.raises(BoundViolation):
+            validate_regularity(RegularityParams(rho=1.0, alpha=1.0 + 1e-15, mu=0.0, beta=1.0))
 
     def test_negative_or_nonfinite_fields_rejected_at_construction(self):
         with pytest.raises(ValueError):
@@ -70,6 +74,21 @@ class TestValidateLeverage:
     def test_delta_out_of_range(self):
         with pytest.raises(DeltaOutOfRange):
             validate_leverage(LeverageParams(-TIGHT_REG.rho - 0.1, 0.0, 1.0), TIGHT_REG)
+
+    @pytest.mark.parametrize("reg, delta, term", [
+        (RegularityParams(rho=1.0, alpha=1.0, mu=0.5, beta=1.0), -1.0, "1 \\+ alpha\\*delta"),
+        (RegularityParams(rho=0.5, alpha=1.0, mu=4.0, beta=0.25), 4.0, "1 - beta\\*delta"),
+    ], ids=["f-exact", "g-exact"])
+    def test_degenerate_endpoint_of_an_exact_quadratic(self, reg, delta, term):
+        # the one endpoint where the eta interval and optimal_params are 0/0;
+        # the other endpoint and the interior stay admissible
+        for check in (lambda d: validate_delta(d, reg),
+                      lambda d: validate_leverage(LeverageParams(d, 0.0, 1.0), reg),
+                      lambda d: optimal_params(reg, d)):
+            with pytest.raises(DeltaOutOfRange, match=f"makes {term} = 0"):
+                check(delta)
+        for admissible in (reg.mu if delta < 0 else -reg.rho, (reg.mu - reg.rho) / 2.0):
+            assert validate_delta(admissible, reg) == admissible
 
     def test_eta_out_of_range(self):
         # eta interval at delta=0 is ]-0.25, 1[

@@ -336,7 +336,8 @@ class TestRestoration:
         ({"tol": 0.0}, "tol must be positive"),
         ({"level": 0}, "level must be >= 1"),
         ({"level": 5}, "divisible by 2^level = 32"),
-    ], ids=["methods", "methods_list", "max_iter", "tol", "level", "deep_level"])
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+    ], ids=["methods", "methods_list", "max_iter", "tol", "level", "deep_level", "seed"])
     def test_bad_parameters_raise_before_the_reference_solve(self, monkeypatch, kwargs, message):
         def no_reference(problem):
             raise AssertionError("the reference solve ran")

@@ -18,6 +18,7 @@ from prsplit.rates import (
     rate_constancy_check,
     rate_r1,
     rate_r2,
+    _sqrt_terms,
 )
 
 from conftest import interior_delta, sample_regularity
@@ -133,6 +134,21 @@ class TestOptimalRate:
     def test_exact_cancellation(self):
         reg = RegularityParams(1.0, 1.0 - 1e-9, 1.0, 1.0 - 1e-9)
         assert optimal_rate(reg) == pytest.approx(0.0, abs=1e-9)
+
+    def test_zero_at_an_exact_quadratic_and_never_negative(self, rng):
+        # (ac)^2 - (bd)^2 = (1 - alpha*rho)(1 - beta*mu), so r* is 0 where a
+        # product is 1; rounding leaves the quotient a few ulps either side of
+        # 0, and r* is clamped at 0
+        below = 0
+        for i in range(100):
+            reg = sample_regularity(rng)
+            reg = (RegularityParams(reg.rho, 1.0 / reg.rho, reg.mu, reg.beta) if i % 2
+                   else RegularityParams(reg.rho, reg.alpha, reg.mu, 1.0 / reg.mu))
+            a, b, c, d = _sqrt_terms(reg)
+            below += (a * c - b * d) / (a * c + b * d) < 0.0
+            assert 0.0 <= optimal_rate(reg) <= 1e-15
+        assert below > 0  # the clamp was needed
+        assert optimal_rate(RegularityParams(1.0, 1.0, 0.0, 1.0)) == 0.0
 
     def test_limit_towards_pure_f_regularity(self):
         # beta -> 0 with mu = 0 approaches the classical optimal rate
@@ -263,6 +279,28 @@ class TestDominance:
                              (RegularityParams(mu, beta, 0.0, 0.0), "prs1")):
                 report = dict(dominance_report(reg))
                 assert report[tie] == pytest.approx(report["prs_lev"], rel=0, abs=1e-15)
+
+    @pytest.mark.parametrize("reg, zeros", [
+        (RegularityParams(rho=1.0, alpha=1.0, mu=0.0, beta=1.0), {"prs1", "fista1"}),
+        (RegularityParams(rho=0.0, alpha=1.0, mu=1.0, beta=1.0), {"prs2", "fista2"}),
+        (RegularityParams(rho=0.5, alpha=2.0, mu=0.25, beta=4.0),
+         {"prs1", "prs2", "fista1", "fista2"}),
+    ], ids=["f_exact", "g_exact", "both_exact"])
+    def test_exact_quadratic_ties_at_zero(self, reg, zeros, monkeypatch):
+        # r* = 0, and so are the classical PRS and FISTA rates on the exact side
+        report = dominance_report(reg)
+        assert report[0] == ("prs_lev", 0.0)
+        assert {name for name, rate in report[1:] if rate is not None and rate <= 1e-15} == zeros
+        # a tie at 0 allows no r* above it
+        monkeypatch.setattr("prsplit.rates.optimal_rate", lambda reg: 1e-3)
+        with pytest.raises(RuntimeError, match="does not dominate"):
+            dominance_report(reg)
+
+    def test_rates_that_round_to_one_tie(self):
+        # with rho = 1e-33 every rate is 1 - O(1e-16) or closer, and rounds to 1
+        report = dict(dominance_report(RegularityParams(rho=1e-33, alpha=1.0, mu=0.0, beta=1.0)))
+        assert report.pop("prs2") is None
+        assert set(report.values()) == {1.0}
 
     def test_violated_dominance_raises(self, monkeypatch):
         # an explicit raise, not an assert that ``python -O`` would strip

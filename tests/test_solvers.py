@@ -15,8 +15,8 @@ from prsplit.core import (
     RegularityParams,
     fixed_point_oracle,
 )
-from prsplit.errors import DegenerateQuadratic, NotSmooth, TauTooSmall
-from prsplit.harness import make_least_squares_problem
+from prsplit.errors import DeltaOutOfRange, EtaOutOfRange, NotSmooth, TauTooSmall
+from prsplit.harness import make_least_squares_problem, solve_method
 from prsplit.leverage import QuadraticFunction
 from prsplit.proxlib import HuberFn, LeastSquaresFn
 from prsplit.rates import delta_star, optimal_params, optimal_rate, rate_r1, rate_r2
@@ -58,6 +58,15 @@ def random_instance(rng, m=8, n=10, p=9, homogeneous=False):
 
 
 ONE_STEP = SolverConfig(max_iter=1, tol=1e-300, stopping="residual")
+
+# the B of least-squares pairs with an exact quadratic, B^T B = c*I (with one
+# column, A^T A is one too)
+EXACT_QUADRATIC_B = {
+    "B-identity": lambda rng: np.eye(5),
+    "B-3I": lambda rng: 3.0 * np.eye(5),
+    "B-orthogonal": lambda rng: np.linalg.qr(rng.standard_normal((5, 5)))[0],
+    "one-column": lambda rng: rng.standard_normal((4, 1)),
+}
 
 
 def classical(tau):
@@ -169,6 +178,26 @@ class TestLeveragedSolve:
             _, _, trace = prs_lev_solve(problem, lp, config, z0=z0)
             d = np.array(trace.distances)
             assert np.all(d[1:] <= r * d[:-1] + 1e-10 * d[0])
+
+    @pytest.mark.parametrize("record", [True, False], ids=["recorded", "unrecorded"])
+    @pytest.mark.parametrize("name", EXACT_QUADRATIC_B)
+    def test_exact_quadratic_is_solved_in_one_step(self, rng, name, record):
+        # alpha*rho = 1 or beta*mu = 1 gives r* = 0 (within rounding for the
+        # orthogonal B, whose computed spectrum is 1 within a few ulps): one
+        # step reaches x*
+        B = EXACT_QUADRATIC_B[name](rng)
+        A = rng.standard_normal((8, B.shape[1]))
+        a, b = rng.standard_normal(8), rng.standard_normal(len(B))
+        problem = make_least_squares_problem(A, a, B, b)
+        reg = problem.regularity
+        assert max(reg.alpha * reg.rho, reg.beta * reg.mu) >= 1.0 - 1e-14
+        assert 0.0 <= optimal_rate(reg) <= 1e-14
+        config = SolverConfig(record_trace=record)
+        z0 = rng.standard_normal(B.shape[1])
+        x, _, trace = solve_method(problem, "prs_lev", config, z0=z0)
+        assert trace.status == "converged" and trace.iterations == 1
+        x_star = np.linalg.solve(A.T @ A + B.T @ B, A.T @ a + B.T @ b)
+        np.testing.assert_allclose(x, x_star, rtol=0.0, atol=1e-8)
 
     def test_final_x_is_first_order_stationary(self, rng):
         problem = random_instance(rng)
@@ -527,9 +556,10 @@ class TestClassicAndRelaxed:
                 prs_lev_solve(problem, classical(tau), lam=0.5)
 
     def test_moduli_are_checked_only_for_a_nonzero_shift(self, rng):
-        # B = I makes g an exact quadratic (beta*mu = 1), which the leveraged
-        # hypotheses exclude: classical PRS solves it (as it runs the witness
-        # above, which has no moduli at all), a shifted solve rejects it
+        # B = I makes g an exact quadratic (beta*mu = 1 with beta = 1): classical
+        # PRS runs without reading the moduli (as it runs the witness above,
+        # which has none), while a shift is checked against them, here at the
+        # endpoint delta = mu where 1 - beta*delta = 0, and past eta < beta
         m = 5
         exact = make_least_squares_problem(rng.random((8, m)), rng.standard_normal(8),
                                            np.eye(m), rng.standard_normal(m))
@@ -537,8 +567,9 @@ class TestClassicAndRelaxed:
         x, _, trace = prs_lev_solve(exact, classical(1.0), SolverConfig(max_iter=5000))
         assert trace.status == "converged"
         np.testing.assert_allclose(x, exact.solution_oracle, atol=1e-8)
-        for lp in (LeverageParams(0.1, 0.0, 1.0), LeverageParams(0.0, 0.1, 1.0)):
-            with pytest.raises(DegenerateQuadratic):
+        for lp, error in ((LeverageParams(1.0, 0.0, 1.0), DeltaOutOfRange),
+                          (LeverageParams(0.0, 1.5, 2.0), EtaOutOfRange)):
+            with pytest.raises(error):
                 prs_lev_solve(exact, lp)
 
 
