@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import harness, rates
+from . import harness, pgm, rates
 from .core import RegularityParams
 from .solvers import SolverConfig
 
@@ -158,7 +158,8 @@ def cmd_solve(args) -> int:
     config = SolverConfig(max_iter=args.max_iter, tol=args.tol)
     x, _, trace = harness.solve_method(problem, args.method, config, delta=args.delta, tau=args.tau)
     out = _out_dir(args)
-    np.savetxt(out / "solution.csv", x, delimiter=",")
+    # np.savetxt's bytes for a vector: "%.18e", one value per line
+    pgm._write_in_place(out / "solution.csv", "".join(f"{v:.18e}\n" for v in x.tolist()).encode())
     harness.emit_trace(trace, out / "trace.csv")
     print(f"status: {trace.status} after {trace.iterations} iterations")
     print(f"wrote {out / 'solution.csv'} and {out / 'trace.csv'}")

@@ -271,7 +271,7 @@ class BenchmarkReport:
                 else:
                     cells = ["-", "-", "-", "-"]
                 lines.append(f"{prefix},{name}," + ",".join(cells))
-        Path(path).write_text("\n".join(lines) + "\n")
+        pgm._write_in_place(path, ("\n".join(lines) + "\n").encode())
 
 
 def run_academic_benchmark(
@@ -287,7 +287,7 @@ def run_academic_benchmark(
     Each repetition draws a fresh instance (offsets zero, so x* = z* = 0 and
     the final error is ``||z_final||``) and a fresh random starting point.
     Methods whose step-size tuning hypotheses fail are reported as undefined,
-    mirroring the "-" table entries.
+    mirroring the "-" table entries; so is ``prs_lev`` when ``rho = mu = 0``.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
@@ -317,7 +317,7 @@ def run_academic_benchmark(
                 start = time.perf_counter()
                 try:
                     _, z_final, trace = solve_method(problem, name, config, z0=z0)
-                except NotStronglyRegular:
+                except (NoLeverage, NotStronglyRegular):
                     results[name].append(None)
                     continue
                 elapsed = 1e3 * (time.perf_counter() - start)
@@ -504,7 +504,7 @@ def _write_restoration_outputs(report: RestorationReport, out_dir) -> None:
         pgm.write_pgm(out / f"restored_{name}.pgm", run.final_x)
         lines = ["iter,normalized_error"]
         lines += [f"{i},{_fmt(v)}" for i, v in enumerate(run.normalized_errors)]
-        (out / f"error_{name}.csv").write_text("\n".join(lines) + "\n")
+        pgm._write_in_place(out / f"error_{name}.csv", ("\n".join(lines) + "\n").encode())
         traces[name] = str(out / f"error_{name}.csv")
         longest = max(longest, run.iterations)
     # the reference solve validated rho + mu > 0, and mu = 0, so rho > 0; the
@@ -533,7 +533,7 @@ def emit_trace(trace: SolveTrace, path) -> None:
     lines = [f"# status={trace.status}", "iter,residual,dist,ratio"]
     lines += [f"{n},{res},{dn},{rn}"
               for n, (res, dn, rn) in enumerate(zip(residuals, dist, ratio))]
-    Path(path).write_text("\n".join(lines) + "\n")
+    pgm._write_in_place(path, ("\n".join(lines) + "\n").encode())
 
 
 _PLOT_TEMPLATE = '''"""Auto-generated error-vs-iteration plot; run with python."""
@@ -594,4 +594,4 @@ def emit_plot_script(
         traces={k: str(v) for k, v in traces.items()},
         bounds_literal=bounds_literal,
     )
-    Path(path).write_text(text)
+    pgm._write_in_place(path, text.encode())

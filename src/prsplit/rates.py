@@ -202,14 +202,16 @@ def fista_rate_bounds(reg: RegularityParams) -> tuple[Optional[float], Optional[
 
 
 def dominance_report(reg: RegularityParams) -> list[tuple[str, Optional[float]]]:
-    """All closed-form rates, ascending, with ``None`` for undefined baselines.
+    """All closed-form rates, ``prs_lev`` first, then the baselines ascending, with
+    ``None`` for undefined ones.
 
     Under the leveraged hypotheses the leveraged rate is strictly the smallest
     defined entry, with one exception: when one function has ``rho = alpha = 0``
     the leveraged scheme is classical PRS on the other one, and ``r*`` equals
     that entry (within a few ulps, as the two formulas round differently).
     A baseline of 0 (an exact quadratic, where ``r* = 0``) or one that rounds
-    to 1 may tie it too.  A violation raises ``RuntimeError``.
+    to 1 may tie it too; ``r*`` is listed before every entry it ties, even one
+    a few ulps below it.  A violation raises ``RuntimeError``.
     """
     r_star = optimal_rate(reg)  # validates the moduli
     entries: list[tuple[str, Optional[float]]] = [("prs_lev", r_star)]
@@ -237,5 +239,5 @@ def dominance_report(reg: RegularityParams) -> list[tuple[str, Optional[float]]]
                for name, rate in entries[1:] if rate is not None):
         defined = [rate for _, rate in entries[1:] if rate is not None]
         raise RuntimeError(f"leveraged rate {r_star} does not dominate {defined}")
-    entries.sort(key=lambda item: math.inf if item[1] is None else item[1])
+    entries[1:] = sorted(entries[1:], key=lambda item: math.inf if item[1] is None else item[1])
     return entries

@@ -83,6 +83,23 @@ def test_bench_academic_subcommand(tmp_path, capsys):
     assert "prs_lev" in capsys.readouterr().out
 
 
+def test_bench_academic_marks_a_row_without_strong_convexity_undefined(tmp_path, capsys):
+    # 1 x 2 blocks A and B: rho = mu = 0, though A^T A + B^T B is nonsingular,
+    # so no method is defined; the row before it is the one it makes alone
+    bench = ["bench-academic", "--reps", "2", "--seed", "0"]
+    assert main([*bench, "--dims", "20,20,20", "--out", str(tmp_path / "alone")]) == 0
+    assert main([*bench, "--dims", "20,20,20;2,1,1", "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out.split("(m,n,p) = (2, 1, 1)")[1]
+    assert out.count(" -\n") == 3
+    alone = (tmp_path / "alone" / "bench_academic.csv").read_text()
+    text = (tmp_path / "bench_academic.csv").read_text()
+    assert text.startswith(alone)
+    rows = [line.split(",") for line in text[len(alone):].splitlines()]
+    assert [row[:3] + row[7:] for row in rows] == [
+        ["2", "1", "1", name, "-", "-", "-", "-"] for name in ("prs_lev", "prs1", "prs2")]
+    assert {(row[3], row[5]) for row in rows} == {("0.0", "0.0")}  # avg rho, avg mu
+
+
 def test_solve_subcommand(tmp_path, rng):
     A = rng.standard_normal((8, 5))
     B = rng.standard_normal((7, 5))
@@ -260,9 +277,12 @@ def test_solve_missing_file_rejected(tmp_path, capsys):
     (("1", "1", "0", "1"), "0", ["prs_lev      0", "prs1         0", "fista1       0"]),
     (("0", "1", "1", "1"), "0", ["prs_lev      0", "prs2         0", "fista2       0"]),
     (("1e-33", "1", "0", "1"), "1", ["prs_lev      1", "prs1         1", "drs          1"]),
-], ids=["f_exact", "g_exact", "rates_round_to_one"])
+    (("0.3", "2", "0.5", "2"), "6.20633538e-17",
+     ["prs_lev      6.20633538e-17", "prs2         0", "fista2       0"]),
+], ids=["f_exact", "g_exact", "rates_round_to_one", "r_star_ulps_above_its_ties"])
 def test_rates_where_floating_point_ties(capsys, moduli, r_star, table):
-    # r* = 0 at an exact quadratic ties the baselines of 0 on that side; with
+    # r* = 0 at an exact quadratic ties the baselines of 0 on that side, and
+    # is listed first even where it rounds a few ulps above them; with
     # rho = 1e-33 every rate rounds to 1, so dominance cannot show strictly
     rho, alpha, mu, beta = moduli
     assert main(["rates", "--rho", rho, "--alpha", alpha, "--mu", mu, "--beta", beta]) == 0
@@ -467,6 +487,102 @@ def test_repeated_main_calls_share_no_state(tmp_path, monkeypatch, capsys):
 
     assert build_parser() is build_parser()
     assert build_parser().parse_args(["restore"]).methods == ["prs_lev", "prs", "fista1", "fista2"]
+
+
+# every output file of the CLI, by the command that writes it; "{problem}" is a
+# solvable problem file
+RESTORE_METHODS = prsplit.harness.RESTORE_METHODS
+OUTPUTS = {
+    "bench-academic": (["bench-academic", "--dims", "4,6,5", "--reps", "2", "--seed", "1"],
+                       ["bench_academic.csv"]),
+    "solve": (["solve", "--problem-file", "{problem}", "--method", "drs"],
+              ["solution.csv", "trace.csv"]),
+    "restore": (["restore", "--side", "16", "--seed", "1", "--max-iter", "300", "--tol", "1e-8"],
+                ["true.pgm", "observed.pgm"] + [f"restored_{m}.pgm" for m in RESTORE_METHODS]
+                + [f"error_{m}.csv" for m in RESTORE_METHODS] + ["plot_errors.py"]),
+}
+
+
+def _write_outputs(tmp_path, command, out) -> int:
+    argv, _ = OUTPUTS[command]
+    problem = tmp_path / "problem.json"
+    if not problem.exists():
+        _write_problem(problem, 0)
+    return main([arg.replace("{problem}", str(problem)) for arg in argv] + ["--out", str(out)])
+
+
+@pytest.mark.parametrize("command", OUTPUTS)
+def test_a_longer_output_is_rewritten_to_exactly_the_new_bytes(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert _write_outputs(tmp_path, command, out) == 0
+    names = OUTPUTS[command][1]
+    assert sorted(path.name for path in out.iterdir()) == sorted(names)
+    first = {name: (out / name).read_bytes() for name in names}
+    kept = {}
+    for name in names:
+        path = out / name
+        path.write_bytes(b"#" * (len(first[name]) + 4096))
+        path.chmod(0o640)
+        kept[name] = (path.stat().st_ino, path.stat().st_mode)
+    assert _write_outputs(tmp_path, command, out) == 0
+    assert {name: (out / name).read_bytes() for name in names} == first
+    assert {name: ((out / name).stat().st_ino, (out / name).stat().st_mode)
+            for name in names} == kept
+
+
+def test_solution_csv_has_the_bytes_of_np_savetxt(tmp_path, monkeypatch, capsys):
+    x = np.array([1.0 / 3.0, -0.0, 5e-324, -2.5e-310, 1.7976931348623157e308, -1e22,
+                  np.inf, -np.inf, np.nan, 123456.789])
+    solve = prsplit.harness.solve_method
+
+    def solve_then_swap_x(*args, **kwargs):
+        _, z, trace = solve(*args, **kwargs)
+        return x, z, trace
+
+    monkeypatch.setattr(prsplit.harness, "solve_method", solve_then_swap_x)
+    assert _write_outputs(tmp_path, "solve", tmp_path / "out") == 0
+    np.savetxt(tmp_path / "savetxt.csv", x, delimiter=",")
+    assert (tmp_path / "out" / "solution.csv").read_bytes() == \
+        (tmp_path / "savetxt.csv").read_bytes()
+
+
+def test_an_output_symlink_is_written_through(tmp_path, capsys):
+    assert _write_outputs(tmp_path, "solve", tmp_path / "fresh") == 0
+    out = tmp_path / "out"
+    out.mkdir()
+    targets = {}
+    for name in OUTPUTS["solve"][1]:
+        target = tmp_path / f"target_{name}"
+        target.write_bytes(b"#" * 100_000)
+        (out / name).symlink_to(target)
+        targets[name] = (target, target.stat().st_ino)
+    assert _write_outputs(tmp_path, "solve", out) == 0
+    for name, (target, inode) in targets.items():
+        assert (out / name).is_symlink() and target.stat().st_ino == inode
+        assert target.read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", OUTPUTS)
+def test_outputs_linked_to_dev_null(tmp_path, capsys, command):
+    # /dev/null is no regular file: it takes the bytes and cannot be truncated
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in OUTPUTS[command][1]:
+        (out / name).symlink_to(os.devnull)
+    assert _write_outputs(tmp_path, command, out) == 0
+    assert all(os.readlink(out / name) == os.devnull for name in OUTPUTS[command][1])
+
+
+@pytest.mark.parametrize("command", OUTPUTS)
+def test_an_unwritable_output_is_a_one_line_error(tmp_path, capsys, command):
+    # the last file a command writes is a directory, so opening it fails
+    out = tmp_path / "out"
+    blocked = out / OUTPUTS[command][1][-1]
+    blocked.mkdir(parents=True)
+    assert _write_outputs(tmp_path, command, out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("prsplit: error: ") and err.count("\n") == 1
+    assert str(blocked) in err
 
 
 _NO_SCIPY_SCRIPT = """

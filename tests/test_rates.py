@@ -296,6 +296,22 @@ class TestDominance:
         with pytest.raises(RuntimeError, match="does not dominate"):
             dominance_report(reg)
 
+    def test_r_star_is_listed_first_among_its_ties(self, rng):
+        # at an exact quadratic r* is 0 only within a few ulps, so it can sit
+        # above the baselines of 0 that it ties; it is listed first all the same,
+        # with its own bits, and the baselines follow in ascending order
+        above = 0
+        for i in range(200):
+            reg = sample_regularity(rng)
+            reg = (RegularityParams(reg.rho, 1.0 / reg.rho, reg.mu, reg.beta) if i % 2
+                   else RegularityParams(reg.rho, reg.alpha, reg.mu, 1.0 / reg.mu))
+            report = dominance_report(reg)
+            assert report[0] == ("prs_lev", optimal_rate(reg))
+            baselines = [rate for _, rate in report[1:] if rate is not None]
+            assert baselines == sorted(baselines)
+            above += baselines[0] < report[0][1]
+        assert above > 0
+
     def test_rates_that_round_to_one_tie(self):
         # with rho = 1e-33 every rate is 1 - O(1e-16) or closer, and rounds to 1
         report = dict(dominance_report(RegularityParams(rho=1e-33, alpha=1.0, mu=0.0, beta=1.0)))
