@@ -255,9 +255,11 @@ class SolveTrace:
     distances: list[float] = field(default_factory=list)
 
     def ratios(self) -> np.ndarray:
-        """Per-step contraction ``d_{n+1} / d_n``, NaN where z* is unknown or ``d_n = 0``."""
+        """Per-step contraction ``d_{n+1} / d_n``, NaN where z* is unknown or
+        ``d_n = 0``, and where both are inf (a solve that stopped ``nonfinite``)."""
         out = np.full(len(self.residuals), math.nan)
         if self.distances:
             d = np.asarray(self.distances)
-            np.divide(d[1:], d[:-1], out=out, where=d[:-1] > 0.0)
+            with np.errstate(invalid="ignore"):  # inf / inf is that NaN
+                np.divide(d[1:], d[:-1], out=out, where=d[:-1] > 0.0)
         return out

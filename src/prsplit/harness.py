@@ -205,6 +205,8 @@ def run_tight_check(
     at least ``sqrt(tiny)``, below which their squares are subnormal.  The
     solve stops at the float floor, so ``steps`` may be fewer than asked.
     """
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
     if reg.alpha <= 0.0 or reg.beta <= 0.0:
         raise ValueError("the tight pair needs alpha > 0 and beta > 0")
     f = QuadraticFunction(0.0, np.zeros(2), np.diag([reg.rho, 1.0 / reg.alpha]))

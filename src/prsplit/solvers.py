@@ -19,6 +19,16 @@ as much as the skip's own setup, so solves that short run as before.
 FISTA folds its step the same way: when the forward function has a constant
 ``hessian`` and the proxed one a ``resolvent``, its forward-backward step is
 one affine map ``y -> P y + p``, built once per solve.
+
+A splitting solve that records its trace reads every step, so it cannot skip;
+FISTA never skips.  Their affine steps (``T`` when recorded, ``P`` always) run
+in blocks of up to ``BLOCK`` iterates instead: the same products, written into
+one array, then the block's residuals and distances in one batched norm, and
+one array screen, :meth:`_Monitor.update_block`, that records a block in which
+no step can stop.  A block that may stop is replayed step by step through
+:meth:`_Monitor.update`.  Both judge by :meth:`_Monitor._verdict`, the one
+definition of the stop tests, so every count, status and bit is the
+step-at-a-time loop's.
 """
 
 from __future__ import annotations
@@ -53,6 +63,8 @@ DIVERGENCE_FACTOR = 10.0
 DIVERGENCE_STEPS = 50
 # ||T||_2 must sit this far below 1 for the skip-ahead, above the svd's rounding
 CONTRACTION_MARGIN = 1e-12
+# iterates per round of a blocked affine solve
+BLOCK = 32
 
 Stopping = Literal["fixed_point_distance", "normalized_error", "residual"]
 Affine = tuple[np.ndarray, np.ndarray]  # (A, b): the map v -> A v + b
@@ -86,6 +98,12 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(np.vdot(v, v))
 
 
+def _row_norms(V: np.ndarray) -> np.ndarray:
+    # _norm of each row, bit for bit: matmul takes a 1 x m by m x 1 product to
+    # the same BLAS ddot as np.vdot
+    return np.sqrt(np.matmul(V[:, None, :], V[:, :, None]).ravel())
+
+
 class _Monitor:
     """Shared stopping/trace bookkeeping for the fixed-point solvers."""
 
@@ -106,7 +124,36 @@ class _Monitor:
         if config.record_trace and z_star is not None:
             self.trace.distances.append(self.dist0)
         self._growth_run = 0
-        self._metric0: Optional[float] = None
+        # the growth test's baseline: ||z_0 - z*||, or the first residual
+        self._baseline = None if stopping == "residual" else self.dist0
+
+    def _verdict(
+        self, residual: float | np.ndarray, distance: float | np.ndarray | None
+    ) -> tuple:
+        """The stop tests of a step, on floats, or of a block's steps,
+        elementwise on arrays: ``(finite, converged, grows)``.
+
+        ``grows`` is a metric above ``DIVERGENCE_FACTOR`` times its baseline.
+        A norm is >= 0, so ``< inf`` is False at inf and NaN alike; NaN then
+        compares false in the other tests too.
+        """
+        finite = residual < math.inf
+        if distance is not None:
+            finite = finite & (distance < math.inf)
+        tol, baseline = self.config.tol, self._baseline
+        if self.stopping == "residual":
+            metric = residual
+            converged = residual <= tol
+        else:
+            metric = distance
+            if self.stopping == "fixed_point_distance":
+                converged = distance <= tol
+            elif baseline == 0.0:
+                converged = True
+            else:  # normalized_error
+                converged = distance / baseline < tol
+        grows = baseline > 0.0 and metric > DIVERGENCE_FACTOR * baseline
+        return finite, converged, grows
 
     def update(self, iteration: int, residual: float, z: np.ndarray) -> bool:
         """Record the iteration that produced ``z``; return True when the solve should stop."""
@@ -119,29 +166,16 @@ class _Monitor:
             self.trace.residuals.append(residual)
             if dist_next is not None:
                 self.trace.distances.append(dist_next)
-        # NaN compares false in every test below: it would never converge or diverge
-        if not math.isfinite(residual) or (
-            dist_next is not None and not math.isfinite(dist_next)
-        ):
+        if self._baseline is None:
+            self._baseline = residual
+        finite, converged, grows = self._verdict(residual, dist_next)
+        if not finite:
             self.trace.status = "nonfinite"
             return True
-        if self.stopping == "residual":
-            converged = residual <= self.config.tol
-            metric, metric0 = residual, None
-        elif self.stopping == "fixed_point_distance":
-            converged = dist_next <= self.config.tol
-            metric, metric0 = dist_next, self.dist0
-        else:  # normalized_error
-            if self.dist0 == 0.0:
-                converged = True
-            else:
-                converged = dist_next / self.dist0 < self.config.tol
-            metric, metric0 = dist_next, self.dist0
         if converged:
             self.trace.status = "converged"
             return True
-        baseline = metric0 if metric0 is not None else self._first_metric(metric)
-        if baseline > 0.0 and metric > DIVERGENCE_FACTOR * baseline:
+        if grows:
             self._growth_run += 1
             if self._growth_run >= DIVERGENCE_STEPS:
                 self.trace.status = "diverged"
@@ -150,10 +184,64 @@ class _Monitor:
             self._growth_run = 0
         return False
 
-    def _first_metric(self, metric: float) -> float:
-        if self._metric0 is None:
-            self._metric0 = metric
-        return self._metric0
+    def update_block(
+        self, iteration: int, residuals: np.ndarray, iterates: np.ndarray
+    ) -> Optional[int]:
+        """Record the steps ``iteration, iteration + 1, ...``, which produced
+        the rows of ``iterates``; return the row at which the solve stops, or
+        None.
+
+        When :meth:`_verdict` finds every row finite, unconverged and not
+        growing, no row can stop and each ends a growth run, so the block is
+        recorded at once.  Otherwise the rows are replayed through
+        :meth:`update`.
+        """
+        distances = None if self.z_star is None else _row_norms(iterates - self.z_star)
+        if self._baseline is None:
+            self._baseline = float(residuals[0])
+        finite, converged, grows = self._verdict(residuals, distances)
+        if (~finite | converged | grows).any():
+            for i, z in enumerate(iterates):
+                if self.update(iteration + i, float(residuals[i]), z):
+                    return i
+            return None
+        self.trace.iterations = iteration + len(residuals)
+        if self.config.record_trace:
+            self.trace.residuals.extend(residuals.tolist())
+            if distances is not None:
+                self.trace.distances.extend(distances.tolist())
+        self._growth_run = 0
+        return None
+
+
+def _step_blocks(
+    monitor: _Monitor,
+    max_iter: int,
+    buffers: tuple[np.ndarray, ...],
+    advance: Callable[[int], np.ndarray],
+) -> np.ndarray:
+    """Affine steps in rounds of up to ``BLOCK``; returns the terminal iterate.
+
+    ``buffers`` are ``(BLOCK + 1, m)`` arrays whose row 0 holds the state
+    before a round, the first of them the iterate the monitor judges.  ``advance(k)``
+    fills rows ``1 .. k`` of each, one step a row, and returns the k
+    residuals.  Steps past the row at which the monitor stops are discarded.
+
+    The rounds run with overflow and invalid ignored: a step that overflows
+    stops the solve with the status ``nonfinite``, which names the fault, and
+    no RuntimeWarning is raised for it or for the discarded steps after it.
+    """
+    iterates, n = buffers[0], 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while n < max_iter:
+            k = min(BLOCK, max_iter - n)
+            stop = monitor.update_block(n, advance(k), iterates[1 : k + 1])
+            if stop is not None:
+                return iterates[stop + 1].copy()
+            for buf in buffers:
+                buf[0] = buf[k]
+            n += k
+    return iterates[0].copy()
 
 
 def _forward_backward(
@@ -214,7 +302,9 @@ def _split(
     with ``s = lam*c0``, ``T = I + s (c0 A2 A1 - A2 - A1)`` and
     ``t = s (c0 A2 b1 + b2 - b1)``, built once per solve: one product per step
     in place of two proxes.  ``||d||`` is read back as ``||z_next - z|| / s``,
-    which it equals in exact arithmetic.
+    which it equals in exact arithmetic.  A recorded affine solve steps in
+    blocks (:func:`_step_blocks`): ``T.dot(z, out=row)`` then ``row += t``,
+    the same operations and bits as one step at a time.
 
     The affine loop skips ahead when the trace is off, the stopping rule is
     ``fixed_point_distance`` or ``normalized_error``, ``z`` is finite and not
@@ -257,24 +347,37 @@ def _split(
                 return z, True
         return z, False
 
-    taken = config.max_iter
-    if T is not None and not config.record_trace and monitor.stopping != "residual":
-        taken = min(b1.size, taken)
-    z, stopped = steps(z, 0, taken)
-    d0 = monitor.dist0
-    if (
-        not stopped
-        and taken < config.max_iter
-        and 0.0 < d0 < math.inf
-        and np.isfinite(T).all()
-        and np.linalg.svd(T, compute_uv=False)[0] < 1.0 - CONTRACTION_MARGIN
-    ):
-        bound = config.tol * (d0 if monitor.stopping == "normalized_error" else 1.0)
-        skipped, e = _power_descent(T, z - z_star, bound, config.max_iter - 1 - taken)
-        if skipped:
-            z, taken = z_star + e, taken + skipped
-    if not stopped:
-        z, _ = steps(z, taken, config.max_iter)
+    if T is not None and config.record_trace:
+        Z = np.empty((BLOCK + 1, z.size))
+        Z[0] = z
+        zs = list(Z)  # views made once: indexing Z in the loop costs about a dot
+
+        def advance(k: int) -> np.ndarray:
+            for z_prev, z_next in zip(zs, zs[1 : k + 1]):
+                T.dot(z_prev, out=z_next)
+                z_next += t
+            return _row_norms(Z[1 : k + 1] - Z[:k]) / s
+
+        z = _step_blocks(monitor, config.max_iter, (Z,), advance)
+    else:
+        taken = config.max_iter
+        if T is not None and monitor.stopping != "residual":
+            taken = min(b1.size, taken)
+        z, stopped = steps(z, 0, taken)
+        d0 = monitor.dist0
+        if (
+            not stopped
+            and taken < config.max_iter
+            and 0.0 < d0 < math.inf
+            and np.isfinite(T).all()
+            and np.linalg.svd(T, compute_uv=False)[0] < 1.0 - CONTRACTION_MARGIN
+        ):
+            bound = config.tol * (d0 if monitor.stopping == "normalized_error" else 1.0)
+            skipped, e = _power_descent(T, z - z_star, bound, config.max_iter - 1 - taken)
+            if skipped:
+                z, taken = z_star + e, taken + skipped
+        if not stopped:
+            z, _ = steps(z, taken, config.max_iter)
     # the solution estimate belongs to the terminal z, not the previous one
     if monitor.trace.status != "nonfinite":
         return first(z), z, monitor.trace
@@ -368,7 +471,9 @@ def fista_solve(
     ``y -> P y + p`` of :func:`_forward_backward`, built once per solve by one
     m x m product: each step is then one matrix-vector product in place of a
     gradient, a prox and their vector work, with the same iterates up to the
-    last bits.  Otherwise each step calls both oracles.
+    last bits.  Otherwise each step calls both oracles.  The affine step runs
+    in blocks (:func:`_step_blocks`), with the same operations and bits as
+    one step at a time.
 
     Like every solver here, it stops at the first iterate whose metric is
     within ``tol``.  The distance tail is not monotone either: it can hover
@@ -397,13 +502,25 @@ def fista_solve(
     x = problem.f.zero_point()
     monitor = _Monitor(config, x, problem.solution_oracle)
     P, p = _forward_backward(smooth, proxed, gamma) or (None, None)
+    if P is not None:
+        X, Y = np.empty((2, BLOCK + 1, x.size))
+        X[0] = Y[0] = x
+        xs, ys = list(X), list(Y)
+
+        def advance(k: int) -> np.ndarray:
+            for x_prev, y, x_next, y_next in zip(xs, ys, xs[1 : k + 1], ys[1 : k + 1]):
+                P.dot(y, out=x_next)
+                x_next += p
+                # y_next = x_next + momentum (x_next - x_prev), in place
+                np.subtract(x_next, x_prev, out=y_next)
+                y_next *= momentum
+                y_next += x_next
+            return _row_norms(X[1 : k + 1] - Y[:k])
+
+        return _step_blocks(monitor, config.max_iter, (X, Y), advance), monitor.trace
     y = x
     for n in range(config.max_iter):
-        if P is None:
-            x_next = proxed.prox(gamma, y - gamma * smooth.gradient(y))
-        else:
-            x_next = P.dot(y)
-            x_next += p
+        x_next = proxed.prox(gamma, y - gamma * smooth.gradient(y))
         residual = _norm(x_next - y)
         y = x_next + momentum * (x_next - x)
         x = x_next

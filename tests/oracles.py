@@ -2,7 +2,8 @@
 
 The conjugate-shift closed forms, the regularity transfer, the shifted-prox
 identities and solution recovery, prox sanity checks, a brute-force rate
-search, the classical PRS rate and a trace reader.
+search, the classical PRS rate, a trace reader, and the recorded affine
+solves stepped one iterate at a time.
 """
 
 from __future__ import annotations
@@ -19,11 +20,14 @@ from prsplit.core import (
     LeverageParams,
     ProxFunction,
     RegularityParams,
+    SolveTrace,
+    fixed_point_oracle,
     validate_regularity,
 )
 from prsplit.errors import NotStronglyRegular, SplittingError
 from prsplit.leverage import QuadraticFunction
 from prsplit.rates import _factor
+from prsplit.solvers import SolverConfig, _forward_backward, _Monitor, _norm
 
 
 class StepDomain(SplittingError):
@@ -331,3 +335,66 @@ def read_trace(path) -> tuple[str, np.ndarray, np.ndarray, np.ndarray]:
         np.array([float(c) if c else math.nan for c in column]) for column in cells
     )
     return status, residuals, dists, ratios
+
+
+def stepwise_affine_split(
+    problem: CompositeProblem,
+    lp: LeverageParams,
+    config: SolverConfig,
+    z0: np.ndarray,
+    z_star=None,
+    lam: float = 1.0,
+) -> tuple[np.ndarray, np.ndarray, SolveTrace]:
+    """``prs_lev_solve`` on a pair with two resolvents and the trace on, one
+    step ``z -> T z + t`` at a time, each judged by ``_Monitor.update``.
+
+    ``T`` and ``t`` are built by the solver's own expressions, so the two
+    agree bit for bit; only the stepping differs.
+    """
+    t, e, sf, sg = lp.tau, lp.eta, lp.f_scale, lp.g_scale
+    gamma_f = (t + e) / sf
+    (M_f, b1), (M_g, b2) = problem.f.resolvent(gamma_f), problem.g.resolvent((t - e) / sg)
+    A1, A2 = M_f / np.asarray(sf), np.asarray((t - e) / ((t + e) * sg)) * M_g
+    c0 = 2.0 * t / (t - e)
+    s = lam * c0
+    T = np.eye(b1.size) + s * (c0 * (A2 @ A1) - A2 - A1)
+    shift = s * (c0 * A2.dot(b1) + b2 - b1)
+    if z_star is not None:
+        z_star = np.asarray(z_star, dtype=float)
+    elif problem.solution_oracle is not None and problem.f.gradient is not None:
+        z_star = fixed_point_oracle(problem, lp)
+    z = np.asarray(z0, dtype=float)
+    monitor = _Monitor(config, z, z_star)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(config.max_iter):
+            z_prev, z = z, T.dot(z) + shift
+            if monitor.update(n, _norm(z - z_prev) / s, z):
+                break
+        return problem.f.prox(gamma_f, z / sf), z, monitor.trace
+
+
+def stepwise_affine_fista(
+    problem: CompositeProblem, mode: str, config: SolverConfig
+) -> tuple[np.ndarray, SolveTrace]:
+    """``fista_solve`` on a pair whose step is affine, with the trace on, one
+    step ``x = P y + p`` at a time, each judged by ``_Monitor.update``."""
+    reg = problem.regularity
+    if mode == "forward_on_f":
+        smooth, proxed, gamma = problem.f, problem.g, reg.alpha
+    else:
+        smooth, proxed, gamma = problem.g, problem.f, reg.beta
+    q = min(gamma * (reg.rho + reg.mu), 1.0)
+    momentum = np.asarray((1.0 - math.sqrt(q)) / (1.0 + math.sqrt(q)))
+    P, p = _forward_backward(smooth, proxed, gamma)
+    x = y = problem.f.zero_point()
+    monitor = _Monitor(config, x, problem.solution_oracle)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(config.max_iter):
+            x_next = P.dot(y)
+            x_next += p
+            residual = _norm(x_next - y)
+            y = x_next + momentum * (x_next - x)
+            x = x_next
+            if monitor.update(n, residual, x):
+                break
+    return x, monitor.trace

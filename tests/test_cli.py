@@ -142,6 +142,27 @@ def test_solve_other_methods(tmp_path, rng, method):
     assert code == 0
 
 
+@pytest.mark.parametrize("method", ["prs_lev", "prs", "drs", "fista1", "fista2"])
+def test_a_solve_that_overflows_is_named_by_its_status_alone(tmp_path, capsys, method):
+    # data near 1e300: the squares in the first step's norms overflow, so the
+    # recorded solve stops nonfinite, and no RuntimeWarning reaches stderr
+    r = np.random.default_rng(3)
+    pf = tmp_path / "huge.json"
+    pf.write_text(json.dumps({
+        "A": (0.5 * r.random((12, 8))).tolist(), "a": (1e300 * r.standard_normal(12)).tolist(),
+        "B": (0.5 * r.random((12, 8))).tolist(), "b": (1e300 * r.standard_normal(12)).tolist(),
+    }))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["solve", "--problem-file", str(pf), "--method", method, "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    assert "status: nonfinite after 1 iterations" in out
+    status, residuals, dists, ratios = read_trace(tmp_path / "trace.csv")
+    assert status == "nonfinite" and len(residuals) == 1
+    assert math.isinf(dists[0]) and math.isnan(ratios[0])
+
+
 def test_solve_missing_matrix_rejected(tmp_path, capsys):
     pf = tmp_path / "bad.json"
     pf.write_text(json.dumps({"A": [[1.0]]}))
@@ -157,6 +178,8 @@ def test_solve_non_object_file_rejected(tmp_path, capsys, text):
     assert main(["solve", "--problem-file", str(pf), "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == "prsplit: error: problem file must hold a JSON object\n"
 
+
+TIGHT_MODULI = ["--rho", "1", "--alpha", "0.25", "--mu", "0", "--beta", "1"]
 
 BAD_INPUT = [  # (id, command, JSON (dict or text), PGM bytes or flags, message; {path} the file)
     ("nan-in-A", "solve", {"A": [[1.0, math.nan]], "B": [[1.0, 0.0]]},
@@ -178,6 +201,9 @@ BAD_INPUT = [  # (id, command, JSON (dict or text), PGM bytes or flags, message;
     ("json-syntax", "solve", '{"A": [[1.0]]\n"B": [[1.0]]}',
      "problem file: Expecting ',' delimiter: line 2 column 1 (char 14)"),
     ("seed-negative", "bench-academic", ["--seed", "-1"], "seed must be >= 0, got -1"),
+    ("steps-zero", "tight-check", [*TIGHT_MODULI, "--steps", "0"], "steps must be >= 1, got 0"),
+    ("steps-negative", "tight-check", [*TIGHT_MODULI, "--steps", "-3"],
+     "steps must be >= 1, got -3"),
     ("pgm-comment-to-end", "restore", b"P5 # no newline", "{path}: truncated PGM header"),
     ("pgm-width", "restore", b"P5\nx 4\n255\n",
      "{path}: PGM width, height and maxval must be unsigned integers"),
@@ -198,7 +224,9 @@ def test_bad_input_is_named_in_one_line(tmp_path, capsys, command, given, messag
         argv = ["restore", "--image", str(path)]
     else:
         argv = [command, *given]
-    assert main([*argv, "--out", str(tmp_path)]) == 2
+    if command != "tight-check":  # the one command here that writes no file
+        argv += ["--out", str(tmp_path)]
+    assert main(argv) == 2
     assert capsys.readouterr().err == f"prsplit: error: {message.replace('{path}', str(path))}\n"
 
 

@@ -28,7 +28,12 @@ from prsplit.solvers import (
 )
 
 from conftest import interior_delta, sample_regularity
-from oracles import ShiftedProxSpec, shifted_reflect
+from oracles import (
+    ShiftedProxSpec,
+    shifted_reflect,
+    stepwise_affine_fista,
+    stepwise_affine_split,
+)
 
 TIGHT_REG = RegularityParams(rho=1.0, alpha=0.25, mu=0.0, beta=1.0)
 
@@ -725,3 +730,225 @@ class TestFista:
         k = len(dists) // 2
         observed = (dists[-1] / dists[k]) ** (1.0 / (len(dists) - 1 - k))
         assert observed >= optimal_rate(reg)
+
+
+STOPPING_RULES = ["residual", "fixed_point_distance", "normalized_error"]
+
+
+def fake_affine_problem(k, c):
+    """Affine oracles that no convex pair has, for a step that may expand: f's
+    prox ``x -> K x + c`` with ``K = diag(k)`` and hessian ``I - K``, g's
+    ``x -> x + c`` with hessian 0, and gradients ``G x + c``."""
+    m, K = len(k), np.diag(k)
+
+    def fake(M, G):
+        return ProxFunction(
+            prox=lambda gamma, x: M.dot(x) + c, dimension=m, resolvent=lambda gamma: (M, c),
+            gradient=lambda x: G.dot(x) + c, hessian=G,
+        )
+
+    return CompositeProblem(
+        f=fake(K, np.eye(m) - K), g=fake(np.eye(m), np.zeros((m, m))),
+        regularity=RegularityParams(1.0, 0.5, 1.0, 0.5), solution_oracle=-np.ones(m),
+    )
+
+
+class TestBlockedSteps:
+    """An affine solve steps in blocks of ``BLOCK`` iterates (FISTA always, the
+    splitting loop when it records its trace), and must stop where the
+    step-at-a-time loop stops, with its status, count, bits and trace,
+    wherever in a block that is."""
+
+    @pytest.mark.parametrize("size", [1, 2, 20, 100, 4096])
+    def test_row_norms_are_norm_bit_for_bit(self, rng, size):
+        rows = rng.standard_normal((10, size))
+        rows[1] *= 1e-160  # squares in the subnormal range
+        rows[2] *= 1e-310  # subnormal entries
+        rows[3] *= 1e200  # squares that overflow
+        rows[4, 0] = 1e200
+        rows[5, -1] = math.inf
+        rows[6, 0] = -math.inf
+        rows[7, size // 2] = math.nan
+        rows[8] = 0.0
+        # the solver takes them with overflow and invalid ignored
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = solvers._row_norms(rows)
+        assert got.tobytes() == np.array([solvers._norm(v) for v in rows]).tobytes()
+
+    @pytest.mark.parametrize("stopping", STOPPING_RULES)
+    @pytest.mark.parametrize("baseline", [0.0, 1.0, math.inf, math.nan])
+    def test_verdict_of_a_block_is_the_verdict_of_each_step(self, stopping, baseline):
+        # update_block screens a block with the tests that update applies to
+        # one step: on arrays, _verdict must answer what it answers per float
+        config = SolverConfig(tol=1e-10, stopping=stopping)
+        monitor = _Monitor(config, np.full(1, baseline), np.zeros(1))
+        monitor._baseline = baseline  # the residual rule's, set by the first step
+        values = [0.0, 1e-10, 1.0000000000000002e-10, 1.0, 10.0, 10.000000000000002,
+                  20.0, 1e308, math.inf, math.nan]
+        residuals, distances = (a.ravel() for a in np.meshgrid(values, values))
+        with np.errstate(invalid="ignore"):  # inf / inf, which a float divides to NaN
+            block = [np.broadcast_to(v, residuals.shape)
+                     for v in monitor._verdict(residuals, distances)]
+        for i, (r, d) in enumerate(zip(residuals.tolist(), distances.tolist())):
+            assert tuple(bool(v[i]) for v in block) == monitor._verdict(r, d), (r, d)
+
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("stopping", STOPPING_RULES)
+    def test_update_block_records_what_update_records(self, stopping, record):
+        # synthetic metrics (residual and distance alike, baseline 1) fed in
+        # blocks of 32 to update_block and row by row to update
+        metric = np.ones(200)
+        restart = metric.copy()  # growth runs of 44 and 10 steps, a block of rest between
+        restart[20:64] = restart[96:106] = 20.0
+        late = 1.05 ** np.arange(200.0)  # under 10x within any one block
+        converges = metric.copy()
+        converges[70] = 1e-12
+        overflowed = metric.copy()
+        overflowed[40] = math.inf  # a residual that overflowed beside a finite distance
+        cases = {  # (residuals, distances, the stepped loop's status and count)
+            "restart": (restart, restart, "max_iter", 200),
+            "late": (late, late, "diverged", 98),
+            "converges": (converges, converges, "converged", 71),
+            "inf-residual": (overflowed, metric, "nonfinite", 41),
+        }
+        config = SolverConfig(max_iter=200, tol=1e-10, stopping=stopping, record_trace=record)
+        block = solvers.BLOCK
+        for name, (residuals, distances, status, count) in cases.items():
+            iterates = distances[:, None]
+            blocked, stepped = (_Monitor(config, np.ones(1), np.zeros(1)) for _ in range(2))
+            for n in range(0, 200, block):
+                stop = blocked.update_block(n, residuals[n : n + block], iterates[n : n + block])
+                if stop is not None:
+                    break
+            for n in range(200):
+                if stepped.update(n, float(residuals[n]), iterates[n]):
+                    break
+            got, want = blocked.trace, stepped.trace
+            assert (want.status, want.iterations) == (status, count), name
+            assert (got.status, got.iterations) == (status, count), name
+            assert got.residuals == want.residuals and got.distances == want.distances
+            assert len(got.residuals) == (count if record else 0)
+
+    @staticmethod
+    def solves(rng, problem, z0, record=True):
+        """Each blocked affine solve of ``problem`` and its stepwise reference,
+        both as functions of the config.  Unrecorded, only FISTA steps in
+        blocks: the splitting loop skips ahead instead."""
+        reg = problem.regularity
+        leveraged = optimal_params(reg, interior_delta(rng, reg))
+        pairs = {}
+        for name, lp, lam in (("leveraged", leveraged, 1.0), ("classical", classical(0.8), 1.0),
+                              ("drs", classical(0.8), 0.5)):
+            if record:
+                pairs[name] = (partial(prs_lev_solve, problem, lp, z0=z0, lam=lam),
+                               partial(stepwise_affine_split, problem, lp, z0=z0, lam=lam))
+        for mode in ("forward_on_f", "forward_on_g"):
+            pairs[mode] = (partial(fista_solve, problem, mode),
+                           partial(stepwise_affine_fista, problem, mode))
+        return pairs
+
+    @staticmethod
+    def agree(config, solve, reference):
+        """The blocked solve's trace, once it matches the reference in every bit."""
+        *arrays, trace = solve(config)
+        *ref_arrays, ref = reference(config)
+        assert (trace.status, trace.iterations) == (ref.status, ref.iterations)
+        for a, b in zip(arrays, ref_arrays):
+            assert a.tobytes() == b.tobytes()
+        for column, ref_column in ((trace.residuals, ref.residuals),
+                                   (trace.distances, ref.distances)):
+            assert all(type(v) is float for v in column)
+            assert np.array(column).tobytes() == np.array(ref_column).tobytes()
+        assert len(trace.residuals) == (trace.iterations if config.record_trace else 0)
+        return trace
+
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("stopping", STOPPING_RULES)
+    def test_every_max_iter_around_a_block_edge(self, rng, stopping, record):
+        problem = random_instance(rng, m=7)
+        z0 = rng.standard_normal(7)
+        for name, (solve, reference) in self.solves(rng, problem, z0, record).items():
+            for max_iter in (1, 31, 32, 33, 64, 65):
+                config = SolverConfig(max_iter=max_iter, tol=1e-300, stopping=stopping,
+                                      record_trace=record)
+                trace = self.agree(config, solve, reference)
+                assert (trace.status, trace.iterations) == ("max_iter", max_iter), name
+
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("stopping", STOPPING_RULES)
+    def test_a_converged_stop_inside_a_block(self, rng, stopping, record):
+        # a tol just below every metric of the first block and the first step
+        # after it stops the solve inside the second block
+        block = solvers.BLOCK
+        problem = random_instance(rng, m=7)
+        z0 = rng.standard_normal(7)
+        for name, (solve, reference) in self.solves(rng, problem, z0, record).items():
+            full = reference(SolverConfig(max_iter=2 * block, tol=1e-300, stopping=stopping))[-1]
+            d = np.array(full.distances)
+            metric = {"residual": np.array(full.residuals), "fixed_point_distance": d[1:],
+                      "normalized_error": d[1:] / d[0]}[stopping]
+            tol = metric[: block + 1].min() * (1 - 1e-9)
+            config = SolverConfig(max_iter=1000, tol=tol, stopping=stopping, record_trace=record)
+            trace = self.agree(config, solve, reference)
+            assert trace.status == "converged", name
+            assert block + 1 < trace.iterations < 2 * block, name
+
+    @pytest.mark.parametrize("stopping", STOPPING_RULES)
+    @pytest.mark.parametrize("poison", [math.nan, math.inf])
+    def test_a_nonfinite_start_stops_at_once(self, rng, stopping, poison):
+        problem = random_instance(rng, m=7)
+        z0 = rng.standard_normal(7)
+        z0[3] = poison
+        config = SolverConfig(max_iter=100, stopping=stopping)
+        for name, (solve, reference) in self.solves(rng, problem, z0).items():
+            if name.startswith("forward"):
+                continue  # FISTA starts from the origin
+            trace = self.agree(config, solve, reference)
+            assert (trace.status, trace.iterations) == ("nonfinite", 1), name
+
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("stopping", STOPPING_RULES)
+    def test_a_nonfinite_offset_stops_at_once(self, rng, stopping, record):
+        problem = fake_affine_problem(np.full(5, 3.0), np.full(5, math.nan))
+        config = SolverConfig(max_iter=100, stopping=stopping, record_trace=record)
+        for name, (solve, reference) in self.solves(rng, problem, np.ones(5), record).items():
+            trace = self.agree(config, solve, reference)
+            assert (trace.status, trace.iterations) == ("nonfinite", 1), name
+
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("stopping", STOPPING_RULES)
+    def test_an_overflow_inside_a_block_stops_nonfinite(self, rng, stopping, record):
+        # a step that multiplies by about 1e30 overflows within the first block;
+        # the steps computed past it are discarded, and the status alone names
+        # the fault: the suite turns a RuntimeWarning into a failure
+        problem = fake_affine_problem(np.full(5, 1e30), np.ones(5))
+        config = SolverConfig(max_iter=100, stopping=stopping, record_trace=record)
+        for name, (solve, reference) in self.solves(rng, problem, np.ones(5), record).items():
+            trace = self.agree(config, solve, reference)
+            assert trace.status == "nonfinite", name
+            assert 1 < trace.iterations < solvers.BLOCK
+
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("stopping", STOPPING_RULES)
+    def test_an_expansive_map_diverges_across_blocks(self, rng, stopping, record):
+        # DIVERGENCE_STEPS growth steps in a row name the fault, more than a
+        # block holds, so the growth run crosses a block edge
+        problem = fake_affine_problem(np.full(5, 3.0), np.ones(5))
+        config = SolverConfig(max_iter=1000, stopping=stopping, record_trace=record)
+        for name, (solve, reference) in self.solves(rng, problem, np.ones(5), record).items():
+            trace = self.agree(config, solve, reference)
+            assert trace.status == "diverged", name
+            assert solvers.BLOCK < solvers.DIVERGENCE_STEPS <= trace.iterations < 2 * solvers.BLOCK
+
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("stopping", STOPPING_RULES)
+    def test_a_late_growth_is_judged_against_the_first_step(self, rng, stopping, record):
+        # one coordinate contracts and one grows from 1e-6: whole blocks pass
+        # the screen before the growth shows, and the growth is still measured
+        # against the first step's metric
+        problem = fake_affine_problem(np.array([0.55, 1.2]), np.array([1.0, 1e-6]))
+        config = SolverConfig(max_iter=1000, stopping=stopping, record_trace=record)
+        for name, (solve, reference) in self.solves(rng, problem, np.array([1.0, 0.0]), record).items():
+            trace = self.agree(config, solve, reference)
+            assert trace.status == "diverged", name
+            assert trace.iterations > solvers.BLOCK + solvers.DIVERGENCE_STEPS
