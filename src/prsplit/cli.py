@@ -296,9 +296,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# integer flags checked here, so that the message names the flag, not the
+# library parameter it sets (grid_size, repetitions, SolverConfig.max_iter)
+_FLAG_MINIMUM = {"grid": 2, "reps": 1, "max_iter": 1}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for dest, low in _FLAG_MINIMUM.items():
+            value = getattr(args, dest, low)
+            if value < low:
+                raise ValueError(f"--{dest.replace('_', '-')} must be >= {low}, got {value}")
         return args.func(args)
     except (ValueError, OSError) as exc:  # SplittingError is a ValueError
         print(f"prsplit: error: {exc}", file=sys.stderr)

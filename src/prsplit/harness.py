@@ -37,7 +37,7 @@ from .rates import (
     optimal_params,
     optimal_rate,
 )
-from .solvers import SolverConfig, fista_solve, prs_lev_solve
+from .solvers import Recording, SolverConfig, fista_solve, prs_lev_solve
 
 __all__ = [
     "SOLVE_METHODS",
@@ -80,6 +80,7 @@ def solve_method(
     z0: Optional[np.ndarray] = None,
     delta: Optional[float] = None,
     tau: Optional[float] = None,
+    recording: Optional[Recording] = None,
 ) -> tuple[np.ndarray, Optional[np.ndarray], SolveTrace]:
     """Solve by ``method``, tuned by its closed form; ``(x, z, trace)`` with ``z = None`` for FISTA.
 
@@ -90,8 +91,9 @@ def solve_method(
     and ``prs2`` on g's, ``drs`` its tuned step and relaxation, unless
     ``tau`` is given: all four are one ``prs_lev_solve`` call, the classical
     ones at ``LeverageParams(0, 0, tau)``.  ``fista1``/``fista2`` step forward
-    on f/g from the origin; ``z0`` starts the splitting methods.  A ``delta``
-    or ``tau`` the method does not take, or an unknown name, raises
+    on f/g from the origin; ``z0`` starts the splitting methods, and
+    ``recording`` goes to their ``prs_lev_solve`` call.  A ``delta``, ``tau``
+    or ``recording`` the method does not take, or an unknown name, raises
     ``ValueError``; moduli a classical tuning cannot use raise
     :class:`~prsplit.errors.NotStronglyRegular`.
     """
@@ -101,6 +103,8 @@ def solve_method(
     if tau is not None and method in ("prs_lev", "fista1", "fista2"):
         raise ValueError(f"method {method!r} takes no tau")
     if method in ("fista1", "fista2"):
+        if recording is not None:
+            raise ValueError(f"method {method!r} takes no recording")
         mode = "forward_on_f" if method == "fista1" else "forward_on_g"
         x, trace = fista_solve(problem, mode, config)
         return x, None, trace
@@ -118,7 +122,7 @@ def solve_method(
         lp = LeverageParams(0.0, 0.0, tau)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return prs_lev_solve(problem, lp, config, z0, lam=lam)
+    return prs_lev_solve(problem, lp, config, z0, lam=lam, recording=recording)
 
 
 # --- random least-squares instances (academic benchmark) ---------------------------
@@ -419,6 +423,14 @@ def run_restoration_demo(
     weight lambda.  Invalid parameters raise ``ValueError`` naming the
     parameter before any array is built, and a ``level`` too deep for the
     image raises before any solve.
+
+    The ``prs_lev`` run starts where the reference did, with the same
+    parameters, so its iterates are the reference's.  When ``prs_lev`` is
+    among ``methods``, the reference solve records its first ``max_iter``
+    iterates (a :class:`~prsplit.solvers.Recording`, ``8 N`` bytes per step
+    for an image of N pixels), and the ``prs_lev`` run replays them instead
+    of computing them again, with the same bits, count and status; the
+    recording is dropped after that run.
     """
     if image is None and not side >= 2:
         raise ValueError(f"side must be at least 2, got {side}")
@@ -458,12 +470,17 @@ def run_restoration_demo(
         regularity=reg,
     )
 
-    reference, _, reference_trace = _restoration_reference(problem)
+    recording = Recording(max_iter) if "prs_lev" in methods else None
+    reference, _, reference_trace = _restoration_reference(problem, recording)
     problem = replace(problem, solution_oracle=reference)
 
     runs: dict[str, MethodRun] = {}
     for name in methods:
-        x, _, trace = solve_method(problem, name, config)
+        if name == "prs_lev":
+            x, _, trace = solve_method(problem, name, config, recording=recording)
+            recording = None  # freed before the other methods run
+        else:
+            x, _, trace = solve_method(problem, name, config)
         # the curve of z_0 ... z_{N-1}: one row per step
         dists = np.array(trace.distances[:-1])
         d0 = dists[0] if len(dists) and dists[0] > 0 else 1.0
@@ -481,8 +498,11 @@ def run_restoration_demo(
     return report
 
 
-def _restoration_reference(problem: CompositeProblem) -> tuple[np.ndarray, np.ndarray, SolveTrace]:
-    """``(x, z, trace)`` of the shared minimizer's ``prs_lev`` solve, far past stopping precision.
+def _restoration_reference(
+    problem: CompositeProblem, recording: Optional[Recording] = None
+) -> tuple[np.ndarray, np.ndarray, SolveTrace]:
+    """``(x, z, trace)`` of the shared minimizer's ``prs_lev`` solve, far past
+    stopping precision, recorded into ``recording`` when one is given.
 
     The residual tolerance is 1e-13 up to N = 64 x 64 pixels and grows as
     ``sqrt(N)`` beyond, as the roundoff floor of an N-term sum does (Higham,
@@ -492,7 +512,7 @@ def _restoration_reference(problem: CompositeProblem) -> tuple[np.ndarray, np.nd
     """
     tol = 1e-13 * max(1.0, math.sqrt(problem.f.dimension) / 64.0)
     config = SolverConfig(max_iter=5000, tol=tol, stopping="residual")
-    return solve_method(problem, "prs_lev", config)
+    return solve_method(problem, "prs_lev", config, recording=recording)
 
 
 def _write_restoration_outputs(report: RestorationReport, out_dir) -> None:

@@ -51,6 +51,7 @@ from .errors import NotSmooth, TauTooSmall
 
 __all__ = [
     "SolverConfig",
+    "Recording",
     "prs_lev_solve",
     "prs_classic_solve",
     "drs_solve",
@@ -91,6 +92,37 @@ class SolverConfig:
             raise ValueError("tol must be positive")
         if self.stopping not in (None, "fixed_point_distance", "normalized_error", "residual"):
             raise ValueError(f"unknown stopping rule {self.stopping!r}")
+
+
+class Recording:
+    """The iterates ``z_1, z_2, ...`` of one oracle-path splitting solve, each
+    with the residual ``||d||`` of the step that made it.
+
+    Given to :func:`prs_lev_solve` empty, it records that solve, at most its
+    first ``limit`` steps; given again, filled, it is replayed by a solve from
+    the same f, g, parameters, relaxation and z0, and any other solve raises
+    ``ValueError``.  It holds the loop's own arrays, not copies: ``8 N`` bytes
+    per step for z of size N.
+    """
+
+    def __init__(self, limit: float = math.inf):
+        self.limit = limit
+        self.source: Optional[tuple] = None  # f, g, lp, lam and z0 of the recorded solve
+        self.residuals: list[float] = []
+        self.iterates: list[np.ndarray] = []
+
+    def _bind(self, f, g, lp: LeverageParams, lam: float, z0: np.ndarray) -> bool:
+        """Tie an empty recording to a solve's inputs and return True (record),
+        or check a filled one's and return False (replay)."""
+        source = (f, g, (lp, lam, z0.shape, z0.tobytes()))
+        if self.source is None:
+            self.source = source
+            return True
+        f_, g_, values = self.source
+        if f is not f_ or g is not g_ or source[2] != values:
+            raise ValueError("the recording was made by a solve from another f, g, "
+                             "LeverageParams, relaxation or z0")
+        return False
 
 
 def _norm(v: np.ndarray) -> float:
@@ -294,6 +326,8 @@ def _split(
     z: np.ndarray,
     z_star: Optional[np.ndarray],
     maps: Optional[tuple[Affine, Affine]] = None,
+    record: Optional[Recording] = None,
+    replay: Optional[Recording] = None,
 ) -> tuple[np.ndarray, np.ndarray, SolveTrace]:
     """The one splitting loop; returns ``(first(z_final), z_final, trace)``.
 
@@ -318,6 +352,11 @@ def _split(
     of the final iterate move.  The gate and each squaring cost about ``m^3``
     and a step about ``m^2`` for ``z`` of size m, so the loop first takes m
     ordinary steps: a solve that stops within them runs as if nothing skipped.
+
+    Without ``maps``, each step appends its ``z`` and ``||d||`` to ``record``,
+    up to its ``limit``.  ``replay`` feeds its recorded steps, at most
+    ``max_iter``, to the monitor in place of the first steps, and the loop
+    steps on from the last of them if the monitor has not stopped.
     """
     monitor = _Monitor(config, z, z_star)
     needs_residual = monitor.needs_residual
@@ -340,6 +379,9 @@ def _split(
                 d = second(c0 * x - z) - x
                 z = z + step * d
                 residual = _norm(d) if needs_residual else 0.0
+                if record is not None and n < record.limit:
+                    record.residuals.append(_norm(d))
+                    record.iterates.append(z)
             else:
                 z_prev, z = z, T.dot(z) + t
                 residual = _norm(z - z_prev) / s if needs_residual else 0.0
@@ -347,7 +389,17 @@ def _split(
                 return z, True
         return z, False
 
-    if T is not None and config.record_trace:
+    if T is None:
+        done, stopped = 0, False
+        if replay is not None:
+            for residual, z in zip(replay.residuals[: config.max_iter], replay.iterates):
+                stopped = monitor.update(done, residual if needs_residual else 0.0, z)
+                done += 1
+                if stopped:
+                    break
+        if not stopped:
+            z, _ = steps(z, done, config.max_iter)
+    elif config.record_trace:
         Z = np.empty((BLOCK + 1, z.size))
         Z[0] = z
         zs = list(Z)  # views made once: indexing Z in the loop costs about a dot
@@ -361,7 +413,7 @@ def _split(
         z = _step_blocks(monitor, config.max_iter, (Z,), advance)
     else:
         taken = config.max_iter
-        if T is not None and monitor.stopping != "residual":
+        if monitor.stopping != "residual":
             taken = min(b1.size, taken)
         z, stopped = steps(z, 0, taken)
         d0 = monitor.dist0
@@ -393,6 +445,7 @@ def prs_lev_solve(
     z0: Optional[np.ndarray] = None,
     z_star: Optional[np.ndarray] = None,
     lam: float = 1.0,
+    recording: Optional[Recording] = None,
 ) -> tuple[np.ndarray, np.ndarray, SolveTrace]:
     """Run the leveraged recurrence; returns ``(x_final, z_final, trace)``.
 
@@ -408,6 +461,15 @@ def prs_lev_solve(
     are checked always, the leveraged hypotheses only for a nonzero ``delta``
     or ``eta``, so classical PRS runs on any moduli.  z* is ``z_star``, else
     the fixed point of the problem's minimizer, if it has one and grad f.
+
+    ``recording`` is for a pair whose proxes are called step by step (f or g
+    without a ``resolvent``; any other pair raises ``ValueError``).  An empty
+    :class:`Recording` records this solve's iterates, at ``8 N`` bytes each
+    for z of size N.  A filled one, made from the same f, g, ``lp``, ``lam``
+    and z0, is replayed: its steps are judged by this solve's ``config`` and
+    z* as if they were computed again, so the result is bit for bit the one
+    a fresh solve returns, and the solve steps on past them if they do not
+    stop it.  A recording made from other inputs raises ``ValueError``.
     """
     t, e = lp.tau, lp.eta
     if lp.delta != 0.0 or e != 0.0:
@@ -437,7 +499,15 @@ def prs_lev_solve(
         z_star = np.asarray(z_star, dtype=float)
     elif problem.solution_oracle is not None and problem.f.gradient is not None:
         z_star = fixed_point_oracle(problem, lp)
-    return _split(first, second, 2.0 * t / (t - e), lam, config, z, z_star, maps)
+    record = replay = None
+    if recording is not None:
+        if maps is not None:
+            raise ValueError("only a solve that calls the proxes step by step can be recorded")
+        if recording._bind(problem.f, problem.g, lp, lam, z):
+            record = recording
+        else:
+            replay = recording
+    return _split(first, second, 2.0 * t / (t - e), lam, config, z, z_star, maps, record, replay)
 
 
 # perfbench/tracing.py wraps these two names; they go once it no longer does

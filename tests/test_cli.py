@@ -181,7 +181,7 @@ def test_solve_non_object_file_rejected(tmp_path, capsys, text):
 
 TIGHT_MODULI = ["--rho", "1", "--alpha", "0.25", "--mu", "0", "--beta", "1"]
 
-BAD_INPUT = [  # (id, command, JSON (dict or text), PGM bytes or flags, message; {path} the file)
+BAD_INPUT = [  # (id, command, flags (a list), JSON (dict or text) or PGM bytes, message; {path} the file)
     ("nan-in-A", "solve", {"A": [[1.0, math.nan]], "B": [[1.0, 0.0]]},
      "problem file: matrix 'A' has a non-finite entry"),
     ("B-columns", "solve", {"A": [[1.0, 0.0]], "B": [[1.0]]},
@@ -209,6 +209,15 @@ BAD_INPUT = [  # (id, command, JSON (dict or text), PGM bytes or flags, message;
      "{path}: PGM width, height and maxval must be unsigned integers"),
     ("pgm-P2-body", "restore", b"P2\n2 2\n255\n1 2 a 4\n",
      "{path}: a P2 pixel value is not a number"),
+    # an integer flag out of range is named as the flag, not as the parameter it sets
+    ("grid-zero", "sweep-delta", [*TIGHT_MODULI, "--grid", "0"], "--grid must be >= 2, got 0"),
+    ("grid-one", "sweep-delta", [*TIGHT_MODULI, "--grid", "1"], "--grid must be >= 2, got 1"),
+    ("reps-zero", "bench-academic", ["--reps", "0"], "--reps must be >= 1, got 0"),
+    ("bench-max-iter-zero", "bench-academic", ["--max-iter", "0"],
+     "--max-iter must be >= 1, got 0"),
+    ("solve-max-iter-zero", "solve", ["--max-iter", "0"], "--max-iter must be >= 1, got 0"),
+    ("solve-max-iter-negative", "solve", ["--max-iter", "-2"], "--max-iter must be >= 1, got -2"),
+    ("restore-max-iter-zero", "restore", ["--max-iter", "0"], "--max-iter must be >= 1, got 0"),
 ]
 
 
@@ -216,15 +225,18 @@ BAD_INPUT = [  # (id, command, JSON (dict or text), PGM bytes or flags, message;
                          ids=[c[0] for c in BAD_INPUT])
 def test_bad_input_is_named_in_one_line(tmp_path, capsys, command, given, message):
     path = tmp_path / "bad"
-    if command == "solve":
+    if isinstance(given, list):
+        argv = [command, *given]
+        if command == "solve":  # a valid problem file, so that only the flag is bad
+            _write_problem(path, 0)
+            argv += ["--problem-file", str(path)]
+    elif command == "solve":
         path.write_text(given if isinstance(given, str) else json.dumps(given))
         argv = ["solve", "--problem-file", str(path)]
-    elif command == "restore":
+    else:
         path.write_bytes(given)
         argv = ["restore", "--image", str(path)]
-    else:
-        argv = [command, *given]
-    if command != "tight-check":  # the one command here that writes no file
+    if command not in ("tight-check", "sweep-delta"):  # the commands here that write no file
         argv += ["--out", str(tmp_path)]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"prsplit: error: {message.replace('{path}', str(path))}\n"
@@ -395,7 +407,9 @@ def test_restore_rejects_bad_input_in_one_line(tmp_path, capsys, flag, value):
     assert code == 2 and captured.out == ""
     err = captured.err
     assert err.startswith("prsplit: error: ") and err.count("\n") == 1
-    assert f" {flag[2:].replace('-', '_')} must be " in err
+    # the library names its parameter, and the CLI names --max-iter itself
+    name = flag if flag == "--max-iter" else flag[2:].replace("-", "_")
+    assert f" {name} must be " in err
     assert not (tmp_path / "observed.pgm").exists()
 
 

@@ -2,6 +2,7 @@
 
 import ast
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,7 +37,15 @@ from prsplit.rates import (
     optimal_params,
     optimal_rate,
 )
+from prsplit.proxlib import (
+    BlurOperator,
+    HaarTransform,
+    HuberFn,
+    OperatorLeastSquares,
+    gaussian_kernel,
+)
 from prsplit.solvers import (
+    Recording,
     SolverConfig,
     fista_solve,
     prs_lev_solve,
@@ -353,6 +362,143 @@ class TestRestoration:
         assert a.shape == (32, 32)
         assert a.min() >= 0.0 and a.max() <= 1.0
         assert not np.array_equal(a, synthetic_image(32, seed=4))
+
+
+def _count_huber_proxes(monkeypatch) -> list[int]:
+    """A one-element list that counts ``HuberFn.prox`` calls from now on."""
+    calls = [0]
+    prox = HuberFn.prox
+
+    def counted(self, gamma, x):
+        calls[0] += 1
+        return prox(self, gamma, x)
+
+    monkeypatch.setattr(HuberFn, "prox", counted)
+    return calls
+
+
+def _restoration_problem(side=16):
+    """The restore demo's Huber+Haar deblurring pair, which has no resolvents,
+    and its ``prs_lev`` parameters."""
+    blur = BlurOperator(gaussian_kernel(5, 0.5))
+    data_term = OperatorLeastSquares(blur, blur.apply(synthetic_image(side)))
+    reg = RegularityParams(*data_term.moduli, 0.0, 0.01 / 0.07)
+    problem = CompositeProblem(
+        f=data_term.to_prox_function(),
+        g=HuberFn(0.01, 0.07, HaarTransform(1)).to_prox_function((side, side)),
+        regularity=reg,
+    )
+    return problem, optimal_params(reg, delta_star(reg))
+
+
+def _assert_same_run(run, fresh):
+    assert (run.status, run.iterations) == (fresh.status, fresh.iterations)
+    assert run.final_x.tobytes() == fresh.final_x.tobytes()
+    assert run.normalized_errors.tobytes() == fresh.normalized_errors.tobytes()
+
+
+class TestRestorationReplay:
+    """The restore demo's ``prs_lev`` run replays the reference solve's iterates."""
+
+    def _replayed_and_fresh(self, monkeypatch, **kwargs):
+        """The demo's report, and the report with every ``prs_lev`` step computed
+        afresh; each with its count of Huber prox calls."""
+        calls = _count_huber_proxes(monkeypatch)
+        replayed = run_restoration_demo(**kwargs)
+        replayed_calls, calls[0] = calls[0], 0
+        with monkeypatch.context() as m:
+            m.setattr(harness, "Recording", lambda limit: None)
+            fresh = run_restoration_demo(**kwargs)
+        return replayed, replayed_calls, fresh, calls[0]
+
+    @pytest.mark.parametrize("side, level, seed", [
+        (16, 1, 0), (16, 2, 5), (32, 1, 4), (32, 2, 11), (64, 1, 64), (64, 2, 2027),
+    ])
+    def test_the_replayed_run_is_the_fresh_run(self, monkeypatch, side, level, seed):
+        replayed, replayed_calls, fresh, fresh_calls = self._replayed_and_fresh(
+            monkeypatch, side=side, level=level, seed=seed)
+        for name, run in fresh.runs.items():
+            _assert_same_run(replayed.runs[name], run)
+        # each replayed step is one g prox the run did not make
+        run = replayed.runs["prs_lev"]
+        assert run.status == "converged" and run.iterations < replayed.reference_iterations
+        assert fresh_calls - replayed_calls == run.iterations
+
+    @pytest.mark.parametrize("kwargs, expected", [
+        # a budget inside the recording stops the replay there
+        ({"max_iter": 20}, ("max_iter", 20, 20)),
+        # past the recording, the run steps on from its last iterate
+        ({"max_iter": 60, "tol": 1e-15}, ("max_iter", 60, 45)),
+    ], ids=["inside", "past"])
+    def test_the_budget_ends_a_replay_as_it_ends_a_fresh_run(self, monkeypatch, kwargs, expected):
+        replayed, replayed_calls, fresh, fresh_calls = self._replayed_and_fresh(
+            monkeypatch, side=16, **kwargs)
+        run = replayed.runs["prs_lev"]
+        _assert_same_run(run, fresh.runs["prs_lev"])
+        assert replayed.reference_iterations == 45
+        assert (run.status, run.iterations, fresh_calls - replayed_calls) == expected
+
+    def test_only_a_prs_lev_run_has_the_reference_record(self, monkeypatch):
+        seen = []
+        reference = harness._restoration_reference
+
+        def spy(problem, recording=None):
+            seen.append(recording)
+            return reference(problem, recording)
+
+        monkeypatch.setattr(harness, "_restoration_reference", spy)
+        run_restoration_demo(side=16, methods=("prs", "fista1"))
+        report = run_restoration_demo(side=16, methods=("prs_lev",), max_iter=30)
+        assert seen[0] is None
+        # at most the run's budget is recorded
+        assert len(seen[1].iterates) == 30 < report.reference_iterations
+
+    def test_a_recording_replays_only_its_own_solve(self):
+        problem, lp = _restoration_problem()
+        config = SolverConfig(max_iter=10, stopping="residual")
+        recording = Recording()
+        prs_lev_solve(problem, lp, config, recording=recording)
+        assert len(recording.iterates) == len(recording.residuals) == 10
+        z0 = problem.f.zero_point()
+        other_z0 = z0.copy()
+        other_z0[0, 0] = 1e-300
+        for call in (
+            lambda: prs_lev_solve(problem, lp, config, z0=other_z0, recording=recording),
+            lambda: prs_lev_solve(problem, LeverageParams(0.0, 0.0, lp.tau), config,
+                                  recording=recording),
+            lambda: prs_lev_solve(problem, lp, config, lam=0.5, recording=recording),
+            lambda: prs_lev_solve(replace(problem, g=_restoration_problem()[0].g), lp, config,
+                                  recording=recording),
+        ):
+            with pytest.raises(ValueError, match="the recording was made by a solve from another"):
+                call()
+        # the same inputs, given explicitly, replay it
+        prs_lev_solve(problem, lp, config, z0=z0, recording=recording)
+
+    @pytest.mark.parametrize("config", [
+        SolverConfig(max_iter=25, stopping="residual", tol=1e-300),
+        SolverConfig(max_iter=6, stopping="residual", tol=1e-300, record_trace=False),
+        SolverConfig(max_iter=25, stopping="fixed_point_distance", tol=1e-300),
+        SolverConfig(max_iter=25, stopping="residual", tol=1e-3),
+    ], ids=["past-the-limit", "inside", "z-star", "converges"])
+    def test_a_replay_gives_the_fresh_solve_bit_for_bit(self, config):
+        problem, lp = _restoration_problem()
+        reference = harness._restoration_reference(problem)[0]
+        problem = replace(problem, solution_oracle=reference)
+        recording = Recording(limit=10)
+        prs_lev_solve(problem, lp, SolverConfig(max_iter=40, tol=1e-300), recording=recording)
+        assert len(recording.iterates) == 10
+        x, z, trace = prs_lev_solve(problem, lp, config, recording=recording)
+        x_fresh, z_fresh, fresh = prs_lev_solve(problem, lp, config)
+        assert (x.tobytes(), z.tobytes()) == (x_fresh.tobytes(), z_fresh.tobytes())
+        assert trace == fresh
+
+    def test_only_an_oracle_pair_takes_a_recording(self):
+        problem = _offset_pair()
+        with pytest.raises(ValueError, match="only a solve that calls the proxes step by step"):
+            solve_method(problem, "prs", SolverConfig(), recording=Recording())
+        with pytest.raises(ValueError, match="method 'fista1' takes no recording"):
+            solve_method(problem, "fista1", SolverConfig(), recording=Recording())
 
 
 def _sample_trace():

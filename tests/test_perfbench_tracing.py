@@ -1,5 +1,6 @@
 """The benchmark's span tracer still finds every callable it wraps by name."""
 
+import re
 import types
 from pathlib import Path
 
@@ -36,3 +37,30 @@ def test_tracer_installs_and_uninstalls(tmp_path, capsys):
     for layer in ("cli", "harness.run", "harness.build", "solvers", "proxlib.ls_dense"):
         assert tracer.layer_calls(layer) > 0, layer
     assert tracer.iterations > 0
+
+
+def test_a_traced_restore_has_one_solve_span_per_reported_solve(tmp_path, capsys):
+    # the benchmark's cross-check: per request, the reference solve and then one
+    # solve per method, with the iteration counts the CLI prints, in that order;
+    # the prs_lev run that replays the reference's iterates is one span too
+    tracing = _load_tracing()
+    tracer = tracing.Tracer(prsplit)
+    tracer.install()
+    try:
+        for request, seed in enumerate((0, 7)):
+            tracer.request = request
+            code = prsplit.cli.main(["restore", "--side", "16", "--seed", str(seed),
+                                     "--out", str(tmp_path)])
+            assert code == 0
+    finally:
+        tracer.uninstall()
+    printed = capsys.readouterr().out.split("wrote images")[:-1]
+    assert len(printed) == 2
+    for request, out in enumerate(printed):
+        reference = re.search(r"^reference: (\S+) after (\d+) iterations$", out, re.M)
+        runs = re.findall(r"^  (\S+)\s+(\d+) iterations  status=(\S+)", out, re.M)
+        assert [name for name, _, _ in runs] == ["prs_lev", "prs", "fista1", "fista2"]
+        expected = [(int(reference[2]), reference[1])]
+        expected += [(int(iters), status) for _, iters, status in runs]
+        assert [(iters, status) for req, iters, status in tracer.solve_log
+                if req == request] == expected
