@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import prsplit
-from prsplit import pgm
+from prsplit import cli, pgm
 from prsplit.cli import build_parser, main
 
 from oracles import read_trace
@@ -58,6 +58,32 @@ def test_float_flags_take_negative_scientific_notation(command, flag):
     required["tight-check"] = required["sweep-delta"] = required["rates"]
     args = build_parser().parse_args([command, *required.get(command, []), flag, "-2.5e-07"])
     assert getattr(args, flag[2:].replace("-", "_")) == -2.5e-07
+
+
+ARGPARSE_ERRORS = [  # (id, argv, the start of the one stderr line)
+    ("unknown-choice", ["restore", "--methods", "nope"],
+     "prsplit restore: error: argument --methods: invalid choice: 'nope'"),
+    ("missing-required-flag", ["solve"],
+     "prsplit solve: error: the following arguments are required: --problem-file"),
+    ("missing-moduli", ["rates", "--rho", "1"],
+     "prsplit rates: error: the following arguments are required: --alpha, --mu, --beta"),
+    ("not-a-number", ["tight-check", "--rho", "x"],
+     "prsplit tight-check: error: argument --rho: invalid float value: 'x'"),
+    ("unknown-subcommand", ["nope"], "prsplit: error: argument command: invalid choice: 'nope'"),
+    ("no-subcommand", [], "prsplit: error: the following arguments are required: command"),
+    ("unknown-flag", ["sweep-delta", "--rho", "1", "--alpha", "1", "--mu", "1", "--beta", "1",
+                      "--steps", "3"], "prsplit: error: unrecognized arguments: --steps 3"),
+]
+
+
+@pytest.mark.parametrize("argv, start", [c[1:] for c in ARGPARSE_ERRORS],
+                         ids=[c[0] for c in ARGPARSE_ERRORS])
+def test_a_bad_argument_is_one_line_without_usage(capsys, argv, start):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exit_.value.code == 2 and out == ""
+    assert err.startswith(start) and err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_tight_check_subcommand(capsys):
@@ -182,8 +208,9 @@ def test_solve_non_object_file_rejected(tmp_path, capsys, text):
 TIGHT_MODULI = ["--rho", "1", "--alpha", "0.25", "--mu", "0", "--beta", "1"]
 
 BAD_INPUT = [  # (id, command, flags (a list), JSON (dict or text) or PGM bytes, message; {path} the file)
+    # json.dumps writes NaN, which strict JSON has no literal for
     ("nan-in-A", "solve", {"A": [[1.0, math.nan]], "B": [[1.0, 0.0]]},
-     "problem file: matrix 'A' has a non-finite entry"),
+     "problem file: unexpected character: line 1 column 14 (char 13)"),
     ("B-columns", "solve", {"A": [[1.0, 0.0]], "B": [[1.0]]},
      "problem file: matrices 'A' and 'B' need the same column count, got 2 and 1"),
     ("1-D-B", "solve", {"A": [[1.0, 0.0]], "B": [1.0, 0.0]},
@@ -199,7 +226,7 @@ BAD_INPUT = [  # (id, command, flags (a list), JSON (dict or text) or PGM bytes,
                               "B": [[1e10, 0.0], [0.0, 1.0]], "b": [1e300, 0.0]},
      "problem file: matrix 'B': its product with the offset overflows"),
     ("json-syntax", "solve", '{"A": [[1.0]]\n"B": [[1.0]]}',
-     "problem file: Expecting ',' delimiter: line 2 column 1 (char 14)"),
+     "problem file: unexpected character: line 2 column 1 (char 14)"),
     ("seed-negative", "bench-academic", ["--seed", "-1"], "seed must be >= 0, got -1"),
     ("steps-zero", "tight-check", [*TIGHT_MODULI, "--steps", "0"], "steps must be >= 1, got 0"),
     ("steps-negative", "tight-check", [*TIGHT_MODULI, "--steps", "-3"],
@@ -240,6 +267,80 @@ def test_bad_input_is_named_in_one_line(tmp_path, capsys, command, given, messag
         argv += ["--out", str(tmp_path)]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"prsplit: error: {message.replace('{path}', str(path))}\n"
+
+
+STRICT_JSON_REJECTED = [  # (id, problem-file bytes): each is a parse error
+    ("NaN", b'{"A": [[1.0, NaN]], "B": [[1.0, 0.0]]}'),
+    ("Infinity", b'{"A": [[1.0, Infinity]], "B": [[1.0, 0.0]]}'),
+    ("-Infinity", b'{"A": [[1.0, -Infinity]], "B": [[1.0, 0.0]]}'),
+    ("1e400", b'{"A": [[1.0, 1e400]], "B": [[1.0, 0.0]]}'),
+    ("-1e400", b'{"A": [[1.0]], "a": [-1e400], "B": [[1.0]]}'),
+    ("400-digit-integer", b'{"A": [[1' + b"0" * 399 + b']], "B": [[1.0]]}'),
+    ("utf-8-BOM", b'\xef\xbb\xbf{"A": [[1.0]], "B": [[1.0]]}'),
+    ("non-utf-8-key", b'{"A": [[1.0]], "B": [[1.0]], "\xff": 0}'),
+    ("latin-1-text", '{"A": [[1.0]], "B": [[1.0]], "note": "caf\u00e9"}'.encode("latin-1")),
+    ("trailing-comma-object", b'{"A": [[1.0]], "B": [[1.0]],}'),
+    ("trailing-comma-array", b'{"A": [[1.0, 2.0,]], "B": [[1.0, 0.0]]}'),
+]
+
+
+@pytest.mark.parametrize("given", [c[1] for c in STRICT_JSON_REJECTED],
+                         ids=[c[0] for c in STRICT_JSON_REJECTED])
+def test_a_problem_file_that_is_not_strict_json_is_one_line(tmp_path, capsys, given):
+    path = tmp_path / "bad.json"
+    path.write_bytes(given)
+    assert main(["solve", "--problem-file", str(path), "--out", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("prsplit: error: problem file: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not (tmp_path / "solution.csv").exists()
+
+
+def _number_tokens(seed):
+    """Decimal literals whose rounding to a double a parser can get wrong."""
+    r = np.random.default_rng(seed)
+    bits = r.integers(0, 2**64, size=4000, dtype=np.uint64).view(np.float64)
+    tokens = [repr(v) for v in bits[np.isfinite(bits)].tolist()]
+    # every digit count from 1 to 25, at exponents across +-300
+    values = r.uniform(1.0, 10.0, 200) * 10.0 ** r.integers(-300, 301, 200)
+    values *= r.choice([-1.0, 1.0], 200)
+    tokens += [f"{v:.{d}e}" for v in values.tolist() for d in range(25)]
+    tokens += ["5e-324", "2.2250738585072011e-308", "2.2250738585072012e-308",
+               "1.7976931348623157e308", "-0.0", "0", "-0", "9007199254740993",
+               "-9007199254740993", "18446744073709551616", "-9223372036854775809",
+               "123456789012345678901234567890", "-987654321098765432109876543210"]
+    r.shuffle(tokens)
+    return tokens
+
+
+def _json_rows(tokens, cols=None):
+    """The literal tokens as a JSON vector, or as a matrix of ``cols`` columns."""
+    if cols is None:
+        return "[" + ", ".join(tokens) + "]"
+    return "[" + ", ".join(_json_rows(tokens[i:i + cols]) for i in range(0, len(tokens), cols)) + "]"
+
+
+def test_problem_file_numbers_have_the_bits_json_gives(tmp_path, monkeypatch):
+    # the arrays _load_problem_file hands to the problem build, after every check
+    monkeypatch.setattr(cli.harness, "make_least_squares_problem", lambda *arrays: arrays)
+    cols = 10
+    for seed in (0, 1):
+        tokens = _number_tokens(seed)
+        rows = len(tokens) // (2 * (cols + 1)) + 1
+        tokens += tokens[:2 * rows * (cols + 1) - len(tokens)]  # fill the last rows
+        k = rows * cols
+        text = (f'{{"A": {_json_rows(tokens[:k], cols)}, "a": {_json_rows(tokens[k:k + rows])}, '
+                f'"B": {_json_rows(tokens[k + rows:2 * k + rows], cols)}, '
+                f'"b": {_json_rows(tokens[2 * k + rows:])}}}')
+        path = tmp_path / f"numbers_{seed}.json"
+        path.write_text(text)
+        A, a, B, b = cli._load_problem_file(path)
+        spec = json.loads(text)
+        for key, got in zip("AaBb", (A, a, B, b)):
+            want = np.asarray(spec[key], dtype=float)
+            assert got.shape == want.shape
+            differ = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+            assert differ.size == 0, (key, got.ravel()[differ[:5]], want.ravel()[differ[:5]])
 
 
 def test_solve_an_exact_quadratic_in_one_step(tmp_path, capsys):
@@ -640,10 +741,12 @@ with open(out + "/p.json", "w") as fh:
     json.dump({"A": r.standard_normal((8, 5)).tolist(), "a": r.standard_normal(8).tolist(),
                "B": r.standard_normal((7, 5)).tolist(), "b": r.standard_normal(7).tolist()}, fh)
 moduli = ["--rho", "1", "--alpha", "0.25", "--mu", "0", "--beta", "1"]
-for argv in (["rates", *moduli], ["tight-check", *moduli],
-             ["solve", "--problem-file", out + "/p.json", "--out", out],
+for argv in (["rates", *moduli], ["tight-check", *moduli], ["sweep-delta", *moduli],
              ["bench-academic", "--dims", "4,6,5", "--reps", "1", "--out", out],
-             ["restore", "--side", "16", "--out", out]):
+             ["restore", "--side", "16", "--out", out],
+             ["solve", "--problem-file", out + "/p.json", "--out", out]):
+    if argv[0] == "solve" and "orjson" in sys.modules:
+        sys.exit("a command that reads no problem file loaded orjson")
     code = main(argv)
     if code != 0:
         sys.exit(f"{argv[0]} exited {code}")
@@ -658,7 +761,8 @@ if loaded:
 
 
 def test_commands_run_without_scipy(tmp_path):
-    # the runtime needs numpy only; scipy is a test-side reference
+    # the runtime needs numpy and orjson, and only solve loads orjson; scipy
+    # is a test-side reference
     env = dict(os.environ)
     src = str(Path(prsplit.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
