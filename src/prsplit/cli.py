@@ -131,14 +131,20 @@ def _load_problem_file(path):
     The file is strict JSON (RFC 8259), read by orjson: its numbers are the
     doubles ``json.loads`` would give, bit for bit, in a fifth of its time.
     NaN, Infinity, a number that overflows a double and bytes that are not
-    UTF-8 are parse errors.  orjson is imported here, so that the commands
-    that read no JSON never load it.
+    UTF-8 (named by the offset of the first) are parse errors.  orjson is
+    imported here, so that the commands that read no JSON never load it.
     """
     import orjson
 
     try:
         spec = orjson.loads(Path(path).read_bytes())
     except ValueError as exc:  # orjson.JSONDecodeError is a ValueError
+        # orjson names no offset for a bad byte: read the bytes again to find it
+        # (holding them through the build made every oneshot request ~2% slower)
+        try:
+            Path(path).read_bytes().decode("utf-8")
+        except UnicodeDecodeError as bad:
+            raise ValueError(f"problem file: byte {bad.start} is not UTF-8") from None
         raise ValueError(f"problem file: {exc}") from None
     if not isinstance(spec, dict):
         raise ValueError("problem file must hold a JSON object")
@@ -226,6 +232,14 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(2, f"{self.prog}: error: {message}\n")
+
+    def parse_args(self, args=None, namespace=None):
+        # argparse hands a subcommand's unknown arguments back to this parser
+        namespace, extras = self.parse_known_args(args, namespace)
+        if extras:  # parse_known_args has checked that a command was given
+            self.exit(2, f"{self.prog} {namespace.command}: error: unrecognized arguments: "
+                         f"{' '.join(extras)}\n")
+        return namespace
 
     def parse_known_args(self, args=None, namespace=None):
         joined: list[str] = []

@@ -224,6 +224,11 @@ class CompositeProblem:
     def dimension(self) -> int:
         return self.f.dimension
 
+    def swap(self) -> "CompositeProblem":
+        """The pair (g, f) with its moduli swapped: ``fista2`` is ``fista1`` on it
+        (``prs2`` is not, as it runs f first with g's tuning)."""
+        return CompositeProblem(self.g, self.f, self.regularity.swap(), self.solution_oracle)
+
 
 def fixed_point_oracle(problem: CompositeProblem, lp: LeverageParams) -> np.ndarray:
     """z* of the leveraged recurrence from a known minimizer and grad f.

@@ -23,7 +23,6 @@ from .errors import NoLeverage, NotStronglyRegular
 from .leverage import QuadraticFunction
 from .proxlib import (
     BlurOperator,
-    HaarTransform,
     HuberFn,
     LeastSquaresFn,
     OperatorLeastSquares,
@@ -88,14 +87,14 @@ def solve_method(
     of ``[-rho, mu]`` when ``alpha = 0`` or ``beta = 0`` (``delta*`` is then an
     endpoint, where ``eta = 0`` is out of range; ``r*`` is flat on the
     interval).  ``prs``/``prs1`` take the classical step ``tau`` on f's moduli
-    and ``prs2`` on g's, ``drs`` its tuned step and relaxation, unless
-    ``tau`` is given: all four are one ``prs_lev_solve`` call, the classical
-    ones at ``LeverageParams(0, 0, tau)``.  ``fista1``/``fista2`` step forward
-    on f/g from the origin; ``z0`` starts the splitting methods, and
-    ``recording`` goes to their ``prs_lev_solve`` call.  A ``delta``, ``tau``
-    or ``recording`` the method does not take, or an unknown name, raises
-    ``ValueError``; moduli a classical tuning cannot use raise
-    :class:`~prsplit.errors.NotStronglyRegular`.
+    and ``prs2`` on g's, ``drs`` its tuned step and relaxation, unless ``tau``
+    is given: all four are one ``prs_lev_solve`` call, the classical ones at
+    ``LeverageParams(0, 0, tau)``.  ``fista1`` steps forward on f from the
+    origin, and ``fista2`` is ``fista1`` on ``problem.swap()``; ``z0`` starts
+    the splitting methods, and ``recording`` goes to their ``prs_lev_solve``
+    call.  A ``delta``, ``tau`` or ``recording`` the method does not take, or
+    an unknown name, raises ``ValueError``; moduli a classical tuning cannot
+    use raise :class:`~prsplit.errors.NotStronglyRegular`.
     """
     reg = problem.regularity
     if delta is not None and method != "prs_lev":
@@ -105,8 +104,7 @@ def solve_method(
     if method in ("fista1", "fista2"):
         if recording is not None:
             raise ValueError(f"method {method!r} takes no recording")
-        mode = "forward_on_f" if method == "fista1" else "forward_on_g"
-        x, trace = fista_solve(problem, mode, config)
+        x, trace = fista_solve(problem if method == "fista1" else problem.swap(), config)
         return x, None, trace
     lam = 1.0
     if method == "prs_lev":
@@ -463,7 +461,7 @@ def run_restoration_demo(
 
     data_term = OperatorLeastSquares(blur, observed)
     reg = RegularityParams(*data_term.moduli, 0.0, epsilon / lam)
-    huber = HuberFn(epsilon, lam, HaarTransform(level))
+    huber = HuberFn(epsilon, lam, level)
     problem = CompositeProblem(
         f=data_term.to_prox_function(),
         g=huber.to_prox_function(shape),

@@ -2,8 +2,8 @@
 
 Least-squares data terms (dense, solved in the eigenbasis of its Gram
 matrix, or a circular convolution solved in closed form by the 2-D FFT), the
-Huber penalty with an optional orthogonal transform, an orthonormal
-multi-level Haar transform, and a small circular blur operator applied by the
+Huber penalty, optionally of the coefficients of an orthonormal multi-level
+Haar transform, and a small circular blur operator applied by the
 2-D FFT through its transfer function.  Both data terms take their moduli from
 their Gram spectrum by one rule; :class:`~prsplit.leverage.QuadraticFunction`
 is the dense one with its Hessian as the Gram matrix.  Everything here needs
@@ -27,7 +27,6 @@ __all__ = [
     "HuberFn",
     "haar_transform",
     "haar_inverse",
-    "HaarTransform",
     "BlurOperator",
     "gaussian_kernel",
     "OperatorLeastSquares",
@@ -147,27 +146,27 @@ class LeastSquaresFn:
 
 
 class HuberFn:
-    """``x -> scale * sum_i h(w_i)`` with ``w = W x`` for an optional orthogonal W.
+    """``x -> scale * sum_i h(w_i)``, ``w`` the Haar coefficients of x at ``level`` (None: x).
 
     ``h`` is the smoothed absolute value: quadratic of width ``epsilon`` near
     zero, linear outside.  The gradient is Lipschitz with constant
     ``scale/epsilon``, so the cocoercivity modulus is ``epsilon/scale``.
     """
 
-    def __init__(self, epsilon: float, scale: float = 1.0, transform=None):
+    def __init__(self, epsilon: float, scale: float = 1.0, level: Optional[int] = None):
         if not (epsilon > 0.0):
             raise ValueError("epsilon must be positive")
         if not (scale > 0.0):
             raise ValueError("scale must be positive")
         self.epsilon = epsilon
         self.scale = scale
-        self.transform = transform
+        self.level = level
 
     def _analysis(self, x: np.ndarray) -> np.ndarray:
-        return x if self.transform is None else self.transform.forward(x)
+        return x if self.level is None else haar_transform(x, self.level)
 
     def _synthesis(self, w: np.ndarray) -> np.ndarray:
-        return w if self.transform is None else self.transform.inverse(w)
+        return w if self.level is None else haar_inverse(w, self.level)
 
     def value(self, x: np.ndarray) -> float:
         w = np.abs(self._analysis(x))
@@ -288,19 +287,6 @@ def haar_inverse(c: np.ndarray, level: int = 1) -> np.ndarray:
         h *= 2
         w *= 2
     return out
-
-
-@dataclass(frozen=True)
-class HaarTransform:
-    """Orthogonal-transform handle for composition with separable penalties."""
-
-    level: int = 1
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return haar_transform(x, self.level)
-
-    def inverse(self, c: np.ndarray) -> np.ndarray:
-        return haar_inverse(c, self.level)
 
 
 # --- circular blur -----------------------------------------------------------------

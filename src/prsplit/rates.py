@@ -185,25 +185,39 @@ def drs_optimal_rate(reg: RegularityParams, tau: Optional[float] = None) -> tupl
     return tau, lam, 1.0 / (1.0 + s)
 
 
-def fista_rate_bounds(reg: RegularityParams) -> tuple[Optional[float], Optional[float]]:
-    """Per-iteration rate bounds for the two accelerated forward-backward variants.
+def _fista_rate(reg: RegularityParams) -> float:
+    """Per-iteration rate bound of FISTA with its forward step on f."""
+    if not (reg.alpha > 0.0 and reg.rho + reg.mu > 0.0):
+        raise NotStronglyRegular("FISTA needs alpha > 0 and rho + mu > 0")
+    return 1.0 - math.sqrt(reg.alpha * (reg.rho + reg.mu) / (1.0 + reg.alpha * reg.mu))
 
-    First entry: forward step on f (needs alpha > 0); second: forward step on
-    g (needs beta > 0).  ``None`` when the variant is undefined.
-    """
-    sigma = reg.rho + reg.mu
-    fwd_f = None
-    if reg.alpha > 0.0 and sigma > 0.0:
-        fwd_f = 1.0 - math.sqrt(reg.alpha * sigma / (1.0 + reg.alpha * reg.mu))
-    fwd_g = None
-    if reg.beta > 0.0 and sigma > 0.0:
-        fwd_g = 1.0 - math.sqrt(reg.beta * sigma / (1.0 + reg.beta * reg.rho))
-    return fwd_f, fwd_g
+
+def _mirrored(formula, reg: RegularityParams) -> tuple[Optional[float], Optional[float]]:
+    """``formula`` on ``reg`` and on ``reg.swap()``, ``None`` where it is undefined."""
+    rates = []
+    for moduli in (reg, reg.swap()):
+        try:
+            rates.append(formula(moduli))
+        except NotStronglyRegular:
+            rates.append(None)
+    return tuple(rates)
+
+
+def fista_rate_bounds(reg: RegularityParams) -> tuple[Optional[float], Optional[float]]:
+    """Per-iteration rate bounds of FISTA forward on f (needs alpha > 0) and, by the
+    same formula on ``reg.swap()``, forward on g (needs beta > 0); ``None`` if undefined."""
+    return _mirrored(_fista_rate, reg)
 
 
 def dominance_report(reg: RegularityParams) -> list[tuple[str, Optional[float]]]:
     """All closed-form rates, ``prs_lev`` first, then the baselines ascending, with
     ``None`` for undefined ones.
+
+    Each baseline's g-first row is its f-first formula on ``reg.swap()``:
+    ``prs1``/``prs2`` classical PRS on f's/g's moduli, ``fista1``/``fista2``
+    FISTA forward on f/g, ``drs`` the relaxed-DRS bound ``1/(1+sqrt(beta*rho))``
+    for f strongly convex and g smooth (Giselsson & Boyd, IEEE TAC 2017), and
+    ``drs2`` its mirror ``1/(1+sqrt(alpha*mu))``, g strongly convex, f smooth.
 
     Under the leveraged hypotheses the leveraged rate is strictly the smallest
     defined entry, with one exception: when one function has ``rho = alpha = 0``
@@ -215,22 +229,10 @@ def dominance_report(reg: RegularityParams) -> list[tuple[str, Optional[float]]]
     """
     r_star = optimal_rate(reg)  # validates the moduli
     entries: list[tuple[str, Optional[float]]] = [("prs_lev", r_star)]
-
-    if reg.rho > 0.0 and reg.alpha > 0.0:
-        entries.append(("prs1", classical_prs_optimal(reg)[1]))
-    else:
-        entries.append(("prs1", None))
-    if reg.mu > 0.0 and reg.beta > 0.0:
-        entries.append(("prs2", classical_prs_optimal(reg.swap())[1]))
-    else:
-        entries.append(("prs2", None))
-    if reg.rho > 0.0 and reg.beta > 0.0:
-        entries.append(("drs", drs_optimal_rate(reg)[2]))
-    else:
-        entries.append(("drs", None))
-    fista1, fista2 = fista_rate_bounds(reg)
-    entries.append(("fista1", fista1))
-    entries.append(("fista2", fista2))
+    for names, rates in ((("prs1", "prs2"), _mirrored(lambda r: classical_prs_optimal(r)[1], reg)),
+                         (("drs", "drs2"), _mirrored(lambda r: drs_optimal_rate(r)[2], reg)),
+                         (("fista1", "fista2"), fista_rate_bounds(reg))):
+        entries += zip(names, rates)
 
     tie = "prs2" if reg.rho == reg.alpha == 0.0 else "prs1" if reg.mu == reg.beta == 0.0 else None
     slack = 4.0 * np.finfo(float).eps

@@ -16,9 +16,9 @@ z*-based stopping rule) and ``||T||_2 < 1``, the loop skips ahead to the step
 before its stopping step by repeated squaring of ``T``, and steps the rest.
 It skips only after its first m steps (m the size of z), which cost about
 as much as the skip's own setup, so solves that short run as before.
-FISTA folds its step the same way: when the forward function has a constant
-``hessian`` and the proxed one a ``resolvent``, its forward-backward step is
-one affine map ``y -> P y + p``, built once per solve.
+FISTA steps forward on f (g-first: on ``problem.swap()``) and folds its step
+the same way: when f has a constant ``hessian`` and g a ``resolvent``, its
+forward-backward step is one affine map ``y -> P y + p``, built once per solve.
 
 A splitting solve that records its trace reads every step, so it cannot skip;
 FISTA never skips.  Their affine steps (``T`` when recorded, ``P`` always) run
@@ -522,56 +522,48 @@ def prs_classic_solve(problem, tau, config=SolverConfig(), z0=None, z_star=None)
 
 
 def fista_solve(
-    problem: CompositeProblem,
-    mode: Literal["forward_on_f", "forward_on_g"],
-    config: SolverConfig = SolverConfig(),
+    problem: CompositeProblem, config: SolverConfig = SolverConfig()
 ) -> tuple[np.ndarray, SolveTrace]:
     """Accelerated proximal gradient with strong-convexity momentum.
 
-    Gradient steps are taken on the ``mode`` function and prox steps on the
-    other one, from the origin.  The step is the forward function's cocoercivity modulus
-    (1/Lipschitz) and the momentum is the constant
+    Gradient steps are taken on f and prox steps on g, from the origin; the
+    g-first variant is this solve on ``problem.swap()``.  The step is f's
+    cocoercivity modulus (1/Lipschitz) and the momentum is the constant
     ``(1 - sqrt(q)) / (1 + sqrt(q))`` with ``q = step * (rho + mu)``.  The
     objective is not monotone along the iterates, so stopping uses the
     prox-gradient residual ``||x_{k+1} - y_k||``, or the distance to
     ``solution_oracle`` for the distance-based rules.
 
-    When the forward function has a ``hessian`` and the proxed one a
-    ``resolvent`` (two least-squares terms), the step is the affine map
-    ``y -> P y + p`` of :func:`_forward_backward`, built once per solve by one
-    m x m product: each step is then one matrix-vector product in place of a
-    gradient, a prox and their vector work, with the same iterates up to the
-    last bits.  Otherwise each step calls both oracles.  The affine step runs
-    in blocks (:func:`_step_blocks`), with the same operations and bits as
-    one step at a time.
+    When f has a ``hessian`` and g a ``resolvent`` (two least-squares terms),
+    the step is the affine map ``y -> P y + p`` of :func:`_forward_backward`,
+    built once per solve by one m x m product: each step is then one
+    matrix-vector product in place of a gradient, a prox and their vector
+    work, with the same iterates up to the last bits.  Otherwise each step
+    calls both oracles.  The affine step runs in blocks (:func:`_step_blocks`),
+    with the same operations and bits as one step at a time.
 
     Like every solver here, it stops at the first iterate whose metric is
     within ``tol``.  The distance tail is not monotone either: it can hover
     around ``tol``, so a change in the last bits of the arithmetic (another
     BLAS thread count, a reordered product) can move the iteration count.
-    On perfbench's oneshot ``problem_18`` (seed 2027, m = 100), ``forward_on_f``
+    On perfbench's oneshot ``problem_18`` (seed 2027, m = 100), ``fista1``
     takes 1358 iterations under 1 OpenBLAS thread and 1409 under 2, with the
     affine step as with the two oracles.
     """
-    reg = problem.regularity
-    if mode == "forward_on_f":
-        smooth, proxed, coco = problem.f, problem.g, reg.alpha
-    elif mode == "forward_on_g":
-        smooth, proxed, coco = problem.g, problem.f, reg.beta
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    if smooth.gradient is None:
-        raise NotSmooth(f"{mode} needs a gradient oracle on the forward function")
-    if coco <= 0.0:
-        raise NotSmooth(f"{mode} needs a positive cocoercivity modulus")
-    gamma = coco
+    f, g, reg = problem.f, problem.g, problem.regularity
+    gamma = reg.alpha
+    # the messages name no side: fista2 runs on the swapped pair
+    if f.gradient is None:
+        raise NotSmooth("FISTA's forward term needs a gradient oracle")
+    if gamma <= 0.0:
+        raise NotSmooth("FISTA's forward term needs a positive cocoercivity modulus")
     q = min(gamma * (reg.rho + reg.mu), 1.0)
     # boxed like _split's scalars: a 0-d float64 operand multiplies to the same bits
     momentum = np.asarray((1.0 - math.sqrt(q)) / (1.0 + math.sqrt(q)))
 
-    x = problem.f.zero_point()
+    x = f.zero_point()
     monitor = _Monitor(config, x, problem.solution_oracle)
-    P, p = _forward_backward(smooth, proxed, gamma) or (None, None)
+    P, p = _forward_backward(f, g, gamma) or (None, None)
     if P is not None:
         X, Y = np.empty((2, BLOCK + 1, x.size))
         X[0] = Y[0] = x
@@ -590,7 +582,7 @@ def fista_solve(
         return _step_blocks(monitor, config.max_iter, (X, Y), advance), monitor.trace
     y = x
     for n in range(config.max_iter):
-        x_next = proxed.prox(gamma, y - gamma * smooth.gradient(y))
+        x_next = g.prox(gamma, y - gamma * f.gradient(y))
         residual = _norm(x_next - y)
         y = x_next + momentum * (x_next - x)
         x = x_next

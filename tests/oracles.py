@@ -374,18 +374,15 @@ def stepwise_affine_split(
 
 
 def stepwise_affine_fista(
-    problem: CompositeProblem, mode: str, config: SolverConfig
+    problem: CompositeProblem, config: SolverConfig
 ) -> tuple[np.ndarray, SolveTrace]:
     """``fista_solve`` on a pair whose step is affine, with the trace on, one
     step ``x = P y + p`` at a time, each judged by ``_Monitor.update``."""
     reg = problem.regularity
-    if mode == "forward_on_f":
-        smooth, proxed, gamma = problem.f, problem.g, reg.alpha
-    else:
-        smooth, proxed, gamma = problem.g, problem.f, reg.beta
+    gamma = reg.alpha
     q = min(gamma * (reg.rho + reg.mu), 1.0)
     momentum = np.asarray((1.0 - math.sqrt(q)) / (1.0 + math.sqrt(q)))
-    P, p = _forward_backward(smooth, proxed, gamma)
+    P, p = _forward_backward(problem.f, problem.g, gamma)
     x = y = problem.f.zero_point()
     monitor = _Monitor(config, x, problem.solution_oracle)
     with np.errstate(over="ignore", invalid="ignore"):

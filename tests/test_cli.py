@@ -72,7 +72,8 @@ ARGPARSE_ERRORS = [  # (id, argv, the start of the one stderr line)
     ("unknown-subcommand", ["nope"], "prsplit: error: argument command: invalid choice: 'nope'"),
     ("no-subcommand", [], "prsplit: error: the following arguments are required: command"),
     ("unknown-flag", ["sweep-delta", "--rho", "1", "--alpha", "1", "--mu", "1", "--beta", "1",
-                      "--steps", "3"], "prsplit: error: unrecognized arguments: --steps 3"),
+                      "--steps", "3"],
+     "prsplit sweep-delta: error: unrecognized arguments: --steps 3"),
 ]
 
 
@@ -207,7 +208,8 @@ def test_solve_non_object_file_rejected(tmp_path, capsys, text):
 
 TIGHT_MODULI = ["--rho", "1", "--alpha", "0.25", "--mu", "0", "--beta", "1"]
 
-BAD_INPUT = [  # (id, command, flags (a list), JSON (dict or text) or PGM bytes, message; {path} the file)
+BAD_INPUT = [  # (id, command, flags (a list), JSON (dict, text or bytes) or PGM bytes, message;
+    #             {path} the file)
     # json.dumps writes NaN, which strict JSON has no literal for
     ("nan-in-A", "solve", {"A": [[1.0, math.nan]], "B": [[1.0, 0.0]]},
      "problem file: unexpected character: line 1 column 14 (char 13)"),
@@ -227,6 +229,13 @@ BAD_INPUT = [  # (id, command, flags (a list), JSON (dict or text) or PGM bytes,
      "problem file: matrix 'B': its product with the offset overflows"),
     ("json-syntax", "solve", '{"A": [[1.0]]\n"B": [[1.0]]}',
      "problem file: unexpected character: line 2 column 1 (char 14)"),
+    # a byte that is not UTF-8 is named by its offset, wherever it sits
+    ("non-utf-8-first-byte", "solve", b'\xff{"A": [[1.0]], "B": [[1.0]]}',
+     "problem file: byte 0 is not UTF-8"),
+    ("non-utf-8-in-a-key", "solve", b'{"A": [[1.0]], "B": [[1.0]], "\xff": 0}',
+     "problem file: byte 30 is not UTF-8"),
+    ("non-utf-8-after-utf-8", "solve", '{"A": [[1.0]], "B": [[1.0]], "é": "'.encode() + b'\xc3("}',
+     "problem file: byte 36 is not UTF-8"),
     ("seed-negative", "bench-academic", ["--seed", "-1"], "seed must be >= 0, got -1"),
     ("steps-zero", "tight-check", [*TIGHT_MODULI, "--steps", "0"], "steps must be >= 1, got 0"),
     ("steps-negative", "tight-check", [*TIGHT_MODULI, "--steps", "-3"],
@@ -257,12 +266,10 @@ def test_bad_input_is_named_in_one_line(tmp_path, capsys, command, given, messag
         if command == "solve":  # a valid problem file, so that only the flag is bad
             _write_problem(path, 0)
             argv += ["--problem-file", str(path)]
-    elif command == "solve":
-        path.write_text(given if isinstance(given, str) else json.dumps(given))
-        argv = ["solve", "--problem-file", str(path)]
     else:
-        path.write_bytes(given)
-        argv = ["restore", "--image", str(path)]
+        given = json.dumps(given) if isinstance(given, dict) else given
+        path.write_bytes(given if isinstance(given, bytes) else given.encode())
+        argv = [command, "--problem-file" if command == "solve" else "--image", str(path)]
     if command not in ("tight-check", "sweep-delta"):  # the commands here that write no file
         argv += ["--out", str(tmp_path)]
     assert main(argv) == 2
@@ -477,6 +484,11 @@ def test_solve_with_an_all_zero_matrix(tmp_path, capsys, zero, method):
     if zero == "both":
         assert err == ("prsplit: error: A^T A + B^T B is singular, so neither data term "
                        "is strongly convex (rho = mu = 0)\n")
+    elif (zero, method) in (("A", "fista1"), ("B", "fista2")):
+        # the forward term is all zeros, with moduli (0, 0); fista2 runs fista1
+        # on the swapped pair, so the message names neither f nor g
+        assert code == 2
+        assert err == "prsplit: error: FISTA's forward term needs a positive cocoercivity modulus\n"
 
 
 def test_restore_subcommand(tmp_path, capsys):

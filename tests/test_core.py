@@ -127,6 +127,20 @@ class TestProxFunctionChecks:
         for fn in fns:
             assert firm_nonexpansiveness_gap(fn, rng, pairs=100) <= 1e-10
 
+    def test_swap_exchanges_the_pair_and_twice_is_the_identity(self, rng):
+        f = LeastSquaresFn(rng.standard_normal((6, 4)), rng.standard_normal(6)).to_prox_function()
+        g = HuberFn(0.3, 2.0).to_prox_function((4,))
+        reg = RegularityParams(rho=0.5, alpha=0.25, mu=0.0, beta=0.15)
+        problem = CompositeProblem(f=f, g=g, regularity=reg, solution_oracle=np.arange(4.0))
+        swapped = problem.swap()
+        assert swapped.f is g and swapped.g is f and swapped.regularity == reg.swap()
+        assert swapped.solution_oracle is problem.solution_oracle
+        twice = swapped.swap()
+        assert twice.f is f and twice.g is g and twice.regularity == reg
+        assert twice.solution_oracle is problem.solution_oracle
+        unknown = CompositeProblem(f=f, g=g, regularity=reg).swap().swap()
+        assert unknown.solution_oracle is None
+
     def test_dimension_mismatch_rejected(self):
         f = QuadraticFunction(0.0, np.zeros(3), 1.0).to_prox_function()
         g = QuadraticFunction(0.0, np.zeros(4), 1.0).to_prox_function()

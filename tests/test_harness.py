@@ -39,7 +39,6 @@ from prsplit.rates import (
 )
 from prsplit.proxlib import (
     BlurOperator,
-    HaarTransform,
     HuberFn,
     OperatorLeastSquares,
     gaussian_kernel,
@@ -70,8 +69,7 @@ def _tuned_directly(problem, method, config, z0):
     if method == "drs":
         tau, lam, _ = drs_optimal_rate(reg)
         return prs_lev_solve(problem, LeverageParams(0.0, 0.0, tau), config, z0=z0, lam=lam)
-    mode = {"fista1": "forward_on_f", "fista2": "forward_on_g"}[method]
-    x, trace = fista_solve(problem, mode, config)
+    x, trace = fista_solve(problem if method == "fista1" else problem.swap(), config)
     return x, None, trace
 
 
@@ -116,6 +114,28 @@ class TestSolveMethod:
         x_ref, _, trace_ref = direct(problem, config)
         assert (trace.status, trace.iterations) == (trace_ref.status, trace_ref.iterations)
         assert x.tobytes() == x_ref.tobytes()
+
+    @pytest.mark.parametrize("record", [True, False], ids=["trace-on", "trace-off"])
+    @pytest.mark.parametrize("pair", ["least-squares", "huber"])
+    def test_fista2_is_fista1_on_the_swapped_pair(self, pair, record):
+        # the dense pair takes the blocked affine step, the Huber pair (no
+        # resolvents) the oracle step; an arbitrary solution_oracle fills the
+        # distance column there
+        if pair == "least-squares":
+            problem, config = _offset_pair(), SolverConfig(max_iter=5000, record_trace=record)
+        else:
+            problem = _restoration_problem()[0]
+            problem = replace(problem, solution_oracle=np.full((16, 16), 0.5))
+            config = SolverConfig(max_iter=60, stopping="residual", record_trace=record)
+        x, _, trace = solve_method(problem, "fista2", config)
+        x_ref, _, ref = solve_method(problem.swap(), "fista1", config)
+        assert trace.iterations > 1 and (trace.status == "converged") == (pair == "least-squares")
+        assert (trace.status, trace.iterations) == (ref.status, ref.iterations)
+        assert x.tobytes() == x_ref.tobytes()
+        if record:
+            assert len(trace.residuals) == trace.iterations == len(trace.distances) - 1
+        assert np.array(trace.residuals).tobytes() == np.array(ref.residuals).tobytes()
+        assert np.array(trace.distances).tobytes() == np.array(ref.distances).tobytes()
 
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError, match="unknown method 'bogus'"):
@@ -385,7 +405,7 @@ def _restoration_problem(side=16):
     reg = RegularityParams(*data_term.moduli, 0.0, 0.01 / 0.07)
     problem = CompositeProblem(
         f=data_term.to_prox_function(),
-        g=HuberFn(0.01, 0.07, HaarTransform(1)).to_prox_function((side, side)),
+        g=HuberFn(0.01, 0.07, level=1).to_prox_function((side, side)),
         regularity=reg,
     )
     return problem, optimal_params(reg, delta_star(reg))

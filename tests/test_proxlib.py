@@ -12,7 +12,6 @@ from prsplit import pgm
 from prsplit.leverage import QuadraticFunction
 from prsplit.proxlib import (
     BlurOperator,
-    HaarTransform,
     HuberFn,
     LeastSquaresFn,
     OperatorLeastSquares,
@@ -193,7 +192,7 @@ class TestHuber:
 
     def test_transform_composition_rule_against_brute_force(self, rng):
         eps, lam = 0.3, 0.9
-        fn = HuberFn(eps, lam, HaarTransform(level=1))
+        fn = HuberFn(eps, lam, level=1)
         x = rng.standard_normal((8, 8))
         gamma = 0.7
         p = fn.prox(gamma, x)
@@ -206,7 +205,7 @@ class TestHuber:
         np.testing.assert_allclose(p.ravel(), res.x, atol=1e-6)
 
     def test_firm_nonexpansiveness(self, rng):
-        fn = HuberFn(0.2, 2.0, HaarTransform(level=2)).to_prox_function((8, 8))
+        fn = HuberFn(0.2, 2.0, level=2).to_prox_function((8, 8))
         assert firm_nonexpansiveness_gap(fn, rng, pairs=100) <= 1e-10
 
 

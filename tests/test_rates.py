@@ -236,6 +236,7 @@ class TestDominance:
         assert report["fista2"] == pytest.approx(1 - math.sqrt(0.5), abs=1e-12)
         assert report["prs_lev"] < report["fista2"] < report["drs"]
         assert report["prs1"] is None and report["prs2"] is None
+        assert report["drs2"] is None  # its mirror needs mu > 0 and alpha > 0
 
     def test_report_sorted_and_swap_invariant(self, rng):
         for _ in range(20):
@@ -245,13 +246,13 @@ class TestDominance:
             assert rates_defined == sorted(rates_defined)
             assert report[0][0] == "prs_lev"
             swapped = {
-                {"prs1": "prs2", "prs2": "prs1", "fista1": "fista2",
-                 "fista2": "fista1"}.get(name, name): rate
+                {"prs1": "prs2", "prs2": "prs1", "drs": "drs2", "drs2": "drs",
+                 "fista1": "fista2", "fista2": "fista1"}.get(name, name): rate
                 for name, rate in dominance_report(reg.swap())
-                if name != "drs"
             }
             original = dict(dominance_report(reg))
-            for name in ("prs_lev", "prs1", "prs2", "fista1", "fista2"):
+            assert original.keys() == swapped.keys()
+            for name in original:
                 if original[name] is None:
                     assert swapped[name] is None
                 else:
@@ -315,8 +316,20 @@ class TestDominance:
     def test_rates_that_round_to_one_tie(self):
         # with rho = 1e-33 every rate is 1 - O(1e-16) or closer, and rounds to 1
         report = dict(dominance_report(RegularityParams(rho=1e-33, alpha=1.0, mu=0.0, beta=1.0)))
-        assert report.pop("prs2") is None
+        assert report.pop("prs2") is None and report.pop("drs2") is None  # mu = 0
         assert set(report.values()) == {1.0}
+
+    def test_g_first_rows_are_the_f_first_formulas_on_the_swap(self, rng):
+        # one formula per baseline: the g-first rows are its f-first rows on
+        # reg.swap(), bit for bit, defined or not
+        regs = [sample_regularity(rng) for _ in range(50)]
+        regs += [RegularityParams(1.0, 0.0, 0.0, 1.0), RegularityParams(0.0, 1.0, 1.0, 0.0),
+                 RegularityParams(1.0, 0.5, 0.0, 0.0), RegularityParams(0.0, 0.0, 1.0, 0.5)]
+        for reg in regs:
+            report, mirror = dict(dominance_report(reg)), dict(dominance_report(reg.swap()))
+            for second, first in (("prs2", "prs1"), ("drs2", "drs"), ("fista2", "fista1")):
+                assert report[second] == mirror[first], (reg, second)
+            assert fista_rate_bounds(reg)[1] == fista_rate_bounds(reg.swap())[0]
 
     def test_violated_dominance_raises(self, monkeypatch):
         # an explicit raise, not an assert that ``python -O`` would strip

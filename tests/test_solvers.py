@@ -653,7 +653,7 @@ class TestFista:
             solution_oracle=x_star,
         )
         config = SolverConfig(max_iter=5000, tol=1e-12, stopping="fixed_point_distance")
-        x, trace = fista_solve(problem, "forward_on_f", config)
+        x, trace = fista_solve(problem, config)
         assert trace.status == "converged"
         np.testing.assert_allclose(x, x_star, atol=1e-10)
 
@@ -670,21 +670,23 @@ class TestFista:
 
         return replace(fn, prox=prox, gradient=gradient)
 
-    @pytest.mark.parametrize("mode", ["forward_on_f", "forward_on_g"])
-    def test_affine_step_matches_oracle_step(self, rng, mode):
+    @pytest.mark.parametrize("swap", [False, True], ids=["fista1", "fista2"])
+    def test_affine_step_matches_oracle_step(self, rng, swap):
         # the offsets make the step's constant term nonzero; without a hessian
         # the same functions run the gradient-and-prox step.  The two differ in
         # the last bits, which move the count only where the distance tail
         # nears the float floor (by up to 6 steps at tol 1e-12 over 40 seeds)
         problem = random_instance(rng)
+        if swap:
+            problem = problem.swap()
         calls = []
         affine = replace(problem, f=self.counted(problem.f, calls),
                          g=self.counted(problem.g, calls))
         oracle = replace(problem, f=replace(problem.f, hessian=None),
                          g=replace(problem.g, hessian=None))
         config = SolverConfig(max_iter=5000, tol=1e-10, stopping="fixed_point_distance")
-        x, trace = fista_solve(affine, mode, config)
-        x_ref, trace_ref = fista_solve(oracle, mode, config)
+        x, trace = fista_solve(affine, config)
+        x_ref, trace_ref = fista_solve(oracle, config)
         assert trace.status == trace_ref.status == "converged"
         assert abs(trace.iterations - trace_ref.iterations) <= 1
         np.testing.assert_allclose(x, x_ref, rtol=0.0, atol=1e-10)
@@ -704,9 +706,9 @@ class TestFista:
         )
         bare = replace(problem, f=replace(problem.f, hessian=None))
         config = SolverConfig(max_iter=300, tol=1e-12, stopping="residual")
-        x, trace = fista_solve(problem, "forward_on_f", config)
+        x, trace = fista_solve(problem, config)
         assert calls == ["prox"] * trace.iterations
-        x_ref, trace_ref = fista_solve(bare, "forward_on_f", config)
+        x_ref, trace_ref = fista_solve(bare, config)
         np.testing.assert_array_equal(x, x_ref)
         assert trace == trace_ref
 
@@ -718,14 +720,14 @@ class TestFista:
             regularity=RegularityParams(problem.regularity.rho, problem.regularity.alpha, 0.0, 0.0),
         )
         with pytest.raises(NotSmooth):
-            fista_solve(bare, "forward_on_g")
+            fista_solve(bare.swap())
 
     def test_asymptotic_contraction_not_below_leveraged_optimum(self, rng):
         # the leveraged rate lower-bounds what the accelerated baselines do
         problem = random_instance(rng, m=10, n=12, p=11)
         reg = problem.regularity
         config = SolverConfig(max_iter=4000, tol=1e-11, stopping="fixed_point_distance")
-        x, trace = fista_solve(problem, "forward_on_f", config)
+        x, trace = fista_solve(problem, config)
         dists = trace.distances
         k = len(dists) // 2
         observed = (dists[-1] / dists[k]) ** (1.0 / (len(dists) - 1 - k))
@@ -842,9 +844,8 @@ class TestBlockedSteps:
             if record:
                 pairs[name] = (partial(prs_lev_solve, problem, lp, z0=z0, lam=lam),
                                partial(stepwise_affine_split, problem, lp, z0=z0, lam=lam))
-        for mode in ("forward_on_f", "forward_on_g"):
-            pairs[mode] = (partial(fista_solve, problem, mode),
-                           partial(stepwise_affine_fista, problem, mode))
+        for name, pair in (("fista1", problem), ("fista2", problem.swap())):
+            pairs[name] = (partial(fista_solve, pair), partial(stepwise_affine_fista, pair))
         return pairs
 
     @staticmethod
@@ -901,7 +902,7 @@ class TestBlockedSteps:
         z0[3] = poison
         config = SolverConfig(max_iter=100, stopping=stopping)
         for name, (solve, reference) in self.solves(rng, problem, z0).items():
-            if name.startswith("forward"):
+            if name.startswith("fista"):
                 continue  # FISTA starts from the origin
             trace = self.agree(config, solve, reference)
             assert (trace.status, trace.iterations) == ("nonfinite", 1), name
