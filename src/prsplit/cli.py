@@ -226,20 +226,12 @@ class _Parser(argparse.ArgumentParser):
     like ``-1`` or ``-0.5``, so a negative number in scientific notation after
     a flag would end with "expected one argument".  Each such pair is passed
     on as ``--delta=-5e-05``.  A bad argument ends with one line,
-    ``prsplit <command>: error: ...``, and exit code 2, without argparse's
-    usage text.  Subcommand parsers are of this class too.
+    ``prsplit: error: ...`` before the command and ``prsplit <command>: error:
+    ...`` after it, and exit code 2, without argparse's usage text.
     """
 
     def error(self, message):
         self.exit(2, f"{self.prog}: error: {message}\n")
-
-    def parse_args(self, args=None, namespace=None):
-        # argparse hands a subcommand's unknown arguments back to this parser
-        namespace, extras = self.parse_known_args(args, namespace)
-        if extras:  # parse_known_args has checked that a command was given
-            self.exit(2, f"{self.prog} {namespace.command}: error: unrecognized arguments: "
-                         f"{' '.join(extras)}\n")
-        return namespace
 
     def parse_known_args(self, args=None, namespace=None):
         joined: list[str] = []
@@ -253,6 +245,20 @@ class _Parser(argparse.ArgumentParser):
         return super().parse_known_args(joined, namespace)
 
 
+class _CommandParser(_Parser):
+    """A command's parser, which rejects the arguments it does not know.
+
+    argparse would hand them back to the top-level parser, merged with that
+    parser's own unknown arguments, and name no command for them.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by later calls.
@@ -264,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="prsplit",
         description="Leveraged Peaceman-Rachford solver and rate-verification benchmarks",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_CommandParser)
 
     p = sub.add_parser("rates", help="closed-form rates and dominance for given moduli")
     _add_moduli(p)

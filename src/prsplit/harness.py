@@ -10,6 +10,7 @@ produce identical bytes.
 from __future__ import annotations
 
 import math
+import re
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -537,23 +538,62 @@ def _write_restoration_outputs(report: RestorationReport, out_dir) -> None:
 # --- trace and plot emission ----------------------------------------------------------
 
 
+def _float_cells(values) -> list:
+    """``values`` as Python floats for :func:`_csv_lines`, each one orjson would
+    not write in repr's layout replaced by its repr text.
+
+    For finite ``1e-4 <= |v| < 1e16`` and ``|v| < 1e-5`` orjson 3.8.3 writes
+    repr's shortest round-trip digits, and differs at most by a one-digit
+    negative exponent (``e-7`` for repr's ``e-07``), which :func:`_csv_lines`
+    widens.  It writes ``1e-5 <= |v| < 1e-4`` positionally, ``|v| >= 1e16``
+    without the exponent's ``+``, and NaN and infinities as ``null``; those
+    cells, a small share of a trace, pass through as repr text.
+    """
+    array = np.asarray(values, dtype=float)
+    cells = array.tolist()
+    magnitude = np.abs(array)  # NaN compares false, and passes through
+    plain = (magnitude < 1e-5) | ((magnitude >= 1e-4) & (magnitude < 1e16))
+    for i in np.flatnonzero(~plain).tolist():
+        cells[i] = repr(cells[i])
+    return cells
+
+
+# a one-digit negative exponent ends a float cell, before "," or "]"
+_SHORT_EXPONENT = re.compile(rb"e-(?=\d[,\]])")
+
+
+def _csv_lines(columns) -> bytes:
+    """CSV lines of the rows of ``columns``, whose cells are ints, strings
+    without ``"``, ``,`` or escapes, and floats from :func:`_float_cells`.
+
+    One ``orjson.dumps`` call writes every row; three passes over its bytes
+    turn the JSON arrays into lines and the floats into repr's text.
+    """
+    import orjson
+
+    text = _SHORT_EXPONENT.sub(b"e-0", orjson.dumps(list(zip(*columns))))
+    return text[2:-2].replace(b"],[", b"\n").replace(b'"', b"") + b"\n"
+
+
 def emit_trace(trace: SolveTrace, path) -> None:
-    """CSV with header ``iter,residual,dist,ratio`` plus a status comment line."""
+    """CSV with header ``iter,residual,dist,ratio`` plus a status comment line.
+
+    Every float cell is ``repr(float(value))``; a row's dist is ``d_n``, and its
+    ratio is blank where ``d_n`` is not positive, and both are blank without z*.
+    """
     if not trace.residuals:
         raise ValueError("refusing to emit an empty trace")
-    # _fmt's text, with the conversions mapped over whole columns
-    d = trace.distances
-    if d:
-        # a row's dist is d_n, and its ratio is blank where d_n is not positive
-        dist = map(repr, map(float, d))
-        ratio = [repr(r) if prev > 0.0 else "" for prev, r in zip(d, trace.ratios().tolist())]
+    residuals = _float_cells(trace.residuals)
+    if trace.distances:
+        d = np.asarray(trace.distances, dtype=float)
+        dist, ratio = _float_cells(d), _float_cells(trace.ratios())
+        for i in np.flatnonzero(~(d[:len(ratio)] > 0.0)).tolist():
+            ratio[i] = ""
     else:
-        dist = ratio = [""] * len(trace.residuals)
-    residuals = map(repr, map(float, trace.residuals))
-    lines = [f"# status={trace.status}", "iter,residual,dist,ratio"]
-    lines += [f"{n},{res},{dn},{rn}"
-              for n, (res, dn, rn) in enumerate(zip(residuals, dist, ratio))]
-    pgm._write_in_place(path, ("\n".join(lines) + "\n").encode())
+        dist = ratio = [""] * len(residuals)
+    head = f"# status={trace.status}\niter,residual,dist,ratio\n".encode()
+    body = _csv_lines((range(len(residuals)), residuals, dist, ratio))
+    pgm._write_in_place(path, head + body)
 
 
 _PLOT_TEMPLATE = '''"""Auto-generated error-vs-iteration plot; run with python."""

@@ -58,14 +58,21 @@ def _factor(tau, eta, delta, sc, coco):
     return np.maximum(smooth, curved)
 
 
+def _factors(tau, eta, delta, reg: RegularityParams):
+    """``(r1, r2)``: the f-side factor on f's moduli, and the g-side factor, the
+    same expression on g's moduli under ``(eta, delta) -> (-eta, -delta)``."""
+    return (_factor(tau, eta, delta, reg.rho, reg.alpha),
+            _factor(tau, -eta, -delta, reg.mu, reg.beta))
+
+
 def rate_r1(lp: LeverageParams, reg: RegularityParams):
     """Contraction factor of the f-side reflected operator."""
-    return _factor(lp.tau, lp.eta, lp.delta, reg.rho, reg.alpha)
+    return _factors(lp.tau, lp.eta, lp.delta, reg)[0]
 
 
 def rate_r2(lp: LeverageParams, reg: RegularityParams):
     """Contraction factor of the g-side reflected operator (mirrored signs)."""
-    return _factor(lp.tau, -lp.eta, -lp.delta, reg.mu, reg.beta)
+    return _factors(lp.tau, lp.eta, lp.delta, reg)[1]
 
 
 def rate_bundle(lp: LeverageParams, reg: RegularityParams) -> RateBundle:
@@ -152,8 +159,7 @@ def rate_constancy_check(reg: RegularityParams, grid_size: int = 101) -> float:
     deltas = np.linspace(-reg.rho + margin, reg.mu - margin, grid_size)
     etas = _eta_of(reg, deltas)
     taus = _tau_of(reg, deltas)
-    r1 = _factor(taus, etas, deltas, reg.rho, reg.alpha)
-    r2 = _factor(taus, -etas, -deltas, reg.mu, reg.beta)
+    r1, r2 = _factors(taus, etas, deltas, reg)
     return float(np.max(np.abs(r1 * r2 - optimal_rate(reg))))
 
 

@@ -2,8 +2,8 @@
 
 The conjugate-shift closed forms, the regularity transfer, the shifted-prox
 identities and solution recovery, prox sanity checks, a brute-force rate
-search, the classical PRS rate, a trace reader, and the recorded affine
-solves stepped one iterate at a time.
+search, the classical PRS rate, a per-cell trace writer and its reader, and
+the recorded affine solves stepped one iterate at a time.
 """
 
 from __future__ import annotations
@@ -323,6 +323,23 @@ def classical_prs_rate(tau: float, reg: RegularityParams):
         (tau / reg.alpha - 1.0) / (tau / reg.alpha + 1.0),
         (1.0 - tau * reg.rho) / (1.0 + tau * reg.rho),
     )
+
+
+def reference_trace_text(trace: SolveTrace) -> bytes:
+    """The bytes :func:`prsplit.harness.emit_trace` writes, one ``repr(float(v))``
+    and one f-string per cell: row ``n`` is ``n``, the residual, ``d_n`` and
+    ``d_{n+1} / d_n``, that ratio blank where ``d_n`` is not positive, and both
+    blank without z*."""
+    d = trace.distances
+    if d:
+        dist = [repr(float(v)) for v in d]
+        ratio = [repr(r) if prev > 0.0 else "" for prev, r in zip(d, trace.ratios().tolist())]
+    else:
+        dist = ratio = [""] * len(trace.residuals)
+    lines = [f"# status={trace.status}", "iter,residual,dist,ratio"]
+    lines += [f"{n},{float(res)!r},{dn},{rn}"
+              for n, (res, dn, rn) in enumerate(zip(trace.residuals, dist, ratio))]
+    return ("\n".join(lines) + "\n").encode()
 
 
 def read_trace(path) -> tuple[str, np.ndarray, np.ndarray, np.ndarray]:

@@ -74,6 +74,13 @@ ARGPARSE_ERRORS = [  # (id, argv, the start of the one stderr line)
     ("unknown-flag", ["sweep-delta", "--rho", "1", "--alpha", "1", "--mu", "1", "--beta", "1",
                       "--steps", "3"],
      "prsplit sweep-delta: error: unrecognized arguments: --steps 3"),
+    ("unknown-flag-before-command", ["--bogus", "rates", "--rho", "1", "--alpha", "1", "--mu",
+                                     "1", "--beta", "1"],
+     "prsplit: error: unrecognized arguments: --bogus\n"),
+    # the command's parser runs first, and names only its own unknown flag
+    ("unknown-flags-on-both-sides", ["--bogus", "rates", "--rho", "1", "--alpha", "1", "--mu",
+                                     "1", "--beta", "1", "--steps", "3"],
+     "prsplit rates: error: unrecognized arguments: --steps 3\n"),
 ]
 
 

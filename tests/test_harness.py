@@ -51,7 +51,7 @@ from prsplit.solvers import (
 )
 
 from conftest import interior_delta
-from oracles import grid_search_rate, read_trace
+from oracles import grid_search_rate, read_trace, reference_trace_text
 
 TIGHT_REG = RegularityParams(rho=1.0, alpha=0.25, mu=0.0, beta=1.0)
 
@@ -545,6 +545,29 @@ def _start_at_z_star_trace():
     return prs_lev_solve(problem, LeverageParams(0.0, 0.0, 1.0))[2]
 
 
+def _edge_trace():
+    # numpy scalars, cells orjson writes in another layout than repr, a zero
+    # distance (blank ratio) and an infinite one
+    return SolveTrace(
+        status="max_iter", iterations=7,
+        residuals=[np.float64(1.5e-05), np.float32(0.1), 1e16, -0.0, 5e-324, 1e-07, 12345.678],
+        distances=[2.0, 1e-4, 0.0, np.inf, 3e-05, 1e20, 1e-300, np.float64(0.5)],
+    )
+
+
+_TRACES = {
+    **{method: lambda method=method: solve_method(
+        _offset_pair(), method, SolverConfig(max_iter=5000, tol=1e-10))[2]
+       for method in harness.SOLVE_METHODS},
+    "no-z-star": lambda: solve_method(replace(_offset_pair(), solution_oracle=None), "prs_lev",
+                                      SolverConfig(max_iter=5000, tol=1e-10))[2],
+    "nonfinite": lambda: _nonfinite_trace(np.zeros(2)),
+    "nonfinite-no-z-star": lambda: _nonfinite_trace(None),
+    "start-at-z-star": _start_at_z_star_trace,
+    "edge-cells": _edge_trace,
+}
+
+
 class TestEmission:
     def test_trace_round_trip(self, tmp_path):
         cases = [
@@ -566,6 +589,31 @@ class TestEmission:
                 dists, trace.distances[:-1] or np.full(len(rows), np.nan)
             )
             np.testing.assert_array_equal(ratios, trace.ratios())
+
+    @pytest.mark.parametrize("name", list(_TRACES))
+    def test_trace_bytes_match_the_per_cell_writer(self, name, tmp_path):
+        trace = _TRACES[name]()
+        assert name.endswith("no-z-star") != bool(trace.distances)
+        emit_trace(trace, tmp_path / "trace.csv")
+        assert (tmp_path / "trace.csv").read_bytes() == reference_trace_text(trace)
+
+    def test_float_cells_are_repr_text(self):
+        rng = np.random.default_rng(28)
+        size = 2 ** 19
+        edges = np.array([1e-5, 1e-4, 1e16])
+        edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
+                                [0.0, 5e-324, 2.2250738585072014e-308, np.inf, np.nan]])
+        subnormals = rng.integers(1, 2 ** 52, size=1000).view(float)
+        values = np.concatenate([
+            np.frombuffer(rng.bytes(8 * size), dtype=float),  # random bit patterns
+            rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-12.0, 18.0, size),
+            edges, -edges, subnormals, -subnormals,
+        ])
+        assert values.size > 2 ** 20
+        lines = harness._csv_lines([harness._float_cells(values)]).decode().split("\n")
+        expected = [repr(v) for v in values.tolist()] + [""]
+        mismatched = [(got, want) for got, want in zip(lines, expected) if got != want]
+        assert len(lines) == len(expected) and not mismatched, mismatched[:10]
 
     def test_empty_trace_rejected(self, tmp_path):
         with pytest.raises(ValueError):
