@@ -62,9 +62,9 @@ def cmd_rates(args) -> int:
 
 def cmd_tight_check(args) -> int:
     reg = _reg_from_args(args)
-    deviation = harness.run_tight_check(reg, steps=args.steps, delta=args.delta)
+    deviation, steps = harness.run_tight_check(reg, steps=args.steps, delta=args.delta)
     print(f"r* = {rates.optimal_rate(reg):.12g}")
-    print(f"max |ratio - r*| over {deviation.steps} steps = {deviation:.3e}")
+    print(f"max |ratio - r*| over {steps} steps = {deviation:.3e}")
     return 0 if deviation <= 1e-10 else 1
 
 

@@ -44,7 +44,6 @@ __all__ = [
     "RESTORE_METHODS",
     "BENCH_METHODS",
     "solve_method",
-    "InstanceSpec",
     "make_least_squares_problem",
     "generate_instance",
     "run_tight_check",
@@ -127,22 +126,6 @@ def solve_method(
 # --- random least-squares instances (academic benchmark) ---------------------------
 
 
-@dataclass(frozen=True)
-class InstanceSpec:
-    """Dimensions, offsets and seed of one random least-squares pair."""
-
-    m: int
-    n: int
-    p: int
-    seed: int = 0
-    offset_a: Optional[np.ndarray] = None
-    offset_b: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if min(self.m, self.n, self.p) < 1:
-            raise ValueError("dimensions must be positive")
-
-
 def make_least_squares_problem(
     A: np.ndarray,
     a: Optional[np.ndarray],
@@ -180,33 +163,31 @@ def make_least_squares_problem(
     )
 
 
-def generate_instance(spec: InstanceSpec) -> CompositeProblem:
-    """Draw ``A = 0.5 * U(0,1)^(n x m)`` and ``B = 15 * U(0,1)^(p x m)``."""
-    rng = np.random.default_rng(spec.seed)
-    A = 0.5 * rng.random((spec.n, spec.m))
-    B = 15.0 * rng.random((spec.p, spec.m))
-    return make_least_squares_problem(A, spec.offset_a, B, spec.offset_b)
+def generate_instance(m: int, n: int, p: int, seed: int = 0) -> CompositeProblem:
+    """Draw ``A = 0.5 * U(0,1)^(n x m)`` and ``B = 15 * U(0,1)^(p x m)``, with
+    zero offsets, so that ``x* = 0``."""
+    if min(m, n, p) < 1:
+        raise ValueError("dimensions must be positive")
+    rng = np.random.default_rng(seed)
+    A = 0.5 * rng.random((n, m))
+    B = 15.0 * rng.random((p, m))
+    return make_least_squares_problem(A, None, B, None)
 
 
 # --- tight two-dimensional contraction check ---------------------------------------
 
 
-class TightDeviation(float):
-    """``max_n |ratio_n - r*|``, with ``steps``, the number of steps that ran."""
-
-    steps: int
-
-
 def run_tight_check(
     reg: RegularityParams, steps: int = 20, delta: Optional[float] = None
-) -> TightDeviation:
+) -> tuple[float, int]:
     """Max deviation of the per-step contraction ratio from the optimal rate.
 
     Builds the diagonal quadratic pair whose coordinates contract by exactly
     the optimal factor each step, runs the leveraged recurrence from (1, 1),
-    and returns ``max_n |ratio_n - r*|`` over the ratios of two distances of
-    at least ``sqrt(tiny)``, below which their squares are subnormal.  The
-    solve stops at the float floor, so ``steps`` may be fewer than asked.
+    and returns ``(max_n |ratio_n - r*|, steps run)``, the maximum over the
+    ratios of two distances of at least ``sqrt(tiny)``, below which their
+    squares are subnormal.  The solve stops at the float floor, so fewer
+    steps may run than asked.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -223,9 +204,7 @@ def run_tight_check(
     d = np.asarray(trace.distances)
     kept = np.minimum(d[:-1], d[1:]) >= math.sqrt(np.finfo(float).tiny)
     gaps = np.abs(trace.ratios()[kept] - optimal_rate(reg))
-    deviation = TightDeviation(np.max(gaps, initial=0.0))
-    deviation.steps = trace.iterations
-    return deviation
+    return float(np.max(gaps, initial=0.0)), trace.iterations
 
 
 # --- academic benchmark --------------------------------------------------------------
@@ -310,8 +289,7 @@ def run_academic_benchmark(
         results: dict[str, list] = {name: [] for name in BENCH_METHODS}
         for rep in range(repetitions):
             inst_seed = np.random.SeedSequence(entropy=seed, spawn_key=(di, rep))
-            spec = InstanceSpec(m=m, n=n, p=p, seed=int(inst_seed.generate_state(1)[0]))
-            problem = generate_instance(spec)
+            problem = generate_instance(m, n, p, seed=int(inst_seed.generate_state(1)[0]))
             reg = problem.regularity
             moduli_acc += (reg.rho, reg.alpha, reg.mu, reg.beta)
             z_rng = np.random.default_rng(

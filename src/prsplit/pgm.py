@@ -58,16 +58,13 @@ def read_pgm(path) -> np.ndarray:
     return values.reshape(height, width) / maxval
 
 
-def write_pgm(path, image: np.ndarray, maxval: int = 255) -> None:
+def write_pgm(path, image: np.ndarray) -> None:
     img = np.asarray(image, dtype=float)
     if img.ndim != 2:
         raise IOError("PGM images must be 2-D")
-    if not (0 < maxval < 65536):
-        raise ValueError(f"bad maxval {maxval}")
-    scaled = np.clip(np.rint(img * maxval), 0, maxval)
-    dtype = np.dtype(">u2") if maxval > 255 else np.uint8
-    header = f"P5\n{img.shape[1]} {img.shape[0]}\n{maxval}\n".encode()
-    _write_in_place(path, header + scaled.astype(dtype).tobytes())
+    scaled = np.clip(np.rint(img * 255), 0, 255)
+    header = f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode()
+    _write_in_place(path, header + scaled.astype(np.uint8).tobytes())
 
 
 def _write_in_place(path, data: bytes) -> None:

@@ -117,10 +117,7 @@ class LeastSquaresFn:
         return M, c
 
     def prox(self, gamma: float, x: np.ndarray) -> np.ndarray:
-        # reads the cache inline, sparing FISTA's per-step prox a method call
-        step, M, c = self._resolvent
-        if gamma != step:
-            M, c = self.resolvent(gamma)
+        M, c = self.resolvent(gamma)
         return M.dot(x) + c
 
     def value(self, x: np.ndarray) -> float:

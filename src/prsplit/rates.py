@@ -5,7 +5,8 @@ of parameters evaluate vectorized.  Shared subexpressions (the square roots
 ``a = sqrt(1+beta*rho)``, ``b = sqrt(rho+mu)``, ``c = sqrt(1+alpha*mu)``,
 ``d = sqrt(alpha+beta)``) are fused to limit cancellation: the flat-rate
 identity is verified numerically to ~1e-12 and sloppy evaluation would eat
-that budget.
+that budget.  ``optimal_rate`` has no cancellation at all: it is within a
+few ulps of the exact ``r*``.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from .errors import NotStronglyRegular
 
 __all__ = [
     "RateBundle",
-    "rate_r1",
-    "rate_r2",
     "rate_bundle",
     "optimal_params",
     "optimal_rate",
@@ -65,19 +64,8 @@ def _factors(tau, eta, delta, reg: RegularityParams):
             _factor(tau, -eta, -delta, reg.mu, reg.beta))
 
 
-def rate_r1(lp: LeverageParams, reg: RegularityParams):
-    """Contraction factor of the f-side reflected operator."""
-    return _factors(lp.tau, lp.eta, lp.delta, reg)[0]
-
-
-def rate_r2(lp: LeverageParams, reg: RegularityParams):
-    """Contraction factor of the g-side reflected operator (mirrored signs)."""
-    return _factors(lp.tau, lp.eta, lp.delta, reg)[1]
-
-
 def rate_bundle(lp: LeverageParams, reg: RegularityParams) -> RateBundle:
-    r1 = float(rate_r1(lp, reg))
-    r2 = float(rate_r2(lp, reg))
+    r1, r2 = map(float, _factors(lp.tau, lp.eta, lp.delta, reg))
     return RateBundle(r1=r1, r2=r2, r=r1 * r2, r_star=optimal_rate(reg))
 
 
@@ -89,13 +77,41 @@ def _sqrt_terms(reg: RegularityParams) -> tuple[float, float, float, float]:
     return a, b, c, d
 
 
+_SPLITTER = 134217729.0  # 2**27 + 1: splits a double into two 26-bit halves
+
+
+def _one_minus_product(x: float, y: float) -> float:
+    """``1 - x*y`` with the rounding error of ``x*y`` subtracted too.
+
+    Dekker's two-product gives that error exactly (Python 3.11 has no
+    ``math.fma``); the factors are split on their mantissas, which ``frexp``
+    puts in [0.5, 1), so no partial product overflows.
+    """
+    (mx, ex), (my, ey) = math.frexp(x), math.frexp(y)
+    p = mx * my
+    t = _SPLITTER * mx
+    xh = t - (t - mx)
+    xl = mx - xh
+    t = _SPLITTER * my
+    yh = t - (t - my)
+    yl = my - yh
+    err = ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
+    return (1.0 - math.ldexp(p, ex + ey)) - math.ldexp(err, ex + ey)
+
+
 def optimal_rate(reg: RegularityParams) -> float:
-    """Best achievable contraction factor over all admissible (tau, eta, delta)."""
+    """Best achievable contraction factor over all admissible (tau, eta, delta).
+
+    ``r* = (ac - bd)/(ac + bd)``, evaluated as ``(1 - alpha*rho)(1 - beta*mu)/(ac + bd)^2``
+    (``(ac)^2 - (bd)^2`` is that numerator), with each ``1 - xy`` compensated:
+    within a few ulps of the exact value, and exactly 0 at an exact quadratic.
+    """
     validate_regularity(reg)
     a, b, c, d = _sqrt_terms(reg)
-    # (ac)^2 - (bd)^2 = (1 - alpha*rho)(1 - beta*mu) >= 0, so r* is 0 at an
-    # exact quadratic; rounding leaves it a few ulps either side of 0 there
-    return max(0.0, (a * c - b * d) / (a * c + b * d))
+    s = a * c + b * d  # >= 1, so neither quotient overflows
+    # a product that rounds to 1 but lies above it leaves a factor below 0
+    return max(0.0, (_one_minus_product(reg.alpha, reg.rho) / s)
+               * (_one_minus_product(reg.beta, reg.mu) / s))
 
 
 def _param_denominator(reg: RegularityParams, delta):

@@ -2,14 +2,16 @@
 
 The conjugate-shift closed forms, the regularity transfer, the shifted-prox
 identities and solution recovery, prox sanity checks, a brute-force rate
-search, the classical PRS rate, a per-cell trace writer and its reader, and
-the recorded affine solves stepped one iterate at a time.
+search, the classical PRS rate, ``r*`` to 60 digits, the academic instance
+with offsets, a per-cell trace writer and its reader, and the recorded affine
+solves stepped one iterate at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from pathlib import Path
 from typing import Callable, Literal, Union
 
@@ -25,6 +27,7 @@ from prsplit.core import (
     validate_regularity,
 )
 from prsplit.errors import NotStronglyRegular, SplittingError
+from prsplit.harness import make_least_squares_problem
 from prsplit.leverage import QuadraticFunction
 from prsplit.rates import _factor
 from prsplit.solvers import SolverConfig, _forward_backward, _Monitor, _norm
@@ -323,6 +326,28 @@ def classical_prs_rate(tau: float, reg: RegularityParams):
         (tau / reg.alpha - 1.0) / (tau / reg.alpha + 1.0),
         (1.0 - tau * reg.rho) / (1.0 + tau * reg.rho),
     )
+
+
+def optimal_rate_reference(reg: RegularityParams) -> Decimal:
+    """``r* = (1 - alpha*rho)(1 - beta*mu)/(ac + bd)^2`` in 60-digit decimal
+    arithmetic on the exact values of the four doubles; below 0 where a
+    product of two of them exceeds 1, though it rounds to 1."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        rho, alpha, mu, beta = (Decimal(v) for v in (reg.rho, reg.alpha, reg.mu, reg.beta))
+        s = ((1 + beta * rho).sqrt() * (1 + alpha * mu).sqrt()
+             + (rho + mu).sqrt() * (alpha + beta).sqrt())
+        return (1 - alpha * rho) * (1 - beta * mu) / (s * s)
+
+
+def offset_instance(m: int, n: int, p: int, seed: int, a: np.ndarray,
+                    b: np.ndarray) -> CompositeProblem:
+    """:func:`prsplit.harness.generate_instance`'s pair at ``seed``, with
+    offsets ``a`` and ``b``."""
+    rng = np.random.default_rng(seed)
+    A = 0.5 * rng.random((n, m))
+    B = 15.0 * rng.random((p, m))
+    return make_least_squares_problem(A, a, B, b)
 
 
 def reference_trace_text(trace: SolveTrace) -> bytes:

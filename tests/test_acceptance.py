@@ -12,7 +12,6 @@ from scipy.optimize import minimize
 
 from prsplit.core import CompositeProblem, ProxFunction, RegularityParams
 from prsplit.harness import (
-    InstanceSpec,
     generate_instance,
     run_academic_benchmark,
     run_restoration_demo,
@@ -24,13 +23,18 @@ from prsplit.rates import (
     fista_rate_bounds,
     optimal_params,
     optimal_rate,
-    rate_r1,
-    rate_r2,
+    rate_bundle,
 )
 from prsplit.solvers import SolverConfig, drs_solve, prs_classic_solve, prs_lev_solve
 
 from conftest import interior_delta, sample_regularity
-from oracles import ShiftedProxSpec, grid_search_rate, quadratic_conjugate_shift, shifted_prox
+from oracles import (
+    ShiftedProxSpec,
+    grid_search_rate,
+    offset_instance,
+    quadratic_conjugate_shift,
+    shifted_prox,
+)
 
 
 def _report(number, name, ok, elapsed, detail=""):
@@ -47,7 +51,7 @@ def test_criterion_1_tight_rate_reproduction():
     for _ in range(20):
         reg = sample_regularity(rng, zero_rho=rng.random() < 0.25,
                                 zero_mu=rng.random() < 0.25)
-        worst = max(worst, run_tight_check(reg, steps=20))
+        worst = max(worst, run_tight_check(reg, steps=20)[0])
     elapsed = time.perf_counter() - start
     _report(1, "tight-rate reproduction", worst <= 1e-10 and elapsed < 1.0,
             elapsed, f"max ratio deviation {worst:.2e}")
@@ -154,15 +158,12 @@ def test_criterion_6_solver_contraction_and_stationarity():
     for di, (m, n, p) in enumerate(dims_list):
         # per-step ratios against the oracle fixed point, on shifted instances
         # (nonzero offsets exercise a nontrivial z*)
-        problem = generate_instance(
-            InstanceSpec(m=m, n=n, p=p, seed=600 + di,
-                         offset_a=rng.standard_normal(n),
-                         offset_b=rng.standard_normal(p))
-        )
+        problem = offset_instance(m, n, p, 600 + di, rng.standard_normal(n),
+                                  rng.standard_normal(p))
         reg = problem.regularity
         for delta in (delta_star(reg), interior_delta(rng, reg, margin=0.2)):
             lp = optimal_params(reg, delta)
-            r = float(rate_r1(lp, reg) * rate_r2(lp, reg))
+            r = rate_bundle(lp, reg).r
             config = SolverConfig(max_iter=100000, tol=1e-6, stopping="normalized_error")
             _, _, trace = prs_lev_solve(problem, lp, config, z0=rng.standard_normal(m))
             ratios = trace.ratios()
@@ -170,7 +171,7 @@ def test_criterion_6_solver_contraction_and_stationarity():
         # stationarity of the recovered point on the homogeneous instances
         # (zero offsets as in the benchmark: the iteration then contracts to
         # the exact fixed point with no cancellation floor)
-        problem = generate_instance(InstanceSpec(m=m, n=n, p=p, seed=600 + di))
+        problem = generate_instance(m, n, p, seed=600 + di)
         reg = problem.regularity
         lp = optimal_params(reg, delta_star(reg))
         config = SolverConfig(max_iter=200000, tol=1e-13, stopping="fixed_point_distance")

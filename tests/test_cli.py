@@ -100,7 +100,7 @@ def test_tight_check_subcommand(capsys):
     assert "max |ratio - r*|" in capsys.readouterr().out
     # the residual rule stops at the float floor, after 175 of the 300 steps
     assert main(["tight-check", *moduli, "--steps", "300"]) == 0
-    assert "max |ratio - r*| over 175 steps = 4.163e-17\n" in capsys.readouterr().out
+    assert "max |ratio - r*| over 175 steps = 2.776e-17\n" in capsys.readouterr().out
 
 
 def test_sweep_delta_subcommand(capsys):
@@ -283,6 +283,58 @@ def test_bad_input_is_named_in_one_line(tmp_path, capsys, command, given, messag
     assert capsys.readouterr().err == f"prsplit: error: {message.replace('{path}', str(path))}\n"
 
 
+# every numeric flag of every command: a float flag at each value below, an
+# int flag at nan; the other arguments are small valid ones, so that the
+# commands that run (exit 0 or 1) run fast
+NUMERIC_FLAGS = {  # command: (float flags, int flags)
+    "rates": (["--rho", "--alpha", "--mu", "--beta", "--delta"], []),
+    "tight-check": (["--rho", "--alpha", "--mu", "--beta", "--delta"], ["--steps"]),
+    "sweep-delta": (["--rho", "--alpha", "--mu", "--beta"], ["--grid"]),
+    "bench-academic": (["--tol"], ["--reps", "--seed", "--max-iter"]),
+    "solve": (["--delta", "--tau", "--tol"], ["--max-iter"]),
+    "restore": (["--sigma", "--lambda", "--epsilon", "--noise-var", "--tol"],
+                ["--side", "--level", "--seed", "--max-iter"]),
+}
+NUMERIC_FLAG_CASES = [
+    (command, flag, value)
+    for command, (floats, ints) in NUMERIC_FLAGS.items()
+    for flag, values in [*((f, ("nan", "inf", "-inf", "0", "-1")) for f in floats),
+                         *((f, ("nan",)) for f in ints)]
+    for value in values
+]
+
+
+@pytest.mark.parametrize("command, flag, value", NUMERIC_FLAG_CASES,
+                         ids=[f"{c}{f}={v}" for c, f, v in NUMERIC_FLAG_CASES])
+def test_a_numeric_flag_at_a_bad_value_runs_or_is_one_line(tmp_path, capsys, command, flag,
+                                                          value):
+    moduli = ["--rho", "1", "--alpha", "0.25", "--mu", "0.5", "--beta", "1"]
+    argv = {
+        "rates": moduli, "tight-check": moduli, "sweep-delta": moduli,
+        "bench-academic": ["--dims", "6,8,8", "--reps", "2"],
+        # --tau is for prs and drs only
+        "solve": ["--problem-file", str(tmp_path / "p.json")]
+                 + (["--method", "prs"] if flag == "--tau" else []),
+        "restore": ["--side", "16"],
+    }[command]
+    if command == "solve":
+        _write_problem(tmp_path / "p.json", 0)
+    if command in ("bench-academic", "solve", "restore"):
+        argv = argv + ["--out", str(tmp_path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # raised, and so not caught by main
+        try:
+            code = main([command, *argv, flag, value])
+        except SystemExit as exit_:  # an argparse error
+            code = exit_.code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith(("prsplit: error: ", f"prsplit {command}: error: "))
+        assert err.count("\n") == 1 and err.endswith("\n")
+    else:
+        assert code in (0, 1) and err == ""
+
+
 STRICT_JSON_REJECTED = [  # (id, problem-file bytes): each is a parse error
     ("NaN", b'{"A": [[1.0, NaN]], "B": [[1.0, 0.0]]}'),
     ("Infinity", b'{"A": [[1.0, Infinity]], "B": [[1.0, 0.0]]}'),
@@ -432,13 +484,15 @@ def test_solve_missing_file_rejected(tmp_path, capsys):
     (("1", "1", "0", "1"), "0", ["prs_lev      0", "prs1         0", "fista1       0"]),
     (("0", "1", "1", "1"), "0", ["prs_lev      0", "prs2         0", "fista2       0"]),
     (("1e-33", "1", "0", "1"), "1", ["prs_lev      1", "prs1         1", "drs          1"]),
-    (("0.3", "2", "0.5", "2"), "6.20633538e-17",
-     ["prs_lev      6.20633538e-17", "prs2         0", "fista2       0"]),
-], ids=["f_exact", "g_exact", "rates_round_to_one", "r_star_ulps_above_its_ties"])
+    # beta*mu = 1 exactly, though the square roots of r*'s factors round:
+    # r* is 0, not the 6.2e-17 of (ac - bd)/(ac + bd)
+    (("0.3", "2", "0.5", "2"), "0",
+     ["prs_lev      0", "prs2         0", "fista2       0"]),
+], ids=["f_exact", "g_exact", "rates_round_to_one", "r_star_exact_beside_rounded_roots"])
 def test_rates_where_floating_point_ties(capsys, moduli, r_star, table):
     # r* = 0 at an exact quadratic ties the baselines of 0 on that side, and
-    # is listed first even where it rounds a few ulps above them; with
-    # rho = 1e-33 every rate rounds to 1, so dominance cannot show strictly
+    # is listed first among them; with rho = 1e-33 every rate rounds to 1, so
+    # dominance cannot show strictly
     rho, alpha, mu, beta = moduli
     assert main(["rates", "--rho", rho, "--alpha", alpha, "--mu", mu, "--beta", beta]) == 0
     out, err = capsys.readouterr()

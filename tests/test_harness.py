@@ -19,7 +19,6 @@ from prsplit import harness
 from prsplit.errors import NoGradient
 from prsplit.leverage import QuadraticFunction
 from prsplit.harness import (
-    InstanceSpec,
     emit_plot_script,
     emit_trace,
     generate_instance,
@@ -51,7 +50,7 @@ from prsplit.solvers import (
 )
 
 from conftest import interior_delta
-from oracles import grid_search_rate, read_trace, reference_trace_text
+from oracles import grid_search_rate, offset_instance, read_trace, reference_trace_text
 
 TIGHT_REG = RegularityParams(rho=1.0, alpha=0.25, mu=0.0, beta=1.0)
 
@@ -144,28 +143,29 @@ class TestSolveMethod:
 
 class TestInstances:
     def test_fixed_seed_is_bitwise_deterministic(self):
-        spec = InstanceSpec(m=6, n=8, p=7, seed=42)
-        p1, p2 = generate_instance(spec), generate_instance(spec)
+        p1, p2 = generate_instance(6, 8, 7, seed=42), generate_instance(6, 8, 7, seed=42)
         np.testing.assert_array_equal(p1.solution_oracle, p2.solution_oracle)
         x = np.arange(6.0)
         assert np.array_equal(p1.f.prox(0.7, x), p2.f.prox(0.7, x))
         assert np.array_equal(p1.g.prox(0.7, x), p2.g.prox(0.7, x))
 
     def test_wide_first_block_loses_strong_convexity(self):
-        problem = generate_instance(InstanceSpec(m=20, n=10, p=20, seed=1))
+        problem = generate_instance(20, 10, 20, seed=1)
         assert problem.regularity.rho == 0.0
         assert problem.regularity.mu > 0.0
 
+    def test_nonpositive_dimension_raises(self):
+        with pytest.raises(ValueError, match="^dimensions must be positive$"):
+            generate_instance(3, 0, 2)
+
     def test_zero_offsets_give_zero_solution(self):
-        problem = generate_instance(InstanceSpec(m=10, n=12, p=11, seed=3))
+        problem = generate_instance(10, 12, 11, seed=3)
         np.testing.assert_allclose(problem.solution_oracle, 0.0, atol=1e-14)
 
     def test_offsets_move_the_solution(self, rng):
         a = rng.standard_normal(12)
         b = rng.standard_normal(11)
-        problem = generate_instance(
-            InstanceSpec(m=10, n=12, p=11, seed=3, offset_a=a, offset_b=b)
-        )
+        problem = offset_instance(10, 12, 11, 3, a, b)
         x = problem.solution_oracle
         grad = problem.f.gradient(x) + problem.g.gradient(x)
         assert np.linalg.norm(grad) <= 1e-10 * (1 + np.linalg.norm(x))
@@ -178,12 +178,10 @@ class TestFixedPointOracle:
         for _ in range(50):
             m = int(rng.integers(4, 10))
             problem = generate_instance(
-                InstanceSpec(
-                    m=m,
-                    n=int(rng.integers(4, 12)),
-                    p=m + int(rng.integers(0, 4)),
-                    seed=int(rng.integers(0, 2**31)),
-                )
+                m,
+                int(rng.integers(4, 12)),
+                m + int(rng.integers(0, 4)),
+                seed=int(rng.integers(0, 2**31)),
             )
             reg = problem.regularity
             lp = optimal_params(reg, interior_delta(rng, reg))
@@ -193,14 +191,14 @@ class TestFixedPointOracle:
             assert np.linalg.norm(x_back - problem.solution_oracle) <= 1e-10
 
     def test_classical_reduction(self, rng):
-        problem = generate_instance(InstanceSpec(m=5, n=6, p=7, seed=9))
+        problem = generate_instance(5, 6, 7, seed=9)
         tau = 1.3
         z_star = fixed_point_oracle(problem, LeverageParams(0.0, 0.0, tau))
         expected = problem.solution_oracle + tau * problem.f.gradient(problem.solution_oracle)
         np.testing.assert_allclose(z_star, expected, atol=1e-14)
 
     def test_perturbed_start_contracts_back(self, rng):
-        problem = generate_instance(InstanceSpec(m=8, n=10, p=9, seed=11))
+        problem = generate_instance(8, 10, 9, seed=11)
         reg = problem.regularity
         lp = optimal_params(reg, delta_star(reg))
         z_star = fixed_point_oracle(problem, lp)
@@ -212,7 +210,7 @@ class TestFixedPointOracle:
         assert np.nanmax(trace.ratios()) <= r + 1e-8
 
     def test_gradient_required(self):
-        problem = generate_instance(InstanceSpec(m=4, n=5, p=6, seed=0))
+        problem = generate_instance(4, 5, 6, seed=0)
         bare = type(problem)(
             f=type(problem.f)(prox=problem.f.prox, dimension=4),
             g=problem.g, regularity=problem.regularity, solution_oracle=np.zeros(4),
@@ -223,17 +221,17 @@ class TestFixedPointOracle:
 
 class TestTightCheck:
     def test_running_example(self):
-        deviation = run_tight_check(TIGHT_REG, steps=20)
-        assert deviation <= 1e-12 and deviation.steps == 20
+        deviation, steps = run_tight_check(TIGHT_REG, steps=20)
+        assert deviation <= 1e-12 and steps == 20
         # ||z_n - z*|| falls below sqrt(tiny) near step 165, where its square
         # is subnormal and the ratios lose their digits; those are skipped,
         # and the residual rule ends the solve at 175 of the 300 steps asked
-        deviation = run_tight_check(TIGHT_REG, steps=300)
-        assert deviation <= 1e-12 and deviation.steps == 175
+        deviation, steps = run_tight_check(TIGHT_REG, steps=300)
+        assert deviation <= 1e-12 and steps == 175
 
     def test_symmetric_moduli(self):
         reg = RegularityParams(rho=1.0, alpha=0.5, mu=1.0, beta=0.5)
-        assert run_tight_check(reg, steps=20) <= 1e-12
+        assert run_tight_check(reg, steps=20)[0] <= 1e-12
 
     def test_requires_positive_cocoercivities(self):
         with pytest.raises(ValueError):
@@ -541,7 +539,7 @@ def _nonfinite_trace(z_star):
 
 def _start_at_z_star_trace():
     # zero offsets: x* = z* = 0, the default starting point
-    problem = generate_instance(InstanceSpec(m=4, n=5, p=6, seed=0))
+    problem = generate_instance(4, 5, 6, seed=0)
     return prs_lev_solve(problem, LeverageParams(0.0, 0.0, 1.0))[2]
 
 

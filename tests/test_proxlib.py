@@ -441,6 +441,13 @@ class TestOperatorLeastSquares:
         assert firm_nonexpansiveness_gap(pf, rng, pairs=100, scale=1.0) <= 1e-10
 
 
+def _binary_pgm(image: np.ndarray, maxval: int) -> bytes:
+    """A ``P5`` file of ``image`` in [0, 1] at ``maxval``, 16-bit big-endian above 255."""
+    dtype = np.dtype(">u2" if maxval > 255 else "u1")
+    header = f"P5\n{image.shape[1]} {image.shape[0]}\n{maxval}\n".encode()
+    return header + np.rint(image * maxval).astype(dtype).tobytes()
+
+
 class TestSmallHelpers:
     def test_diagonal_quadratic_regularity(self):
         fn = QuadraticFunction(0.0, np.zeros(2), np.diag([0.5, 2.0])).to_prox_function()
@@ -451,16 +458,22 @@ class TestSmallHelpers:
     def test_pgm_round_trip(self, rng, tmp_path):
         img = rng.random((9, 7))
         path = tmp_path / "x.pgm"
-        pgm.write_pgm(path, img, maxval=65535)
+        pgm.write_pgm(path, img)
+        assert path.read_bytes().startswith(b"P5\n7 9\n255\n")
         back = pgm.read_pgm(path)
-        np.testing.assert_allclose(back, img, atol=1.0 / 65535)
+        np.testing.assert_allclose(back, img, atol=0.5 / 255)
+
+    def test_pgm_reads_16_bit_samples(self, rng, tmp_path):
+        img = rng.random((9, 7))
+        path = tmp_path / "x.pgm"
+        path.write_bytes(_binary_pgm(img, 65535))
+        np.testing.assert_allclose(pgm.read_pgm(path), img, atol=0.5 / 65535)
 
     # a cut inside a 16-bit sample leaves a partial one, which is no pixel
     @pytest.mark.parametrize("maxval, cut, got", [(255, 5, 7), (65535, 1, 11), (65535, 6, 9)])
     def test_pgm_truncated_binary_names_the_file(self, tmp_path, maxval, cut, got):
         path = tmp_path / "cut.pgm"
-        pgm.write_pgm(path, np.zeros((3, 4)), maxval=maxval)
-        path.write_bytes(path.read_bytes()[:-cut])
+        path.write_bytes(_binary_pgm(np.zeros((3, 4)), maxval)[:-cut])
         with pytest.raises(IOError, match=f"cut.pgm: expected 12 pixels, got {got}$"):
             pgm.read_pgm(path)
 

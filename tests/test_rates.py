@@ -1,7 +1,9 @@
 """Closed-form rate calculus: frozen examples, identities, and baselines."""
 
 import math
+from decimal import Decimal
 
+import numpy as np
 import pytest
 
 from prsplit.core import LeverageParams, RegularityParams
@@ -16,13 +18,11 @@ from prsplit.rates import (
     optimal_rate,
     rate_bundle,
     rate_constancy_check,
-    rate_r1,
-    rate_r2,
-    _sqrt_terms,
+    _one_minus_product,
 )
 
 from conftest import interior_delta, sample_regularity
-from oracles import classical_prs_rate
+from oracles import classical_prs_rate, optimal_rate_reference
 
 REG = RegularityParams(rho=1.0, alpha=0.25, mu=0.0, beta=1.0)
 LP = LeverageParams(delta=-2.0 / 3.0, eta=0.0, tau=0.9486832980505138)  # = 1.5/sqrt(2.5)
@@ -32,27 +32,27 @@ class TestFactorRates:
     def test_r1_at_the_optimizer(self):
         # both max-branches agree here; value cross-checked by the acceptance
         # grid minimization over tau
-        assert rate_r1(LP, REG) == pytest.approx(0.519494, abs=1e-6)
+        assert rate_bundle(LP, REG).r1 == pytest.approx(0.519494, abs=1e-6)
 
     def test_r2_at_the_optimizer(self):
-        assert rate_r2(LP, REG) == pytest.approx(0.225148, abs=1e-6)
+        assert rate_bundle(LP, REG).r2 == pytest.approx(0.225148, abs=1e-6)
 
     def test_r1_reduces_to_classical_prs_rate(self):
         # delta = eta = 0 and tau = sqrt(alpha/rho) hits (1-sqrt(a r))/(1+sqrt(a r))
         reg = RegularityParams(rho=0.25, alpha=1.0, mu=0.0, beta=0.0)
         lp = LeverageParams(0.0, 0.0, math.sqrt(reg.alpha / reg.rho))
-        assert rate_r1(lp, reg) == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert rate_bundle(lp, reg).r1 == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_r1_tends_to_one_for_vanishing_step(self):
         reg = RegularityParams(rho=1.0, alpha=0.0, mu=0.0, beta=1.0)
-        values = [rate_r1(LeverageParams(0.0, 0.0, t), reg) for t in (1e-3, 1e-6, 1e-9)]
+        values = [rate_bundle(LeverageParams(0.0, 0.0, t), reg).r1 for t in (1e-3, 1e-6, 1e-9)]
         assert values == sorted(values)
         assert values[-1] == pytest.approx(1.0, abs=1e-8)
 
     def test_r2_second_branch_pins_at_one_when_mu_equals_delta(self):
         reg = RegularityParams(rho=1.0, alpha=0.25, mu=0.0, beta=0.5)
         lp = LeverageParams(0.0, 0.0, reg.beta)  # first branch vanishes
-        assert rate_r2(lp, reg) == pytest.approx(1.0, abs=1e-15)
+        assert rate_bundle(lp, reg).r2 == pytest.approx(1.0, abs=1e-15)
 
     def test_r2_is_r1_under_the_mirror_swap(self, rng):
         for _ in range(20):
@@ -63,8 +63,8 @@ class TestFactorRates:
                 tau=rng.uniform(0.5, 2.0),
             )
             mirrored = LeverageParams(-lp.delta, -lp.eta, lp.tau)
-            assert rate_r2(lp, reg) == pytest.approx(
-                rate_r1(mirrored, reg.swap()), abs=1e-14
+            assert rate_bundle(lp, reg).r2 == pytest.approx(
+                rate_bundle(mirrored, reg.swap()).r1, abs=1e-14
             )
 
     def test_bundle_product(self):
@@ -123,8 +123,8 @@ class TestOptimalParams:
                 1 + (lp.tau - lp.eta) * (reg.mu - lp.delta)
             )
             assert g_smooth == pytest.approx(g_curved, rel=1e-9)
-            assert rate_r1(lp, reg) == pytest.approx(max(f_smooth, f_curved), abs=1e-15)
-            assert rate_r2(lp, reg) == pytest.approx(max(g_smooth, g_curved), abs=1e-15)
+            assert rate_bundle(lp, reg).r1 == pytest.approx(max(f_smooth, f_curved), abs=1e-15)
+            assert rate_bundle(lp, reg).r2 == pytest.approx(max(g_smooth, g_curved), abs=1e-15)
 
 
 class TestOptimalRate:
@@ -136,19 +136,59 @@ class TestOptimalRate:
         assert optimal_rate(reg) == pytest.approx(0.0, abs=1e-9)
 
     def test_zero_at_an_exact_quadratic_and_never_negative(self, rng):
-        # (ac)^2 - (bd)^2 = (1 - alpha*rho)(1 - beta*mu), so r* is 0 where a
-        # product is 1; rounding leaves the quotient a few ulps either side of
-        # 0, and r* is clamped at 0
+        # r* has the factor (1 - alpha*rho)(1 - beta*mu), so it is 0 where a
+        # product is 1; x * (1/x) rounds to 1, but the exact product of the
+        # two doubles can lie above 1, where the compensated factor is below 0
+        # and r* is clamped at 0
         below = 0
         for i in range(100):
             reg = sample_regularity(rng)
-            reg = (RegularityParams(reg.rho, 1.0 / reg.rho, reg.mu, reg.beta) if i % 2
-                   else RegularityParams(reg.rho, reg.alpha, reg.mu, 1.0 / reg.mu))
-            a, b, c, d = _sqrt_terms(reg)
-            below += (a * c - b * d) / (a * c + b * d) < 0.0
+            if i % 2:
+                reg = RegularityParams(reg.rho, 1.0 / reg.rho, reg.mu, reg.beta)
+                below += _one_minus_product(reg.alpha, reg.rho) < 0.0
+            else:
+                reg = RegularityParams(reg.rho, reg.alpha, reg.mu, 1.0 / reg.mu)
+                below += _one_minus_product(reg.beta, reg.mu) < 0.0
             assert 0.0 <= optimal_rate(reg) <= 1e-15
         assert below > 0  # the clamp was needed
         assert optimal_rate(RegularityParams(1.0, 1.0, 0.0, 1.0)) == 0.0
+
+    @pytest.mark.parametrize("boundary", [False, True], ids=["random", "near_boundary"])
+    def test_within_8_ulp_of_the_decimal_reference(self, boundary):
+        # random: log-uniform moduli, each side absent one time in ten;
+        # near_boundary: alpha*rho or beta*mu = 1 - 10^-k, k = 1 ... 16, where
+        # (ac - bd)/(ac + bd) cancelled up to every digit
+        rng = np.random.default_rng(5 + boundary)
+        worst = 0.0
+        for i in range(4000):
+            rho, mu = (float(10.0 ** rng.uniform(-3.0, 3.0)) * (rng.random() >= 0.1)
+                       for _ in range(2))
+            if rho + mu == 0.0:
+                rho = 1.0
+            alpha, beta = (float(rng.random()) / s if s > 0.0
+                           else float(10.0 ** rng.uniform(-3.0, 3.0)) for s in (rho, mu))
+            if boundary:
+                side = float(10.0 ** rng.uniform(-3.0, 3.0))
+                product = 1.0 - 10.0 ** -(i % 16 + 1)
+                if i % 32 < 16:
+                    rho, alpha = side, product / side
+                else:
+                    mu, beta = side, product / side
+            reg = RegularityParams(rho, alpha, mu, beta)
+            want = optimal_rate_reference(reg)
+            got = optimal_rate(reg)
+            if want <= 0:  # a product rounds to 1, but lies on or above it
+                assert got == 0.0
+                continue
+            worst = max(worst, float(abs(Decimal(got) - want)) / math.ulp(float(want)))
+        assert worst <= 8.0
+
+    def test_exactly_zero_at_an_exact_quadratic(self, rng):
+        for _ in range(100):
+            reg = sample_regularity(rng)
+            for x in (0.25, 0.5, 2.0, 4.0, 1024.0):  # 1/x is exact
+                assert optimal_rate(RegularityParams(reg.rho, reg.alpha, x, 1.0 / x)) == 0.0
+                assert optimal_rate(RegularityParams(1.0 / x, x, reg.mu, reg.beta)) == 0.0
 
     def test_limit_towards_pure_f_regularity(self):
         # beta -> 0 with mu = 0 approaches the classical optimal rate
@@ -163,7 +203,7 @@ class TestOptimalRate:
             r_star = optimal_rate(reg)
             for _ in range(10):
                 lp = optimal_params(reg, interior_delta(rng, reg, margin=1e-3))
-                r = rate_r1(lp, reg) * rate_r2(lp, reg)
+                r = rate_bundle(lp, reg).r
                 assert abs(r - r_star) <= 1e-10
 
 
@@ -264,9 +304,12 @@ class TestDominance:
     ], ids=["f_absent", "g_absent"])
     def test_absent_function_ties_classical_prs(self, reg, tie):
         # with rho = alpha = 0 on one side, leveraged PRS is classical PRS on
-        # the other function, so r* = (1 - sqrt(0.5)) / (1 + sqrt(0.5)) twice
+        # the other function, so r* = (1 - sqrt(0.5)) / (1 + sqrt(0.5)) twice;
+        # r* is 3 - 2 sqrt(2) correctly rounded, and the classical formula's
+        # cancellation leaves it an ulp below
         report = dict(dominance_report(reg))
-        assert report["prs_lev"] == report[tie] == pytest.approx(3.0 - 2.0 * math.sqrt(2.0))
+        assert report["prs_lev"] == 0.1715728752538099
+        assert abs(report[tie] - report["prs_lev"]) <= math.ulp(report["prs_lev"])
         others = [rate for name, rate in report.items()
                   if rate is not None and name not in ("prs_lev", tie)]
         assert others and all(report["prs_lev"] < rate for rate in others)
@@ -298,9 +341,10 @@ class TestDominance:
             dominance_report(reg)
 
     def test_r_star_is_listed_first_among_its_ties(self, rng):
-        # at an exact quadratic r* is 0 only within a few ulps, so it can sit
-        # above the baselines of 0 that it ties; it is listed first all the same,
-        # with its own bits, and the baselines follow in ascending order
+        # rho * (1/rho) rounds to 1, where the classical rates are 0, but the
+        # exact product of the two doubles can lie an ulp below 1, where r* is
+        # a few 1e-17 above them; it is listed first all the same, with its
+        # own bits, and the baselines follow in ascending order
         above = 0
         for i in range(200):
             reg = sample_regularity(rng)
