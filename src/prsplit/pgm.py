@@ -1,7 +1,8 @@
 """Minimal portable-graymap (PGM) reader and writer for the demo CLI.
 
 Images travel as float arrays in [0, 1], row-major.  The writer emits binary
-``P5`` at 8 bits; the reader accepts ``P2`` and ``P5`` up to 16 bits.  Every
+``P5`` at 8 bits; the reader accepts ``P2`` and ``P5`` up to 16 bits, with
+every pixel an unsigned integer no greater than the header's maxval.  Every
 output file of the package is written by ``_write_in_place``.
 """
 
@@ -40,13 +41,16 @@ def read_pgm(path) -> np.ndarray:
     if not all(field.isdigit() for field in fields):
         raise IOError(f"{path}: PGM width, height and maxval must be unsigned integers")
     width, height, maxval = map(int, fields)
+    if width == 0 or height == 0:
+        raise IOError(f"{path}: PGM width and height must be positive")
     if not (0 < maxval < 65536):
         raise IOError(f"{path}: bad maxval {maxval}")
     if magic == b"P2":
-        try:
-            values = np.array(data[pos:].split(), dtype=float)
-        except ValueError:
-            raise IOError(f"{path}: a P2 pixel value is not a number") from None
+        pixels = data[pos:].split()
+        # bytes.isdigit is ASCII digits only: no sign, point, exponent or nan
+        if not all(pixel.isdigit() for pixel in pixels):
+            raise IOError(f"{path}: P2 pixel values must be unsigned integers")
+        values = np.array(pixels, dtype=float)
     else:
         body = memoryview(data)[pos + 1:]  # exactly one whitespace byte after maxval
         dtype = np.dtype(">u2" if maxval > 255 else "u1")
@@ -55,6 +59,8 @@ def read_pgm(path) -> np.ndarray:
         values = np.frombuffer(body, dtype=dtype, count=count).astype(float)
     if values.size != width * height:
         raise IOError(f"{path}: expected {width * height} pixels, got {values.size}")
+    if values.max() > maxval:
+        raise IOError(f"{path}: a pixel value is above maxval {maxval}")
     return values.reshape(height, width) / maxval
 
 

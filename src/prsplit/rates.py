@@ -183,12 +183,18 @@ def rate_constancy_check(reg: RegularityParams, grid_size: int = 101) -> float:
 
 
 def classical_prs_optimal(reg: RegularityParams) -> tuple[float, float]:
-    """Optimal step and rate for plain PRS: ``tau = sqrt(alpha/rho)``."""
+    """Optimal step and rate for plain PRS: ``tau = sqrt(alpha/rho)``.
+
+    The rate ``(1 - s)/(1 + s)`` with ``s = sqrt(alpha*rho)`` is evaluated as
+    ``(1 - alpha*rho)/(1 + s)^2``, with ``1 - alpha*rho`` compensated, so it
+    keeps its digits as ``alpha*rho -> 1``, as :func:`optimal_rate` does.
+    """
     if reg.rho <= 0.0 or reg.alpha <= 0.0:
         raise NotStronglyRegular("classical PRS tuning needs rho > 0 and alpha > 0")
     tau = math.sqrt(reg.alpha / reg.rho)
     s = math.sqrt(reg.alpha * reg.rho)
-    return tau, (1.0 - s) / (1.0 + s)
+    # clamped like optimal_rate: a product that rounds to 1 may lie above it
+    return tau, max(0.0, _one_minus_product(reg.alpha, reg.rho) / ((1.0 + s) * (1.0 + s)))
 
 
 def drs_optimal_rate(reg: RegularityParams, tau: Optional[float] = None) -> tuple[float, float, float]:
@@ -208,10 +214,18 @@ def drs_optimal_rate(reg: RegularityParams, tau: Optional[float] = None) -> tupl
 
 
 def _fista_rate(reg: RegularityParams) -> float:
-    """Per-iteration rate bound of FISTA with its forward step on f."""
+    """Per-iteration rate bound of FISTA with its forward step on f.
+
+    ``1 - sqrt(q)`` with ``q = alpha (rho + mu)/(1 + alpha mu)`` is evaluated as
+    ``(1 - alpha*rho)/((1 + alpha*mu)(1 + sqrt(q)))``, since ``1 - q`` is
+    ``(1 - alpha*rho)/(1 + alpha*mu)``, with ``1 - alpha*rho`` compensated.
+    """
     if not (reg.alpha > 0.0 and reg.rho + reg.mu > 0.0):
         raise NotStronglyRegular("FISTA needs alpha > 0 and rho + mu > 0")
-    return 1.0 - math.sqrt(reg.alpha * (reg.rho + reg.mu) / (1.0 + reg.alpha * reg.mu))
+    w = 1.0 + reg.alpha * reg.mu
+    q = reg.alpha * (reg.rho + reg.mu) / w
+    # clamped like classical_prs_optimal
+    return max(0.0, _one_minus_product(reg.alpha, reg.rho) / (w * (1.0 + math.sqrt(q))))
 
 
 def _mirrored(formula, reg: RegularityParams) -> tuple[Optional[float], Optional[float]]:

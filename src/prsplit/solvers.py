@@ -18,7 +18,10 @@ It skips only after its first m steps (m the size of z), which cost about
 as much as the skip's own setup, so solves that short run as before.
 FISTA steps forward on f (g-first: on ``problem.swap()``) and folds its step
 the same way: when f has a constant ``hessian`` and g a ``resolvent``, its
-forward-backward step is one affine map ``y -> P y + p``, built once per solve.
+forward-backward step is one affine map ``y -> P y + p``, built once per solve,
+and its momentum ``y = x + beta (x - x_prev)`` one product
+``(-beta, 1 + beta) . (x_prev, x)`` of its last two iterates.  With the two
+oracles it keeps the elementwise momentum.
 
 A splitting solve that records its trace reads every step, so it cannot skip;
 FISTA never skips.  Their affine steps (``T`` when recorded, ``P`` always) run
@@ -538,9 +541,15 @@ def fista_solve(
     the step is the affine map ``y -> P y + p`` of :func:`_forward_backward`,
     built once per solve by one m x m product: each step is then one
     matrix-vector product in place of a gradient, a prox and their vector
-    work, with the same iterates up to the last bits.  Otherwise each step
-    calls both oracles.  The affine step runs in blocks (:func:`_step_blocks`),
-    with the same operations and bits as one step at a time.
+    work, with the same iterates up to the last bits.  The constant momentum
+    makes the next ``y = (1 + beta) x - beta x_prev`` a fixed combination of
+    the two newest iterates, so it is one product of the 2 x m rows
+    ``(x_prev, x)`` with ``(-beta, 1 + beta)``: a step is ``P.dot``, ``+= p``
+    and that product.  It rounds differently from the elementwise
+    ``x + beta (x - x_prev)``, by a few ulps of ``(1 + beta)|x| + beta|x_prev|``.
+    Otherwise each step calls both oracles and forms the momentum elementwise.
+    The affine step runs in blocks (:func:`_step_blocks`), with the same
+    operations and bits as one step at a time.
 
     Like every solver here, it stops at the first iterate whose metric is
     within ``tol``.  The distance tail is not monotone either: it can hover
@@ -558,8 +567,7 @@ def fista_solve(
     if gamma <= 0.0:
         raise NotSmooth("FISTA's forward term needs a positive cocoercivity modulus")
     q = min(gamma * (reg.rho + reg.mu), 1.0)
-    # boxed like _split's scalars: a 0-d float64 operand multiplies to the same bits
-    momentum = np.asarray((1.0 - math.sqrt(q)) / (1.0 + math.sqrt(q)))
+    beta = (1.0 - math.sqrt(q)) / (1.0 + math.sqrt(q))
 
     x = f.zero_point()
     monitor = _Monitor(config, x, problem.solution_oracle)
@@ -567,19 +575,22 @@ def fista_solve(
     if P is not None:
         X, Y = np.empty((2, BLOCK + 1, x.size))
         X[0] = Y[0] = x
-        xs, ys = list(X), list(Y)
+        # views made once; pairs[j] is rows j and j + 1 of X: (x_prev, x_next)
+        xs, ys, pairs = list(X), list(Y), [X[j : j + 2] for j in range(BLOCK)]
+        coef = np.array([-beta, 1.0 + beta])
 
         def advance(k: int) -> np.ndarray:
-            for x_prev, y, x_next, y_next in zip(xs, ys, xs[1 : k + 1], ys[1 : k + 1]):
+            for y, x_next, pair, y_next in zip(ys, xs[1 : k + 1], pairs, ys[1 : k + 1]):
                 P.dot(y, out=x_next)
                 x_next += p
-                # y_next = x_next + momentum (x_next - x_prev), in place
-                np.subtract(x_next, x_prev, out=y_next)
-                y_next *= momentum
-                y_next += x_next
+                # the momentum y_next = x_next + beta (x_next - x_prev) as one
+                # product: (1 + beta) x_next - beta x_prev
+                coef.dot(pair, out=y_next)
             return _row_norms(X[1 : k + 1] - Y[:k])
 
         return _step_blocks(monitor, config.max_iter, (X, Y), advance), monitor.trace
+    # boxed like _split's scalars: a 0-d float64 operand multiplies to the same bits
+    momentum = np.asarray(beta)
     y = x
     for n in range(config.max_iter):
         x_next = g.prox(gamma, y - gamma * f.gradient(y))

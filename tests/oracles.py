@@ -2,9 +2,10 @@
 
 The conjugate-shift closed forms, the regularity transfer, the shifted-prox
 identities and solution recovery, prox sanity checks, a brute-force rate
-search, the classical PRS rate, ``r*`` to 60 digits, the academic instance
-with offsets, a per-cell trace writer and its reader, and the recorded affine
-solves stepped one iterate at a time.
+search, the classical PRS rate, ``r*`` and the optimal classical PRS and
+FISTA rates to 60 digits, the academic instance with offsets, a per-cell
+trace writer and its reader, and the recorded affine solves stepped one
+iterate at a time.
 """
 
 from __future__ import annotations
@@ -340,6 +341,25 @@ def optimal_rate_reference(reg: RegularityParams) -> Decimal:
         return (1 - alpha * rho) * (1 - beta * mu) / (s * s)
 
 
+def classical_prs_optimal_reference(reg: RegularityParams) -> Decimal:
+    """The optimal classical PRS rate ``(1 - s)/(1 + s)``, ``s = sqrt(alpha*rho)``,
+    in 60-digit decimal arithmetic on the exact doubles; below 0 where
+    ``alpha*rho`` exceeds 1, though it rounds to 1."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        s = (Decimal(reg.alpha) * Decimal(reg.rho)).sqrt()
+        return (1 - s) / (1 + s)
+
+
+def fista_rate_reference(reg: RegularityParams) -> Decimal:
+    """FISTA's bound ``1 - sqrt(alpha (rho + mu)/(1 + alpha mu))``, forward on
+    f, in 60-digit decimal arithmetic on the exact doubles."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        rho, alpha, mu = (Decimal(v) for v in (reg.rho, reg.alpha, reg.mu))
+        return 1 - (alpha * (rho + mu) / (1 + alpha * mu)).sqrt()
+
+
 def offset_instance(m: int, n: int, p: int, seed: int, a: np.ndarray,
                     b: np.ndarray) -> CompositeProblem:
     """:func:`prsplit.harness.generate_instance`'s pair at ``seed``, with
@@ -419,11 +439,14 @@ def stepwise_affine_fista(
     problem: CompositeProblem, config: SolverConfig
 ) -> tuple[np.ndarray, SolveTrace]:
     """``fista_solve`` on a pair whose step is affine, with the trace on, one
-    step ``x = P y + p`` at a time, each judged by ``_Monitor.update``."""
+    step ``x = P y + p`` at a time, each judged by ``_Monitor.update``.  The
+    momentum is the solver's product ``(-beta, 1 + beta) . (x_prev, x_next)``,
+    on the two iterates stacked into a fresh array."""
     reg = problem.regularity
     gamma = reg.alpha
     q = min(gamma * (reg.rho + reg.mu), 1.0)
-    momentum = np.asarray((1.0 - math.sqrt(q)) / (1.0 + math.sqrt(q)))
+    beta = (1.0 - math.sqrt(q)) / (1.0 + math.sqrt(q))
+    coef = np.array([-beta, 1.0 + beta])
     P, p = _forward_backward(problem.f, problem.g, gamma)
     x = y = problem.f.zero_point()
     monitor = _Monitor(config, x, problem.solution_oracle)
@@ -432,7 +455,7 @@ def stepwise_affine_fista(
             x_next = P.dot(y)
             x_next += p
             residual = _norm(x_next - y)
-            y = x_next + momentum * (x_next - x)
+            y = coef.dot(np.stack([x, x_next]))
             x = x_next
             if monitor.update(n, residual, x):
                 break

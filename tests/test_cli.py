@@ -250,8 +250,30 @@ BAD_INPUT = [  # (id, command, flags (a list), JSON (dict, text or bytes) or PGM
     ("pgm-comment-to-end", "restore", b"P5 # no newline", "{path}: truncated PGM header"),
     ("pgm-width", "restore", b"P5\nx 4\n255\n",
      "{path}: PGM width, height and maxval must be unsigned integers"),
+    # an empty image reached the blur's kernel wrap, which raised IndexError
+    ("pgm-zero-width", "restore", b"P2\n0 4\n255\n",
+     "{path}: PGM width and height must be positive"),
+    ("pgm-zero-height", "restore", b"P5\n4 0\n255\n",
+     "{path}: PGM width and height must be positive"),
     ("pgm-P2-body", "restore", b"P2\n2 2\n255\n1 2 a 4\n",
-     "{path}: a P2 pixel value is not a number"),
+     "{path}: P2 pixel values must be unsigned integers"),
+    # float() reads each of these, and every solve then ran on the value
+    ("pgm-P2-nan", "restore", b"P2\n4 4\n255\n1 2 3 4\n5 nan 7 8\n9 10 11 12\n13 14 15 16\n",
+     "{path}: P2 pixel values must be unsigned integers"),
+    ("pgm-P2-negative", "restore", b"P2\n2 2\n255\n1 -7 3 4\n",
+     "{path}: P2 pixel values must be unsigned integers"),
+    ("pgm-P2-fraction", "restore", b"P2\n2 2\n255\n1 2.5 3 4\n",
+     "{path}: P2 pixel values must be unsigned integers"),
+    ("pgm-P2-exponent", "restore", b"P2\n2 2\n255\n1 2 3e1 4\n",
+     "{path}: P2 pixel values must be unsigned integers"),
+    ("pgm-P2-above-maxval", "restore", b"P2\n2 2\n255\n1 2 9999 4\n",
+     "{path}: a pixel value is above maxval 255"),
+    ("pgm-P2-400-digits", "restore", b"P2\n2 2\n255\n1 2 3 1" + b"0" * 399 + b"\n",
+     "{path}: a pixel value is above maxval 255"),
+    ("pgm-P5-above-maxval", "restore", b"P5\n2 2\n200\n\x00\x10\xc9\x20",
+     "{path}: a pixel value is above maxval 200"),
+    ("pgm-P5-16-bit-above-maxval", "restore", b"P5\n2 1\n1000\n\x03\xe8\x03\xe9",
+     "{path}: a pixel value is above maxval 1000"),
     # an integer flag out of range is named as the flag, not as the parameter it sets
     ("grid-zero", "sweep-delta", [*TIGHT_MODULI, "--grid", "0"], "--grid must be >= 2, got 0"),
     ("grid-one", "sweep-delta", [*TIGHT_MODULI, "--grid", "1"], "--grid must be >= 2, got 1"),
@@ -360,6 +382,49 @@ def test_a_problem_file_that_is_not_strict_json_is_one_line(tmp_path, capsys, gi
     assert out == "" and err.startswith("prsplit: error: problem file: ")
     assert err.count("\n") == 1 and err.endswith("\n")
     assert not (tmp_path / "solution.csv").exists()
+
+
+def _valid_files() -> dict[str, tuple[str, bytes]]:
+    """A valid file of each kind a command reads, by name: ``(command, bytes)``."""
+    r = np.random.default_rng(11)
+    A, B = r.standard_normal((8, 5)), r.standard_normal((7, 5))
+    a, b = r.standard_normal(8), r.standard_normal(7)
+    problem = json.dumps({"A": A.tolist(), "a": a.tolist(), "B": B.tolist(), "b": b.tolist()})
+    pixels = r.integers(0, 256, (8, 8))
+    p2 = "P2\n# seeded\n8 8\n255\n" + "".join(" ".join(map(str, row)) + "\n" for row in pixels)
+    return {"problem": ("solve", problem.encode()), "P2": ("restore", p2.encode()),
+            "P5": ("restore", b"P5\n8 8\n255\n" + pixels.astype(np.uint8).tobytes())}
+
+
+def _cut_cases() -> list[tuple[str, int]]:
+    """64 cuts of each valid file: at each of the first 16 bytes, where the
+    headers are, and at 48 seeded offsets past them."""
+    r = np.random.default_rng(29)
+    cases = []
+    for name, (_, data) in _valid_files().items():
+        later = r.choice(np.arange(16, len(data)), 48, replace=False)
+        cases += [(name, int(cut)) for cut in sorted([*range(16), *later])]
+    return cases
+
+
+CUT_CASES = _cut_cases()
+
+
+@pytest.mark.parametrize("name, cut", CUT_CASES, ids=[f"{n}@{c}" for n, c in CUT_CASES])
+def test_a_file_cut_short_runs_or_is_one_line(tmp_path, capsys, name, cut):
+    # a cut inside the last P2 pixel leaves a valid image, which restores
+    command, data = _valid_files()[name]
+    path = tmp_path / "cut"
+    path.write_bytes(data[:cut])
+    flag = "--problem-file" if command == "solve" else "--image"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # raised, and so not caught by main
+        code = main([command, flag, str(path), "--max-iter", "200", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith("prsplit: error: ") and err.count("\n") == 1 and err.endswith("\n")
+    else:
+        assert code in (0, 1) and err == ""
 
 
 def _number_tokens(seed):

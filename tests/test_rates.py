@@ -22,7 +22,12 @@ from prsplit.rates import (
 )
 
 from conftest import interior_delta, sample_regularity
-from oracles import classical_prs_rate, optimal_rate_reference
+from oracles import (
+    classical_prs_optimal_reference,
+    classical_prs_rate,
+    fista_rate_reference,
+    optimal_rate_reference,
+)
 
 REG = RegularityParams(rho=1.0, alpha=0.25, mu=0.0, beta=1.0)
 LP = LeverageParams(delta=-2.0 / 3.0, eta=0.0, tau=0.9486832980505138)  # = 1.5/sqrt(2.5)
@@ -243,6 +248,38 @@ class TestBaselines:
         assert rate == pytest.approx(0.0, abs=1e-15)
         assert classical_prs_rate(tau, reg) == pytest.approx(0.0, abs=1e-15)
 
+    @pytest.mark.parametrize("boundary", [False, True], ids=["random", "near_boundary"])
+    @pytest.mark.parametrize("name", ["prs", "fista"])
+    def test_within_8_ulp_of_the_decimal_reference(self, name, boundary):
+        # random: log-uniform rho and mu (mu absent one time in ten) and alpha*rho
+        # uniform in [0, 1); near_boundary: alpha*rho = 1 - 10^-k, k = 1 ... 16,
+        # where (1 - s)/(1 + s) and 1 - sqrt(q) lost up to every digit
+        formula, reference = {
+            "prs": (lambda reg: classical_prs_optimal(reg)[1], classical_prs_optimal_reference),
+            "fista": (lambda reg: fista_rate_bounds(reg)[0], fista_rate_reference),
+        }[name]
+        rng = np.random.default_rng(7 + boundary)
+        worst = 0.0
+        for i in range(4000):
+            rho = float(10.0 ** rng.uniform(-3.0, 3.0))
+            mu = float(10.0 ** rng.uniform(-3.0, 3.0)) * (rng.random() >= 0.1)
+            product = 1.0 - 10.0 ** -(i % 16 + 1) if boundary else float(rng.random())
+            reg = RegularityParams(rho, product / rho, mu, float(rng.random()) / max(mu, 1.0))
+            want, got = reference(reg), formula(reg)
+            if want <= 0:  # alpha*rho rounds to 1, but lies on or above it
+                assert got == 0.0
+                continue
+            worst = max(worst, float(abs(Decimal(got) - want)) / math.ulp(float(want)))
+        assert worst <= 8.0
+
+    def test_exactly_zero_at_an_exact_quadratic(self, rng):
+        for _ in range(100):
+            reg = sample_regularity(rng)
+            for x in (0.25, 0.5, 2.0, 4.0, 1024.0):  # 1/x is exact
+                exact = RegularityParams(1.0 / x, x, reg.mu, reg.beta)
+                assert classical_prs_optimal(exact)[1] == 0.0
+                assert fista_rate_bounds(exact)[0] == 0.0
+
     def test_drs_optimal(self):
         reg = RegularityParams(rho=1.0, alpha=0.0, mu=0.0, beta=1.0)
         tau, lam, rate = drs_optimal_rate(reg)
@@ -341,11 +378,13 @@ class TestDominance:
             dominance_report(reg)
 
     def test_r_star_is_listed_first_among_its_ties(self, rng):
-        # rho * (1/rho) rounds to 1, where the classical rates are 0, but the
-        # exact product of the two doubles can lie an ulp below 1, where r* is
-        # a few 1e-17 above them; it is listed first all the same, with its
-        # own bits, and the baselines follow in ascending order
-        above = 0
+        # rho * (1/rho) rounds to 1, but the exact product of the two doubles
+        # can lie on or above 1, where r* and the exact side's classical PRS
+        # and FISTA rates are all clamped to 0 and tie, or an ulp below 1,
+        # where r* and those rates are a few 1e-17, each compensated, and r*
+        # is strictly the smallest; r* is listed first with its own bits, and
+        # the baselines follow in ascending order
+        ties = 0
         for i in range(200):
             reg = sample_regularity(rng)
             reg = (RegularityParams(reg.rho, 1.0 / reg.rho, reg.mu, reg.beta) if i % 2
@@ -354,8 +393,9 @@ class TestDominance:
             assert report[0] == ("prs_lev", optimal_rate(reg))
             baselines = [rate for _, rate in report[1:] if rate is not None]
             assert baselines == sorted(baselines)
-            above += baselines[0] < report[0][1]
-        assert above > 0
+            assert report[0][1] < baselines[0] or report[0][1] == baselines[0] == 0.0
+            ties += baselines[0] == report[0][1]
+        assert 0 < ties < 200
 
     def test_rates_that_round_to_one_tie(self):
         # with rho = 1e-33 every rate is 1 - O(1e-16) or closer, and rounds to 1

@@ -693,6 +693,31 @@ class TestFista:
         # one gradient at the origin builds the map; no step calls an oracle
         assert calls == ["gradient"]
 
+    def test_momentum_product_is_the_elementwise_momentum_to_a_few_ulps(self, rng):
+        # the affine step forms y = x + beta (x - x_prev) as the product
+        # (-beta, 1 + beta) . (x_prev, x) on rows j, j + 1 of its block, the
+        # oracle step elementwise; each is within about 1.5 eps of the exact
+        # value on the scale (1 + beta)|x| + beta |x_prev|, so they agree to 4
+        eps = np.finfo(float).eps
+        worst = 0.0
+        for i in range(400):
+            m = int(rng.integers(1, 258))
+            q = float(10.0 ** rng.uniform(-8.0, 0.0))
+            beta = (1.0 - math.sqrt(q)) / (1.0 + math.sqrt(q))
+            j = int(rng.integers(0, solvers.BLOCK))
+            pair = np.empty((solvers.BLOCK + 1, m))[j : j + 2]
+            pair[1] = rng.standard_normal(m) * 10.0 ** rng.uniform(-10.0, 10.0, m)
+            # late iterates differ in their last digits, early ones in all
+            spread = 10.0 ** -rng.uniform(0.0, 15.0) if i % 2 else 1.0
+            pair[0] = pair[1] * (1.0 + spread * rng.standard_normal(m))
+            x_prev, x = pair.copy()
+            got = np.empty(m)
+            np.array([-beta, 1.0 + beta]).dot(pair, out=got)
+            want = x + np.asarray(beta) * (x - x_prev)
+            scale = (1.0 + beta) * np.abs(x) + beta * np.abs(x_prev)
+            worst = max(worst, float((np.abs(got - want) / (eps * scale)).max()))
+        assert worst <= 4.0
+
     def test_partner_without_resolvent_keeps_oracle_step(self, rng):
         # a Huber partner has no affine prox, so the forward function's hessian
         # goes unread and every step is the gradient-and-prox step, bit for bit
