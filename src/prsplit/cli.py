@@ -148,6 +148,10 @@ def _load_problem_file(path):
         raise ValueError(f"problem file: {exc}") from None
     if not isinstance(spec, dict):
         raise ValueError("problem file must hold a JSON object")
+    for key in spec:  # a misspelt offset key would otherwise solve with a zero offset
+        if key not in ("A", "B", "a", "b"):
+            raise ValueError(f"problem file: unknown key {key!r}; "
+                             "the keys are 'A', 'B', 'a' and 'b'")
     for key in ("A", "B"):
         if key not in spec:
             raise ValueError(f"problem file needs matrix {key!r}")

@@ -584,7 +584,7 @@ matplotlib.use("Agg")
 import matplotlib.pyplot as plt
 
 TRACES = {traces!r}
-BOUNDS = {bounds_literal}
+BOUNDS = {bounds!r}
 
 fig, ax = plt.subplots(figsize=(7, 4.5))
 for label, csv_path in TRACES.items():
@@ -620,16 +620,9 @@ def emit_plot_script(
     bounds = {}
     for label, rate, length in bound_lines:
         bounds[label] = [float(rate) ** n for n in range(length)]
-    bounds_literal = (
-        "{"
-        + ", ".join(
-            f"{label!r}: [" + ", ".join(_fmt(v) for v in values) + "]"
-            for label, values in bounds.items()
-        )
-        + "}"
-    )
+    # str keys and lists of Python floats: repr writes each float as repr text
     text = _PLOT_TEMPLATE.format(
         traces={k: str(v) for k, v in traces.items()},
-        bounds_literal=bounds_literal,
+        bounds=bounds,
     )
     pgm._write_in_place(path, text.encode())

@@ -5,17 +5,18 @@ All solvers share the stopping logic and trace capture of :class:`SolverConfig`.
 ``delta`` and ``eta``, written with the rescaled proxes of the original f and
 g, so no new oracles are ever required.  At ``delta = eta = 0`` the shifted
 pair is the original one, so ``LeverageParams(0, 0, tau)`` is classical PRS,
-and with a relaxation ``lam < 1`` relaxed DRS.  It runs one loop, ``_split``:
-from resolvents ``first`` and ``second``, a reflection coefficient ``c0`` and
-the relaxation ``lam`` it iterates ``x = first(z)``,
-``d = second(c0*x - z) - x``, ``z += lam*c0*d``, with ``c0 = 2`` at
-``eta = 0``.  When both proxes are affine (each function has a
-``resolvent``), the loop precomposes the whole step into one affine map
-``z -> T z + t``.  If nothing reads the intermediate iterates (trace off, a
-z*-based stopping rule) and ``||T||_2 < 1``, the loop skips ahead to the step
-before its stopping step by repeated squaring of ``T``, and steps the rest.
-It skips only after its first m steps (m the size of z), which cost about
-as much as the skip's own setup, so solves that short run as before.
+and with a relaxation ``lam < 1`` relaxed DRS.  Its one loop iterates
+``x = f.prox(gamma_f, z/f_scale)``, ``d = g.prox(gamma_g, (c0*x - z)*g_in) - x``,
+``z += lam*c0*d``, with ``c0 = 2`` at ``eta = 0``.  When both proxes are
+affine (each function has a ``resolvent``), the step is precomposed into one
+affine map ``z -> T z + t``.  If nothing reads the intermediate iterates
+(trace off, a z*-based stopping rule) and ``||T||_2 < 1``, the loop skips
+ahead to the step before its stopping step by repeated squaring of ``T``,
+and steps the rest.  It skips only after its first m steps (m the size of
+z), which cost about as much as the skip's own setup, so solves that short
+run as before.  When the proxes are called step by step, a
+:class:`Recording` of an earlier solve from the same inputs supplies the
+first steps, and the loop computes, and records, only the steps past them.
 FISTA steps forward on f (g-first: on ``problem.swap()``) and folds its step
 the same way: when f has a constant ``hessian`` and g a ``resolvent``, its
 forward-backward step is one affine map ``y -> P y + p``, built once per solve,
@@ -98,12 +99,13 @@ class SolverConfig:
 
 
 class Recording:
-    """The iterates ``z_1, z_2, ...`` of one oracle-path splitting solve, each
-    with the residual ``||d||`` of the step that made it.
+    """A prefix of the steps of one oracle-path splitting solve: the iterates
+    ``z_1, z_2, ...``, each with the residual ``||d||`` of the step that made
+    it.
 
-    Given to :func:`prs_lev_solve` empty, it records that solve, at most its
-    first ``limit`` steps; given again, filled, it is replayed by a solve from
-    the same f, g, parameters, relaxation and z0, and any other solve raises
+    Each solve of :func:`prs_lev_solve` given it reads the steps it holds and
+    appends the steps it computes, up to its first ``limit``; a solve from
+    any other f, g, parameters, relaxation or z0 than the first one raises
     ``ValueError``.  It holds the loop's own arrays, not copies: ``8 N`` bytes
     per step for z of size N.
     """
@@ -114,18 +116,17 @@ class Recording:
         self.residuals: list[float] = []
         self.iterates: list[np.ndarray] = []
 
-    def _bind(self, f, g, lp: LeverageParams, lam: float, z0: np.ndarray) -> bool:
-        """Tie an empty recording to a solve's inputs and return True (record),
-        or check a filled one's and return False (replay)."""
+    def _bind(self, f, g, lp: LeverageParams, lam: float, z0: np.ndarray) -> None:
+        """Tie the recording to a solve's inputs, or check that they are the
+        ones it is tied to."""
         source = (f, g, (lp, lam, z0.shape, z0.tobytes()))
         if self.source is None:
             self.source = source
-            return True
+            return
         f_, g_, values = self.source
         if f is not f_ or g is not g_ or source[2] != values:
             raise ValueError("the recording was made by a solve from another f, g, "
                              "LeverageParams, relaxation or z0")
-        return False
 
 
 def _norm(v: np.ndarray) -> float:
@@ -320,28 +321,43 @@ def _power_descent(
     return n, e
 
 
-def _split(
-    first: Callable[[np.ndarray], np.ndarray],
-    second: Callable[[np.ndarray], np.ndarray],
-    c0: float,
-    lam: float,
-    config: SolverConfig,
-    z: np.ndarray,
-    z_star: Optional[np.ndarray],
-    maps: Optional[tuple[Affine, Affine]] = None,
-    record: Optional[Recording] = None,
-    replay: Optional[Recording] = None,
+def prs_lev_solve(
+    problem: CompositeProblem,
+    lp: LeverageParams,
+    config: SolverConfig = SolverConfig(),
+    z0: Optional[np.ndarray] = None,
+    z_star: Optional[np.ndarray] = None,
+    lam: float = 1.0,
+    recording: Optional[Recording] = None,
 ) -> tuple[np.ndarray, np.ndarray, SolveTrace]:
-    """The one splitting loop; returns ``(first(z_final), z_final, trace)``.
+    """Run the leveraged recurrence; returns ``(x_final, z_final, trace)``.
 
-    ``maps`` is ``((A1, b1), (A2, b2))`` when ``first(v) = A1 v + b1`` and
-    ``second(v) = A2 v + b2``.  A step is then the affine map ``z -> T z + t``
-    with ``s = lam*c0``, ``T = I + s (c0 A2 A1 - A2 - A1)`` and
-    ``t = s (c0 A2 b1 + b2 - b1)``, built once per solve: one product per step
-    in place of two proxes.  ``||d||`` is read back as ``||z_next - z|| / s``,
-    which it equals in exact arithmetic.  A recorded affine solve steps in
-    blocks (:func:`_step_blocks`): ``T.dot(z, out=row)`` then ``row += t``,
-    the same operations and bits as one step at a time.
+    Each step is two rescaled proxes of the original f and g: ``x`` is the
+    f-prox at ``(tau+eta)/f_scale`` and the g-prox at ``(tau-eta)/g_scale``
+    takes the reflected point ``(2*tau*x - (tau-eta)*z) / (tau+eta)``, and z
+    moves by ``lam`` times the full step.  In the loop that is
+    ``x = f.prox(gamma_f, z/f_scale)``, ``d = g.prox(gamma_g, (c0*x - z)*g_in) - x``
+    and ``z += lam*c0*d``, with ``c0 = 2*tau/(tau-eta)`` and
+    ``g_in = (tau-eta)/((tau+eta)*g_scale)``.  ``x_final`` is the f-prox
+    output at termination, which converges to a minimizer of the original
+    problem.
+
+    ``LeverageParams(0, 0, tau)`` is classical PRS, ``z+ = z + 2*lam*(p - x)``
+    with both proxes at ``tau``, or relaxed DRS when ``lam < 1``: every
+    rescaling is then by an exact 1.  ``tau > |eta|`` and ``lam`` in ``]0, 1]``
+    are checked always, the leveraged hypotheses only for a nonzero ``delta``
+    or ``eta``, so classical PRS runs on any moduli.  z* is ``z_star``, else
+    the fixed point of the problem's minimizer, if it has one and grad f.
+
+    When f and g both have a ``resolvent`` (``f.prox(gamma_f, v/f_scale) =
+    A1 v + b1`` and ``g.prox(gamma_g, g_in v) = A2 v + b2``), a step is the
+    affine map ``z -> T z + t`` with ``s = lam*c0``,
+    ``T = I + s (c0 A2 A1 - A2 - A1)`` and ``t = s (c0 A2 b1 + b2 - b1)``,
+    built once per solve: one product per step in place of two proxes.
+    ``||d||`` is read back as ``||z_next - z|| / s``, which it equals in exact
+    arithmetic.  A recorded affine solve steps in blocks
+    (:func:`_step_blocks`): ``T.dot(z, out=row)`` then ``row += t``, the same
+    operations and bits as one step at a time.
 
     The affine loop skips ahead when the trace is off, the stopping rule is
     ``fixed_point_distance`` or ``normalized_error``, ``z`` is finite and not
@@ -356,52 +372,78 @@ def _split(
     and a step about ``m^2`` for ``z`` of size m, so the loop first takes m
     ordinary steps: a solve that stops within them runs as if nothing skipped.
 
-    Without ``maps``, each step appends its ``z`` and ``||d||`` to ``record``,
-    up to its ``limit``.  ``replay`` feeds its recorded steps, at most
-    ``max_iter``, to the monitor in place of the first steps, and the loop
-    steps on from the last of them if the monitor has not stopped.
+    ``recording`` is for a pair whose proxes are called step by step (f or g
+    without a ``resolvent``; any other pair raises ``ValueError``).  It holds
+    a prefix of this solve's steps: step n that the recording holds is read
+    from it (its ``z`` and ``||d||``), judged by this solve's ``config`` and
+    z* as if it were computed again, and every other step is computed and
+    appended while ``n < recording.limit``, at ``8 N`` bytes each for z of
+    size N.  So an empty recording records the solve, a filled one is
+    replayed and extended, and the result is bit for bit the one a fresh
+    solve returns.  A recording made from other f, g, ``lp``, ``lam`` or z0
+    raises ``ValueError``.
     """
-    monitor = _Monitor(config, z, z_star)
-    needs_residual = monitor.needs_residual
-    s = lam * c0  # positive: lam > 0, and c0 = 2 tau/(tau - eta) with tau > |eta|
-    if maps is None:
-        T = None
-        # a ufunc converts a Python-float operand on every call; a 0-d float64
-        # array skips that and multiplies to the same bits
-        c0, step = np.asarray(c0), np.asarray(s)
-    else:
-        (A1, b1), (A2, b2) = maps
+    tau, eta = lp.tau, lp.eta
+    if lp.delta != 0.0 or eta != 0.0:
+        validate_leverage(lp, problem.regularity)
+    elif not tau > 0.0:
+        raise TauTooSmall(f"tau={tau} must be positive")
+    if not (0.0 < lam <= 1.0):
+        raise ValueError("relaxation must lie in ]0, 1]")
+    f, g = problem.f, problem.g
+    gamma_f, gamma_g = (tau + eta) / lp.f_scale, (tau - eta) / lp.g_scale
+    c0 = 2.0 * tau / (tau - eta)
+    s = lam * c0  # positive: lam > 0 and tau > |eta|
+    # a ufunc converts a Python-float operand on every call; a 0-d float64
+    # array skips that and gives the same bits.  The prox step sizes stay
+    # Python floats, since they key the dense resolvent cache, and so does s,
+    # which divides the Python-float norms
+    sf, g_in, c0, step = map(
+        np.asarray, (lp.f_scale, (tau - eta) / ((tau + eta) * lp.g_scale), c0, s)
+    )
+    z = f.zero_point() if z0 is None else np.asarray(z0, dtype=float)
+    if z_star is not None:
+        z_star = np.asarray(z_star, dtype=float)
+    elif problem.solution_oracle is not None and f.gradient is not None:
+        z_star = fixed_point_oracle(problem, lp)
+
+    T = None
+    if f.resolvent is not None and g.resolvent is not None:
+        (M_f, b1), (M_g, b2) = f.resolvent(gamma_f), g.resolvent(gamma_g)
+        A1, A2 = M_f / sf, g_in * M_g
         T = np.eye(b1.size) + s * (c0 * (A2 @ A1) - A2 - A1)
         t = s * (c0 * A2.dot(b1) + b2 - b1)
+    residuals, iterates, limit = (), (), 0  # the recorded prefix, and its bound
+    if recording is not None:
+        if T is not None:
+            raise ValueError("only a solve that calls the proxes step by step can be recorded")
+        recording._bind(f, g, lp, lam, z)
+        residuals, iterates, limit = recording.residuals, recording.iterates, recording.limit
+    monitor = _Monitor(config, z, z_star)
+    needs_residual = monitor.needs_residual
 
     def steps(z: np.ndarray, begin: int, end: int) -> tuple[np.ndarray, bool]:
         """Iterations ``begin .. end-1`` from ``z``; True when the monitor stopped."""
         for n in range(begin, end):
-            if T is None:
-                x = first(z)
-                d = second(c0 * x - z) - x
-                z = z + step * d
-                residual = _norm(d) if needs_residual else 0.0
-                if record is not None and n < record.limit:
-                    record.residuals.append(_norm(d))
-                    record.iterates.append(z)
-            else:
+            if T is not None:
                 z_prev, z = z, T.dot(z) + t
                 residual = _norm(z - z_prev) / s if needs_residual else 0.0
-            if monitor.update(n, residual, z):
+            elif n < len(iterates):
+                residual, z = residuals[n], iterates[n]
+            else:
+                x = f.prox(gamma_f, z / sf)
+                d = g.prox(gamma_g, (c0 * x - z) * g_in) - x
+                z = z + step * d
+                residual = _norm(d) if needs_residual or n < limit else 0.0
+                if n < limit:
+                    residuals.append(residual)
+                    iterates.append(z)
+            if monitor.update(n, residual if needs_residual else 0.0, z):
                 return z, True
         return z, False
 
     if T is None:
-        done, stopped = 0, False
-        if replay is not None:
-            for residual, z in zip(replay.residuals[: config.max_iter], replay.iterates):
-                stopped = monitor.update(done, residual if needs_residual else 0.0, z)
-                done += 1
-                if stopped:
-                    break
-        if not stopped:
-            z, _ = steps(z, done, config.max_iter)
+        z, _ = steps(z, 0, config.max_iter)
     elif config.record_trace:
         Z = np.empty((BLOCK + 1, z.size))
         Z[0] = z
@@ -435,82 +477,10 @@ def _split(
             z, _ = steps(z, taken, config.max_iter)
     # the solution estimate belongs to the terminal z, not the previous one
     if monitor.trace.status != "nonfinite":
-        return first(z), z, monitor.trace
+        return f.prox(gamma_f, z / sf), z, monitor.trace
     # the status already names the fault, so the prox of that z need not warn
     with np.errstate(invalid="ignore", over="ignore"):
-        return first(z), z, monitor.trace
-
-
-def prs_lev_solve(
-    problem: CompositeProblem,
-    lp: LeverageParams,
-    config: SolverConfig = SolverConfig(),
-    z0: Optional[np.ndarray] = None,
-    z_star: Optional[np.ndarray] = None,
-    lam: float = 1.0,
-    recording: Optional[Recording] = None,
-) -> tuple[np.ndarray, np.ndarray, SolveTrace]:
-    """Run the leveraged recurrence; returns ``(x_final, z_final, trace)``.
-
-    Each step is two rescaled proxes of the original f and g: ``x`` is the
-    f-prox at ``(tau+eta)/f_scale`` and the g-prox at ``(tau-eta)/g_scale``
-    takes the reflected point ``(2*tau*x - (tau-eta)*z) / (tau+eta)``, and z
-    moves by ``lam`` times the full step.  ``x_final`` is the f-prox output at
-    termination, which converges to a minimizer of the original problem.
-
-    ``LeverageParams(0, 0, tau)`` is classical PRS, ``z+ = z + 2*lam*(p - x)``
-    with both proxes at ``tau``, or relaxed DRS when ``lam < 1``: every
-    rescaling is then by an exact 1.  ``tau > |eta|`` and ``lam`` in ``]0, 1]``
-    are checked always, the leveraged hypotheses only for a nonzero ``delta``
-    or ``eta``, so classical PRS runs on any moduli.  z* is ``z_star``, else
-    the fixed point of the problem's minimizer, if it has one and grad f.
-
-    ``recording`` is for a pair whose proxes are called step by step (f or g
-    without a ``resolvent``; any other pair raises ``ValueError``).  An empty
-    :class:`Recording` records this solve's iterates, at ``8 N`` bytes each
-    for z of size N.  A filled one, made from the same f, g, ``lp``, ``lam``
-    and z0, is replayed: its steps are judged by this solve's ``config`` and
-    z* as if they were computed again, so the result is bit for bit the one
-    a fresh solve returns, and the solve steps on past them if they do not
-    stop it.  A recording made from other inputs raises ``ValueError``.
-    """
-    t, e = lp.tau, lp.eta
-    if lp.delta != 0.0 or e != 0.0:
-        validate_leverage(lp, problem.regularity)
-    elif not t > 0.0:
-        raise TauTooSmall(f"tau={t} must be positive")
-    if not (0.0 < lam <= 1.0):
-        raise ValueError("relaxation must lie in ]0, 1]")
-    sf, sg = lp.f_scale, lp.g_scale
-    gamma_f, gamma_g = (t + e) / sf, (t - e) / sg
-    # boxed like _split's scalars; the prox step sizes stay Python floats,
-    # since they key the dense resolvent cache
-    sf, g_in = np.asarray(sf), np.asarray((t - e) / ((t + e) * sg))
-
-    def first(v: np.ndarray) -> np.ndarray:
-        return problem.f.prox(gamma_f, v / sf)
-
-    def second(v: np.ndarray) -> np.ndarray:
-        return problem.g.prox(gamma_g, v * g_in)
-
-    maps = None
-    if problem.f.resolvent is not None and problem.g.resolvent is not None:
-        (M_f, c_f), (M_g, c_g) = problem.f.resolvent(gamma_f), problem.g.resolvent(gamma_g)
-        maps = (M_f / sf, c_f), (g_in * M_g, c_g)
-    z = problem.f.zero_point() if z0 is None else np.asarray(z0, dtype=float)
-    if z_star is not None:
-        z_star = np.asarray(z_star, dtype=float)
-    elif problem.solution_oracle is not None and problem.f.gradient is not None:
-        z_star = fixed_point_oracle(problem, lp)
-    record = replay = None
-    if recording is not None:
-        if maps is not None:
-            raise ValueError("only a solve that calls the proxes step by step can be recorded")
-        if recording._bind(problem.f, problem.g, lp, lam, z):
-            record = recording
-        else:
-            replay = recording
-    return _split(first, second, 2.0 * t / (t - e), lam, config, z, z_star, maps, record, replay)
+        return f.prox(gamma_f, z / sf), z, monitor.trace
 
 
 # perfbench/tracing.py wraps these two names; they go once it no longer does
@@ -589,7 +559,7 @@ def fista_solve(
             return _row_norms(X[1 : k + 1] - Y[:k])
 
         return _step_blocks(monitor, config.max_iter, (X, Y), advance), monitor.trace
-    # boxed like _split's scalars: a 0-d float64 operand multiplies to the same bits
+    # boxed like prs_lev_solve's scalars: a 0-d float64 operand multiplies to the same bits
     momentum = np.asarray(beta)
     y = x
     for n in range(config.max_iter):

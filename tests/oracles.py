@@ -3,9 +3,9 @@
 The conjugate-shift closed forms, the regularity transfer, the shifted-prox
 identities and solution recovery, prox sanity checks, a brute-force rate
 search, the classical PRS rate, ``r*`` and the optimal classical PRS and
-FISTA rates to 60 digits, the academic instance with offsets, a per-cell
-trace writer and its reader, and the recorded affine solves stepped one
-iterate at a time.
+FISTA rates to 60 digits, the academic instance with offsets, the restore
+demo's deblurring pair, a per-cell trace writer and its reader, and the
+recorded affine solves stepped one iterate at a time.
 """
 
 from __future__ import annotations
@@ -28,9 +28,10 @@ from prsplit.core import (
     validate_regularity,
 )
 from prsplit.errors import NotStronglyRegular, SplittingError
-from prsplit.harness import make_least_squares_problem
+from prsplit.harness import make_least_squares_problem, synthetic_image
 from prsplit.leverage import QuadraticFunction
-from prsplit.rates import _factor
+from prsplit.proxlib import BlurOperator, HuberFn, OperatorLeastSquares, gaussian_kernel
+from prsplit.rates import _factor, delta_star, optimal_params
 from prsplit.solvers import SolverConfig, _forward_backward, _Monitor, _norm
 
 
@@ -368,6 +369,20 @@ def offset_instance(m: int, n: int, p: int, seed: int, a: np.ndarray,
     A = 0.5 * rng.random((n, m))
     B = 15.0 * rng.random((p, m))
     return make_least_squares_problem(A, a, B, b)
+
+
+def restoration_pair(side: int = 16) -> tuple[CompositeProblem, LeverageParams]:
+    """The restore demo's Huber+Haar deblurring pair, which has no resolvents,
+    and its ``prs_lev`` parameters."""
+    blur = BlurOperator(gaussian_kernel(5, 0.5))
+    data_term = OperatorLeastSquares(blur, blur.apply(synthetic_image(side)))
+    reg = RegularityParams(*data_term.moduli, 0.0, 0.01 / 0.07)
+    problem = CompositeProblem(
+        f=data_term.to_prox_function(),
+        g=HuberFn(0.01, 0.07, level=1).to_prox_function((side, side)),
+        regularity=reg,
+    )
+    return problem, optimal_params(reg, delta_star(reg))
 
 
 def reference_trace_text(trace: SolveTrace) -> bytes:

@@ -224,6 +224,9 @@ BAD_INPUT = [  # (id, command, flags (a list), JSON (dict, text or bytes) or PGM
      "problem file: matrices 'A' and 'B' need the same column count, got 2 and 1"),
     ("1-D-B", "solve", {"A": [[1.0, 0.0]], "B": [1.0, 0.0]},
      "problem file: matrix 'B' must be a nonempty 2-D array, got shape (2,)"),
+    # a misspelt offset key solved with a zero offset
+    ("misspelt-offset-key", "solve", {"A": [[1.0, 0.0]], "B": [[0.0, 1.0]], "bb": [1.0]},
+     "problem file: unknown key 'bb'; the keys are 'A', 'B', 'a' and 'b'"),
     ("a-length", "solve", {"A": [[1.0, 0.0]], "B": [[0.0, 1.0]], "a": [1.0, 2.0]},
      "problem file: vector 'a' needs one entry per row of matrix 'A' (1), got 2"),
     ("dims-pair", "bench-academic", ["--dims", "20,20"],

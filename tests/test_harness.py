@@ -36,12 +36,7 @@ from prsplit.rates import (
     optimal_params,
     optimal_rate,
 )
-from prsplit.proxlib import (
-    BlurOperator,
-    HuberFn,
-    OperatorLeastSquares,
-    gaussian_kernel,
-)
+from prsplit.proxlib import HuberFn
 from prsplit.solvers import (
     Recording,
     SolverConfig,
@@ -50,7 +45,13 @@ from prsplit.solvers import (
 )
 
 from conftest import interior_delta
-from oracles import grid_search_rate, offset_instance, read_trace, reference_trace_text
+from oracles import (
+    grid_search_rate,
+    offset_instance,
+    read_trace,
+    reference_trace_text,
+    restoration_pair as _restoration_problem,
+)
 
 TIGHT_REG = RegularityParams(rho=1.0, alpha=0.25, mu=0.0, beta=1.0)
 
@@ -395,20 +396,6 @@ def _count_huber_proxes(monkeypatch) -> list[int]:
     return calls
 
 
-def _restoration_problem(side=16):
-    """The restore demo's Huber+Haar deblurring pair, which has no resolvents,
-    and its ``prs_lev`` parameters."""
-    blur = BlurOperator(gaussian_kernel(5, 0.5))
-    data_term = OperatorLeastSquares(blur, blur.apply(synthetic_image(side)))
-    reg = RegularityParams(*data_term.moduli, 0.0, 0.01 / 0.07)
-    problem = CompositeProblem(
-        f=data_term.to_prox_function(),
-        g=HuberFn(0.01, 0.07, level=1).to_prox_function((side, side)),
-        regularity=reg,
-    )
-    return problem, optimal_params(reg, delta_star(reg))
-
-
 def _assert_same_run(run, fresh):
     assert (run.status, run.iterations) == (fresh.status, fresh.iterations)
     assert run.final_x.tobytes() == fresh.final_x.tobytes()
@@ -507,6 +494,24 @@ class TestRestorationReplay:
         prs_lev_solve(problem, lp, SolverConfig(max_iter=40, tol=1e-300), recording=recording)
         assert len(recording.iterates) == 10
         x, z, trace = prs_lev_solve(problem, lp, config, recording=recording)
+        x_fresh, z_fresh, fresh = prs_lev_solve(problem, lp, config)
+        assert (x.tobytes(), z.tobytes()) == (x_fresh.tobytes(), z_fresh.tobytes())
+        assert trace == fresh
+
+    def test_a_replay_records_the_steps_past_the_recording(self, monkeypatch):
+        calls = _count_huber_proxes(monkeypatch)  # before the pair binds HuberFn.prox
+        problem, lp = _restoration_problem()
+        config = SolverConfig(max_iter=25, stopping="residual", tol=1e-300)
+        recording = Recording(limit=20)
+        prs_lev_solve(problem, lp, replace(config, max_iter=10), recording=recording)
+        calls[0] = 0
+        prs_lev_solve(problem, lp, config, recording=recording)
+        # steps 11 .. 20 are recorded, steps 21 .. 25 only computed
+        assert len(recording.iterates) == len(recording.residuals) == 20
+        assert calls[0] == 15
+        calls[0] = 0
+        x, z, trace = prs_lev_solve(problem, lp, config, recording=recording)
+        assert calls[0] == 5 and len(recording.iterates) == 20
         x_fresh, z_fresh, fresh = prs_lev_solve(problem, lp, config)
         assert (x.tobytes(), z.tobytes()) == (x_fresh.tobytes(), z_fresh.tobytes())
         assert trace == fresh
@@ -629,3 +634,16 @@ class TestEmission:
         expected = [rate ** n for n in range(length)]
         np.testing.assert_allclose(bounds["bound"], expected, rtol=1e-15)
         compile(text, str(script), "exec")  # script must at least be valid python
+
+    def test_plot_script_bounds_are_per_value_repr_text(self, tmp_path):
+        # 0.5 ** 1074 is the least subnormal, 5e-324, and 0.5 ** 1075 rounds to 0.0
+        lines = [("zero", 0.0, 3), ("one", 1.0, 4), ("slow", 0.97, 50), ("under", 0.5, 1076),
+                 ("empty", 0.25, 0)]
+        script = tmp_path / "plot.py"
+        emit_plot_script({}, lines, script)
+        cells = [f"{label!r}: [" + ", ".join(repr(float(rate) ** n) for n in range(length)) + "]"
+                 for label, rate, length in lines]
+        expected = "BOUNDS = {" + ", ".join(cells) + "}\n"
+        assert "5e-324, 0.0]" in expected
+        text = script.read_bytes().decode()
+        assert text.count("\nBOUNDS = ") == 1 and expected in text

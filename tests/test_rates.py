@@ -132,6 +132,35 @@ class TestOptimalParams:
             assert rate_bundle(lp, reg).r2 == pytest.approx(max(g_smooth, g_curved), abs=1e-15)
 
 
+def _step_scalars(lp: LeverageParams) -> np.ndarray:
+    """The scalars of ``prs_lev_solve``'s step in ``w = z/f_scale``: the prox
+    step sizes ``gamma_f`` and ``gamma_g``, and ``c0/f_scale``, ``c0*g_in`` and
+    ``g_in*f_scale``, by the solver's own expressions."""
+    t, e, sf, sg = lp.tau, lp.eta, lp.f_scale, lp.g_scale
+    c0, g_in = 2.0 * t / (t - e), (t - e) / ((t + e) * sg)
+    return np.array([(t + e) / sf, (t - e) / sg, c0 / sf, c0 * g_in, g_in * sf])
+
+
+class TestDeltaInvariance:
+    def test_step_scalars_do_not_depend_on_delta(self, rng):
+        # f_scale and g_scale lose digits as they near 0, so the spread is
+        # counted in ulps per unit of kappa = 1/min(f_scale, g_scale) over
+        # the grid.  Measured on these draws: at most 22 ulps per unit, with
+        # kappa up to 160 where a modulus is 0, and at most 39 ulps where
+        # kappa < 2
+        worst = 0.0
+        for _ in range(300):
+            reg = sample_regularity(rng, zero_rho=rng.random() < 0.25,
+                                    zero_mu=rng.random() < 0.25)
+            lps = [optimal_params(reg, -reg.rho + t * (reg.rho + reg.mu))
+                   for t in np.linspace(0.05, 0.95, 7)]
+            values = np.array([_step_scalars(lp) for lp in lps])
+            kappa = max(1.0 / min(lp.f_scale, lp.g_scale) for lp in lps)
+            ulps = (values.max(0) - values.min(0)) / np.spacing(np.abs(values).max(0))
+            worst = max(worst, ulps.max() / kappa)
+        assert worst <= 64
+
+
 class TestOptimalRate:
     def test_running_example(self):
         assert optimal_rate(REG) == pytest.approx(0.116963, abs=1e-6)

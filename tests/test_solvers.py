@@ -30,6 +30,8 @@ from prsplit.solvers import (
 from conftest import interior_delta, sample_regularity
 from oracles import (
     ShiftedProxSpec,
+    offset_instance,
+    restoration_pair,
     shifted_reflect,
     stepwise_affine_fista,
     stepwise_affine_split,
@@ -1019,3 +1021,52 @@ class TestInvariances:
                 else:
                     assert moves == {0}, (method, seed)
         assert fista_moves <= 8  # near-ties are rare: one (seed, method) pair in ten
+
+
+class TestDeltaInvariance:
+    """At ``optimal_params(reg, delta)`` leveraged PRS is one delta-free
+    iteration in ``w = z/f_scale``: its prox step sizes and step scalars do
+    not depend on delta (``test_rates.py``), so neither do x, the residuals
+    ``||d||`` and the counts under ``residual`` and ``normalized_error``, and
+    the distances ``||z - z*||`` are ``f_scale`` times one delta-free column.
+    Measured on both pairs below: every column within 11 eps of its largest
+    entry, against a bound of 32.  ``fixed_point_distance`` bounds
+    ``||z - z*||`` itself, so its count may move by one step with delta."""
+
+    @staticmethod
+    def _assert_delta_free(problem, deltas, config):
+        runs = []
+        for delta in deltas:
+            lp = optimal_params(problem.regularity, delta)
+            x, _, trace = prs_lev_solve(problem, lp, config)
+            assert trace.status == "converged"
+            columns = (np.array(trace.residuals), np.array(trace.distances) / lp.f_scale)
+            runs.append((trace.iterations, x, *columns))
+        count, *first = runs[0]
+        for other_count, *other in runs[1:]:
+            assert other_count == count
+            for got, want in zip(other, first):
+                assert np.abs(got - want).max() <= 32 * np.finfo(float).eps * np.abs(want).max()
+
+    @pytest.mark.parametrize("stopping, tol", [("residual", 1e-10), ("normalized_error", 1e-8)])
+    def test_academic_pairs(self, stopping, tol):
+        config = SolverConfig(max_iter=10000, tol=tol, stopping=stopping)
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            problem = offset_instance(20, 30, 30, seed, rng.standard_normal(30),
+                                      rng.standard_normal(30))
+            reg = problem.regularity
+            t = np.linspace(0.0, 1.0, 12)[1:-1]
+            self._assert_delta_free(problem, -reg.rho + t * (reg.rho + reg.mu), config)
+
+    @pytest.mark.parametrize("stopping, tol", [("residual", 1e-9), ("normalized_error", 1e-6)])
+    def test_restore_huber_pair(self, stopping, tol):
+        # mu = 0 here, so delta runs over ]-rho, 0[; the reference minimizer
+        # gives z* for the distance column
+        problem, _ = restoration_pair()
+        reference = harness._restoration_reference(problem)[0]
+        problem = replace(problem, solution_oracle=reference)
+        assert problem.regularity.mu == 0.0
+        t = np.linspace(0.0, 1.0, 7)[1:-1]
+        self._assert_delta_free(problem, -problem.regularity.rho * t,
+                                SolverConfig(max_iter=500, tol=tol, stopping=stopping))
