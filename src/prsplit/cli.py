@@ -26,9 +26,9 @@ from .solvers import SolverConfig
 
 
 def _out_dir(args) -> Path:
-    out = Path(args.out if args.out is not None else os.environ.get("PRSPLIT_OUTDIR", "."))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    """``--out``, else PRSPLIT_OUTDIR, else the working directory.  Each
+    command creates it only once its inputs are checked."""
+    return Path(args.out if args.out is not None else os.environ.get("PRSPLIT_OUTDIR", "."))
 
 
 def _reg_from_args(args) -> RegularityParams:
@@ -177,6 +177,7 @@ def cmd_solve(args) -> int:
     config = SolverConfig(max_iter=args.max_iter, tol=args.tol)
     x, _, trace = harness.solve_method(problem, args.method, config, delta=args.delta, tau=args.tau)
     out = _out_dir(args)
+    out.mkdir(parents=True, exist_ok=True)
     # np.savetxt's bytes for a vector: "%.18e", one value per line
     pgm._write_in_place(out / "solution.csv", "".join(f"{v:.18e}\n" for v in x.tolist()).encode())
     harness.emit_trace(trace, out / "trace.csv")

@@ -272,6 +272,7 @@ def run_academic_benchmark(
     the final error is ``||z_final||``) and a fresh random starting point.
     Methods whose step-size tuning hypotheses fail are reported as undefined,
     mirroring the "-" table entries; so is ``prs_lev`` when ``rho = mu = 0``.
+    The report goes to ``out_path``, if given, whose directory is created then.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
@@ -335,6 +336,7 @@ def run_academic_benchmark(
         )
     report = BenchmarkReport(rows=rows)
     if out_path is not None:
+        Path(out_path).parent.mkdir(parents=True, exist_ok=True)
         report.to_csv(out_path)
     return report
 

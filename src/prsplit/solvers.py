@@ -10,11 +10,13 @@ and with a relaxation ``lam < 1`` relaxed DRS.  Its one loop iterates
 ``z += lam*c0*d``, with ``c0 = 2`` at ``eta = 0``.  When both proxes are
 affine (each function has a ``resolvent``), the step is precomposed into one
 affine map ``z -> T z + t``.  If nothing reads the intermediate iterates
-(trace off, a z*-based stopping rule) and ``||T||_2 < 1``, the loop skips
-ahead to the step before its stopping step by repeated squaring of ``T``,
-and steps the rest.  It skips only after its first m steps (m the size of
-z), which cost about as much as the skip's own setup, so solves that short
-run as before.  When the proxes are called step by step, a
+(trace off, a z*-based stopping rule) and a Cholesky factorization certifies
+``||T||_2 < 1``, the loop skips ahead to the step before its stopping step
+by repeated squaring of ``T``, and steps the rest.  The paper's contraction
+factor at the solve's parameters and declared moduli chooses where: a solve
+it predicts to take more than m steps (m the size of z) skips from step 0,
+any other one first takes m ordinary steps, which cost about as much as the
+skip's own setup.  When the proxes are called step by step, a
 :class:`Recording` of an earlier solve from the same inputs supplies the
 first steps, and the loop computes, and records, only the steps past them.
 FISTA steps forward on f (g-first: on ``problem.swap()``) and folds its step
@@ -52,6 +54,7 @@ from .core import (
     validate_leverage,
 )
 from .errors import NotSmooth, TauTooSmall
+from .rates import _factors
 
 __all__ = [
     "SolverConfig",
@@ -66,7 +69,8 @@ __all__ = [
 # sustained growth signals a user-input error rather than a numerical hiccup.
 DIVERGENCE_FACTOR = 10.0
 DIVERGENCE_STEPS = 50
-# ||T||_2 must sit this far below 1 for the skip-ahead, above the svd's rounding
+# ||T||_2 must sit this far below 1 for the skip-ahead, above the rounding of
+# the Cholesky test in _contracts
 CONTRACTION_MARGIN = 1e-12
 # iterates per round of a blocked affine solve
 BLOCK = 32
@@ -297,6 +301,31 @@ def _forward_backward(
     return M - gamma * (M @ smooth.hessian), M.dot(gamma * h) + c
 
 
+def _contracts(T: np.ndarray) -> bool:
+    """Whether ``(1 - CONTRACTION_MARGIN)^2 I - T'T`` has a Cholesky factor,
+    as it has when every singular value of the finite matrix ``T`` is below
+    ``1 - CONTRACTION_MARGIN``.
+
+    Forming ``T'T`` and factoring it round by about ``m eps ||T||_2^2`` for
+    ``T`` of size m (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    SIAM 2002, sections 3.5 and 10.1), 2e-14 at m = 100 and a norm near 1.
+    The margin puts the shifted identity ``2 CONTRACTION_MARGIN = 2e-12``
+    below 1, so a success certifies ``||T||_2 < 1`` for m into the thousands,
+    and the test agrees with ``svd(T)[0] < 1 - CONTRACTION_MARGIN`` but within
+    that rounding of the margin, at about a sixth of the cost.
+    """
+    if not np.isfinite(T).all():
+        return False
+    gap = T.T @ T
+    np.negative(gap, out=gap)
+    gap.flat[:: T.shape[0] + 1] += (1.0 - CONTRACTION_MARGIN) ** 2
+    try:
+        np.linalg.cholesky(gap)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _power_descent(
     T: np.ndarray, e: np.ndarray, bound: float, cap: int
 ) -> tuple[int, np.ndarray]:
@@ -360,17 +389,22 @@ def prs_lev_solve(
     operations and bits as one step at a time.
 
     The affine loop skips ahead when the trace is off, the stopping rule is
-    ``fixed_point_distance`` or ``normalized_error``, ``z`` is finite and not
-    z*, and ``sigma_max(T) < 1 - CONTRACTION_MARGIN``.  The error after n steps
-    is then ``T^n (z - z*)`` and its norm strictly decreases, so
+    ``fixed_point_distance`` or ``normalized_error``, ``z_0`` is finite and not
+    z*, and :func:`_contracts` certifies ``||T||_2 < 1``.  The error after n
+    steps is then ``T^n (z - z*)`` and its norm strictly decreases, so
     :func:`_power_descent` finds the last step, capped at ``max_iter - 1``,
     that the stopping bound (``tol``, or ``tol * ||z_0 - z*||``) still calls
     unconverged.  The loop resumes from ``z* + T^n (z - z*)`` there and the
     monitor judges the remaining steps as always, so the count and the status
     are the loop's, up to a rounding near-tie at the bound; only the last bits
     of the final iterate move.  The gate and each squaring cost about ``m^3``
-    and a step about ``m^2`` for ``z`` of size m, so the loop first takes m
-    ordinary steps: a solve that stops within them runs as if nothing skipped.
+    and a step about ``m^2`` for ``z`` of size m.  So, with ``max_iter`` above
+    m, the gate runs before the first step when the paper's factor
+    ``r = r1*r2`` at ``lp`` and the declared moduli (``(1 - lam) + lam*r``
+    relaxed) predicts more than m steps, ``log(bound / ||z_0 - z*||) / log r
+    > m``, and after m ordinary steps otherwise, so a solve that stops within
+    them runs as if nothing skipped.
+    A wrong or undefined ``r`` costs time, never a count or a status.
 
     ``recording`` is for a pair whose proxes are called step by step (f or g
     without a ``resolvent``; any other pair raises ``ValueError``).  It holds
@@ -457,19 +491,20 @@ def prs_lev_solve(
 
         z = _step_blocks(monitor, config.max_iter, (Z,), advance)
     else:
-        taken = config.max_iter
-        if monitor.stopping != "residual":
-            taken = min(b1.size, taken)
-        z, stopped = steps(z, 0, taken)
-        d0 = monitor.dist0
-        if (
-            not stopped
-            and taken < config.max_iter
-            and 0.0 < d0 < math.inf
-            and np.isfinite(T).all()
-            and np.linalg.svd(T, compute_uv=False)[0] < 1.0 - CONTRACTION_MARGIN
-        ):
+        taken, d0 = config.max_iter, monitor.dist0
+        if monitor.stopping != "residual" and b1.size < taken and 0.0 < d0 < math.inf:
             bound = config.tol * (d0 if monitor.stopping == "normalized_error" else 1.0)
+            taken = b1.size
+            # the paper's per-step factor, r1*r2 of rates.rate_bundle, relaxed;
+            # its denominators are positive for the tau, eta and delta checked
+            # above, and an overflow gives inf or NaN, which keeps the head
+            r1, r2 = _factors(tau, eta, lp.delta, problem.regularity)
+            r = (1.0 - lam) + lam * float(r1 * r2)
+            # r^m > bound/d0: the predicted count log(bound/d0)/log(r) is above m
+            if 0.0 < r < 1.0 and bound / d0 < r**taken:
+                taken = 0
+        z, stopped = steps(z, 0, taken)
+        if not stopped and taken < config.max_iter and _contracts(T):
             skipped, e = _power_descent(T, z - z_star, bound, config.max_iter - 1 - taken)
             if skipped:
                 z, taken = z_star + e, taken + skipped

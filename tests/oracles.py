@@ -5,7 +5,8 @@ identities and solution recovery, prox sanity checks, a brute-force rate
 search, the classical PRS rate, ``r*`` and the optimal classical PRS and
 FISTA rates to 60 digits, the academic instance with offsets, the restore
 demo's deblurring pair, a per-cell trace writer and its reader, and the
-recorded affine solves stepped one iterate at a time.
+affine splitting step, and the recorded affine solves stepped one iterate
+at a time.
 """
 
 from __future__ import annotations
@@ -414,6 +415,19 @@ def read_trace(path) -> tuple[str, np.ndarray, np.ndarray, np.ndarray]:
     return status, residuals, dists, ratios
 
 
+def affine_split_step(
+    problem: CompositeProblem, lp: LeverageParams, lam: float = 1.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(T, t)`` of ``prs_lev_solve``'s step ``z -> T z + t`` on a pair with
+    two resolvents, built by the solver's own expressions, bit for bit."""
+    t, e, sf, sg = lp.tau, lp.eta, lp.f_scale, lp.g_scale
+    (M_f, b1), (M_g, b2) = problem.f.resolvent((t + e) / sf), problem.g.resolvent((t - e) / sg)
+    A1, A2 = M_f / np.asarray(sf), np.asarray((t - e) / ((t + e) * sg)) * M_g
+    c0 = 2.0 * t / (t - e)
+    s = lam * c0
+    return np.eye(b1.size) + s * (c0 * (A2 @ A1) - A2 - A1), s * (c0 * A2.dot(b1) + b2 - b1)
+
+
 def stepwise_affine_split(
     problem: CompositeProblem,
     lp: LeverageParams,
@@ -425,17 +439,13 @@ def stepwise_affine_split(
     """``prs_lev_solve`` on a pair with two resolvents and the trace on, one
     step ``z -> T z + t`` at a time, each judged by ``_Monitor.update``.
 
-    ``T`` and ``t`` are built by the solver's own expressions, so the two
-    agree bit for bit; only the stepping differs.
+    ``T`` and ``t`` are :func:`affine_split_step`'s, so the two agree bit for
+    bit; only the stepping differs.
     """
-    t, e, sf, sg = lp.tau, lp.eta, lp.f_scale, lp.g_scale
+    T, shift = affine_split_step(problem, lp, lam)
+    t, e, sf = lp.tau, lp.eta, lp.f_scale
     gamma_f = (t + e) / sf
-    (M_f, b1), (M_g, b2) = problem.f.resolvent(gamma_f), problem.g.resolvent((t - e) / sg)
-    A1, A2 = M_f / np.asarray(sf), np.asarray((t - e) / ((t + e) * sg)) * M_g
-    c0 = 2.0 * t / (t - e)
-    s = lam * c0
-    T = np.eye(b1.size) + s * (c0 * (A2 @ A1) - A2 - A1)
-    shift = s * (c0 * A2.dot(b1) + b2 - b1)
+    s = lam * (2.0 * t / (t - e))
     if z_star is not None:
         z_star = np.asarray(z_star, dtype=float)
     elif problem.solution_oracle is not None and problem.f.gradient is not None:

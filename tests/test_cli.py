@@ -303,9 +303,10 @@ def test_bad_input_is_named_in_one_line(tmp_path, capsys, command, given, messag
         path.write_bytes(given if isinstance(given, bytes) else given.encode())
         argv = [command, "--problem-file" if command == "solve" else "--image", str(path)]
     if command not in ("tight-check", "sweep-delta"):  # the commands here that write no file
-        argv += ["--out", str(tmp_path)]
+        argv += ["--out", str(tmp_path / "out")]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"prsplit: error: {message.replace('{path}', str(path))}\n"
+    assert not (tmp_path / "out").exists()  # bad input creates no output directory
 
 
 # every numeric flag of every command: a float flag at each value below, an
@@ -345,7 +346,7 @@ def test_a_numeric_flag_at_a_bad_value_runs_or_is_one_line(tmp_path, capsys, com
     if command == "solve":
         _write_problem(tmp_path / "p.json", 0)
     if command in ("bench-academic", "solve", "restore"):
-        argv = argv + ["--out", str(tmp_path)]
+        argv = argv + ["--out", str(tmp_path / "out")]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)  # raised, and so not caught by main
         try:
@@ -356,6 +357,7 @@ def test_a_numeric_flag_at_a_bad_value_runs_or_is_one_line(tmp_path, capsys, com
     if code == 2:
         assert err.startswith(("prsplit: error: ", f"prsplit {command}: error: "))
         assert err.count("\n") == 1 and err.endswith("\n")
+        assert not (tmp_path / "out").exists()
     else:
         assert code in (0, 1) and err == ""
 
@@ -506,10 +508,11 @@ def test_degenerate_endpoint_delta_is_one_line(tmp_path, capsys, argv, message):
         pf = tmp_path / "identity.json"
         pf.write_text(json.dumps({"A": [[1.0, 2.0], [3.0, 4.0]], "a": [1.0, -1.0],
                                   "B": [[1.0, 0.0], [0.0, 1.0]], "b": [0.5, 0.5]}))
-        argv = [*argv, "--problem-file", str(pf), "--out", str(tmp_path)]
+        argv = [*argv, "--problem-file", str(pf), "--out", str(tmp_path / "out")]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"prsplit: error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 UNTAKEN_FLAGS = [(method, "--delta", "0") for method in ("prs", "drs", "fista1", "fista2")]
@@ -644,7 +647,7 @@ RESTORE_BAD_INPUT = [
 def test_restore_rejects_bad_input_in_one_line(tmp_path, capsys, flag, value):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a RuntimeWarning on the way fails too
-        code = main(["restore", flag, value, "--out", str(tmp_path)])
+        code = main(["restore", flag, value, "--out", str(tmp_path / "out")])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     err = captured.err
@@ -652,7 +655,7 @@ def test_restore_rejects_bad_input_in_one_line(tmp_path, capsys, flag, value):
     # the library names its parameter, and the CLI names --max-iter itself
     name = flag if flag == "--max-iter" else flag[2:].replace("-", "_")
     assert f" {name} must be " in err
-    assert not (tmp_path / "observed.pgm").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_restore_with_an_identity_blur(tmp_path, capsys):

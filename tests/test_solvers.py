@@ -30,6 +30,7 @@ from prsplit.solvers import (
 from conftest import interior_delta, sample_regularity
 from oracles import (
     ShiftedProxSpec,
+    affine_split_step,
     offset_instance,
     restoration_pair,
     shifted_reflect,
@@ -298,62 +299,98 @@ class TestAffineStep:
 
 
 class TestSkipAhead:
-    """With the trace off and a z*-based rule, a contractive affine pair takes
-    m ordinary steps, skips ahead by powers of ``T``, and steps the rest."""
+    """With the trace off and a z*-based rule, a contractive affine pair skips
+    ahead by powers of ``T`` and steps the rest.  A solve whose paper rate
+    predicts more than m steps skips from step 0; any other one first takes
+    m ordinary steps."""
 
     @pytest.fixture
     def skips(self, monkeypatch):
-        # how far each solve skipped past its first m steps
+        # (the step each skip starts from, how far it skips); the start is
+        # max_iter - 1 - cap, so the fixture is called with the solve's max_iter
         skipped, descend = [], solvers._power_descent
 
-        def spy(*args):
-            n, e = descend(*args)
-            skipped.append(n)
-            return n, e
+        def spy(T, e, bound, cap):
+            n, e_n = descend(T, e, bound, cap)
+            skipped.append((cap, n))
+            return n, e_n
 
         monkeypatch.setattr(solvers, "_power_descent", spy)
-        return skipped
+
+        def taken(max_iter):
+            out = [(max_iter - 1 - cap, n) for cap, n in skipped]
+            skipped.clear()
+            return out
+
+        return taken
 
     @staticmethod
     def methods(rng, problem):
+        """name: (lp, lam) of each splitting solve."""
         reg = problem.regularity
-        tau = 0.8
         return {
-            "prs_lev_delta_star": partial(prs_lev_solve, problem, optimal_params(reg, delta_star(reg))),
-            "prs_lev_interior": partial(
-                prs_lev_solve, problem, optimal_params(reg, interior_delta(rng, reg))
-            ),
-            "prs": partial(prs_lev_solve, problem, classical(tau)),
-            "drs": partial(prs_lev_solve, problem, classical(tau), lam=0.5),
+            "prs_lev_delta_star": (optimal_params(reg, delta_star(reg)), 1.0),
+            "prs_lev_interior": (optimal_params(reg, interior_delta(rng, reg)), 1.0),
+            "prs": (classical(0.8), 1.0),
+            "drs": (classical(0.8), 0.5),
         }
+
+    @staticmethod
+    def head(problem, lp, lam, z0, config):
+        """Where the skip starts: 0 when the paper's rate ``r`` at ``lp`` and
+        the declared moduli predicts more than m steps, else m."""
+        m = problem.dimension
+        d0 = np.linalg.norm(z0 - fixed_point_oracle(problem, lp))
+        bound = config.tol * (d0 if config.stopping == "normalized_error" else 1.0)
+        r = (1.0 - lam) + lam * rate_bundle(lp, problem.regularity).r
+        return 0 if 0.0 < r < 1.0 and math.log(bound / d0) / math.log(r) > m else m
 
     @pytest.mark.parametrize("stopping", ["fixed_point_distance", "normalized_error"])
     def test_counts_and_statuses_equal_the_recorded_loop(self, rng, skips, stopping):
-        long_solves = 0
-        for m, n, p in ((8, 10, 9), (12, 14, 13), (20, 30, 30), (20, 10, 20)):
-            problem = random_instance(rng, m=m, n=n, p=p)
+        shapes = ((8, 10, 9), (12, 14, 13), (20, 30, 30), (20, 10, 20), (60, 80, 80),
+                  (100, 120, 120))
+        problems = [random_instance(rng, m=m, n=n, p=p) for m, n, p in shapes]
+        # the academic pairs, where prs_lev is predicted to stop within m steps
+        problems += [harness.generate_instance(20, 30, 30, seed=seed) for seed in range(2)]
+        long_solves, heads = 0, {0: 0, 20: 0}
+        for problem in problems:
+            m = problem.dimension
             z0 = rng.standard_normal(m)
-            for name, solve in self.methods(rng, problem).items():
+            for name, (lp, lam) in self.methods(rng, problem).items():
                 solved = []
                 for record in (True, False):
                     config = SolverConfig(
                         max_iter=50000, tol=1e-10, stopping=stopping, record_trace=record
                     )
-                    solved.append(solve(config, z0=z0))
+                    solved.append(prs_lev_solve(problem, lp, config, z0=z0, lam=lam))
                 (_, z_on, on), (_, z_off, off) = solved
-                assert (off.iterations, off.status) == (on.iterations, on.status), name
-                assert on.status == "converged"
+                assert on.status == off.status == "converged"
                 assert np.linalg.norm(z_on - z_off) <= 1e-12 * (1 + np.linalg.norm(z_on))
-                # only the unrecorded solve skips, and only past its first m
-                # steps; it lands on the last unconverged step, or one before
-                # it on a rounding near-tie, and the loop takes what is left
-                if on.iterations <= m:
-                    assert skips == []
+                if off.iterations != on.iterations:
+                    # the recorded loop nears the fixed point of its own rounded
+                    # map, about 1e-13 from z* when r is near 1, while the skip
+                    # lands at z* + T^n (z - z*): at a bound of 1e-10, slow
+                    # relaxed DRS at m = 60 and 100 stops one step apart, as
+                    # it did when every skip came after the head
+                    assert (name, stopping) == ("drs", "fixed_point_distance") and m >= 60
+                    assert abs(off.iterations - on.iterations) == 1
+                # only the unrecorded solve skips, from step 0 or past its
+                # first m steps; it lands on the last unconverged step, or one
+                # before it on a rounding near-tie, and the loop takes what is left
+                head = self.head(problem, lp, lam, z0, config)
+                if m == 20:
+                    heads[head] += 1
+                taken = skips(config.max_iter)
+                if on.iterations <= head:
+                    assert taken == []
                     continue
-                long_solves += 1
-                assert on.iterations - 2 <= m + skips.pop() <= on.iterations - 1
-                assert skips == []
+                long_solves += on.iterations > m
+                [(start, n)] = taken
+                assert start == head
+                assert off.iterations - 2 <= start + n <= off.iterations - 1
         assert long_solves >= 8
+        # both paths run: the academic prs_lev solves keep their head
+        assert heads[0] >= 8 and heads[20] >= 4
 
     def test_max_iter_below_the_count_stops_at_max_iter(self, rng, skips):
         problem = random_instance(rng)
@@ -361,19 +398,61 @@ class TestSkipAhead:
         z0 = rng.standard_normal(m)
         full = SolverConfig(max_iter=50000, record_trace=False)
         long_solves = 0
-        for solve in self.methods(rng, problem).values():
-            needed = solve(full, z0=z0)[2].iterations
+        for lp, lam in self.methods(rng, problem).values():
+            needed = prs_lev_solve(problem, lp, full, z0=z0, lam=lam)[2].iterations
             if needed <= m + 2:
                 continue
             long_solves += 1
-            skips.clear()
+            skips(full.max_iter)
+            head = self.head(problem, lp, lam, z0, full)
             for max_iter in (2, m, m + 1, needed - 1):
                 config = SolverConfig(max_iter=max_iter, record_trace=False)
-                _, _, trace = solve(config, z0=z0)
+                _, _, trace = prs_lev_solve(problem, lp, config, z0=z0, lam=lam)
                 assert (trace.status, trace.iterations) == ("max_iter", max_iter)
-            # within m steps nothing skips; past them the skip stops one short
-            assert [m + n for n in skips] == [m, needed - 2]
+                # within m steps nothing skips; past them the skip, from its
+                # head, stops one short
+                taken = skips(max_iter)
+                assert [start for start, _ in taken] == ([] if max_iter <= m else [head])
+                assert [start + n for start, n in taken] == (
+                    [] if max_iter <= m else [m if max_iter == m + 1 else needed - 2]
+                )
         assert long_solves >= 2
+
+    def test_a_wrong_prediction_costs_no_count(self, rng, skips):
+        # declared moduli that the pair does not have: the rate predicts a
+        # short solve that is long, a long solve that is short, and r = 0,
+        # which predicts nothing; each keeps the recorded loop's count and status
+        tau = 0.8
+        problem = random_instance(rng)
+        well_posed = make_least_squares_problem(
+            np.eye(20) + 0.05 * rng.standard_normal((20, 20)), rng.standard_normal(20),
+            np.eye(20) + 0.05 * rng.standard_normal((20, 20)), rng.standard_normal(20),
+        )
+        cases = [  # (pair, declared moduli, predicted head, steps past m)
+            (problem, RegularityParams(0.9 / tau, 0.9 * tau, 0.9 / tau, 0.9 * tau), 8, True),
+            (well_posed, RegularityParams(1e-3, 1e-3, 1e-3, 1e-3), 0, False),
+            (problem, RegularityParams(1.0 / tau, tau, 0.5, 1.0), 8, True),
+        ]
+        for pair, declared, head, long in cases:
+            wrong = replace(pair, regularity=declared)
+            z_star = fixed_point_oracle(pair, classical(tau))
+            z0 = rng.standard_normal(pair.dimension)
+            for stopping in ("fixed_point_distance", "normalized_error"):
+                solved = [
+                    prs_lev_solve(
+                        wrong, classical(tau),
+                        SolverConfig(max_iter=5000, stopping=stopping, record_trace=record),
+                        z0=z0, z_star=z_star,
+                    )
+                    for record in (True, False)
+                ]
+                (_, z_on, on), (_, z_off, off) = solved
+                assert (off.status, off.iterations) == (on.status, on.iterations)
+                assert on.status == "converged"
+                assert (on.iterations > pair.dimension) == long
+                [(start, n)] = skips(5000)
+                assert start == head
+                assert on.iterations - 2 <= start + n <= on.iterations - 1
 
     @pytest.mark.parametrize("stopping", ["fixed_point_distance", "normalized_error"])
     def test_a_start_at_z_star_or_not_finite_runs_the_loop(self, rng, skips, stopping):
@@ -395,7 +474,7 @@ class TestSkipAhead:
             (_, z_on, on), (_, z_off, off) = solved
             assert (off.status, off.iterations) == (on.status, on.iterations) == (status, 1)
             assert z_on.tobytes() == z_off.tobytes()
-        assert skips == []
+        assert skips(100) == []
 
     def test_a_non_contractive_pair_runs_the_loop_bit_for_bit(self, rng, skips):
         # a zero column shared by A and B leaves that coordinate out of both
@@ -419,7 +498,49 @@ class TestSkipAhead:
             (_, z_on, on), (_, z_off, off) = solved
             assert (off.status, off.iterations) == (on.status, on.iterations) == ("max_iter", 200)
             assert z_on.tobytes() == z_off.tobytes()
-        assert skips == []
+        assert skips(200) == []
+
+
+class TestContractionCertificate:
+    """``_contracts`` certifies ``||T||_2 < 1 - CONTRACTION_MARGIN`` by a
+    Cholesky factorization of ``(1 - margin)^2 I - T'T``: it agrees with the
+    singular-value test it replaces, and refuses T at the margin's far side."""
+
+    SIGMA_MAX = (0.2, 0.9, 0.999, 1 - 1e-9, 1 - 1e-11, 1 - 1e-13, 1.0, 1 + 1e-9)
+
+    @staticmethod
+    def with_norm(rng, m, sigma_max):
+        """A random m x m matrix with largest singular value ``sigma_max``."""
+        U = np.linalg.qr(rng.standard_normal((m, m)))[0]
+        V = np.linalg.qr(rng.standard_normal((m, m)))[0]
+        s = sigma_max * rng.uniform(0.0, 1.0, m)
+        s[0] = sigma_max
+        return (U * s) @ V.T
+
+    @pytest.mark.parametrize("m", [2, 8, 20, 100])
+    def test_agrees_with_the_largest_singular_value(self, rng, m):
+        for sigma_max in self.SIGMA_MAX:
+            for _ in range(5):
+                T = self.with_norm(rng, m, sigma_max)
+                svd = np.linalg.svd(T, compute_uv=False)[0] < 1.0 - solvers.CONTRACTION_MARGIN
+                assert solvers._contracts(T) == svd == (sigma_max < 1 - 1e-12), sigma_max
+
+    @pytest.mark.parametrize("m", [2, 8, 20, 100])
+    def test_refuses_a_norm_of_one_and_one_just_below_it(self, rng, m):
+        for sigma_max in (1.0, 1 - 1e-13):
+            assert not solvers._contracts(self.with_norm(rng, m, sigma_max))
+        # an orthogonal T, and a T that is one in a shared fixed coordinate
+        assert not solvers._contracts(np.linalg.qr(rng.standard_normal((m, m)))[0])
+        T = 0.5 * self.with_norm(rng, m, 1.0)
+        T[:, 0] = T[0, :] = 0.0
+        T[0, 0] = 1.0
+        assert not solvers._contracts(T)
+
+    def test_refuses_a_matrix_that_is_not_finite(self, rng):
+        for poison in (math.nan, math.inf, -math.inf):
+            T = self.with_norm(rng, 8, 0.5)
+            T[3, 5] = poison
+            assert not solvers._contracts(T)
 
 
 def axis_indicator_problem():
@@ -1026,7 +1147,8 @@ class TestInvariances:
 class TestDeltaInvariance:
     """At ``optimal_params(reg, delta)`` leveraged PRS is one delta-free
     iteration in ``w = z/f_scale``: its prox step sizes and step scalars do
-    not depend on delta (``test_rates.py``), so neither do x, the residuals
+    not depend on delta (``test_rates.py``), so neither do the affine step
+    ``T`` of a least-squares pair, x, the residuals
     ``||d||`` and the counts under ``residual`` and ``normalized_error``, and
     the distances ``||z - z*||`` are ``f_scale`` times one delta-free column.
     Measured on both pairs below: every column within 11 eps of its largest
@@ -1058,6 +1180,22 @@ class TestDeltaInvariance:
             reg = problem.regularity
             t = np.linspace(0.0, 1.0, 12)[1:-1]
             self._assert_delta_free(problem, -reg.rho + t * (reg.rho + reg.mu), config)
+
+    def test_academic_affine_step(self):
+        # T = I + c0 (c0 A2 A1 - A2 - A1) depends on delta only through the
+        # delta-free products c0/f_scale and c0*g_in, so T_delta is one matrix:
+        # measured within 20.3 eps * ||T|| of the first delta's, entrywise
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            problem = offset_instance(20, 30, 30, seed, rng.standard_normal(30),
+                                      rng.standard_normal(30))
+            reg = problem.regularity
+            t = np.linspace(0.0, 1.0, 12)[1:-1]
+            first, *others = (affine_split_step(problem, optimal_params(reg, delta))[0]
+                              for delta in -reg.rho + t * (reg.rho + reg.mu))
+            bound = 32 * np.finfo(float).eps * np.linalg.norm(first, 2)
+            for T in others:
+                assert np.abs(T - first).max() <= bound
 
     @pytest.mark.parametrize("stopping, tol", [("residual", 1e-9), ("normalized_error", 1e-6)])
     def test_restore_huber_pair(self, stopping, tol):
