@@ -132,7 +132,8 @@ def _load_problem_file(path):
     doubles ``json.loads`` would give, bit for bit, in a fifth of its time.
     NaN, Infinity, a number that overflows a double and bytes that are not
     UTF-8 (named by the offset of the first) are parse errors.  orjson is
-    imported here, so that the commands that read no JSON never load it.
+    imported here and by the CSV writer, so that the commands that read no
+    problem file and write no CSV never load it.
     """
     import orjson
 

@@ -60,11 +60,6 @@ __all__ = [
 ]
 
 
-def _fmt(value) -> str:
-    """Round-trippable decimal text for CSV cells."""
-    return repr(float(value))
-
-
 # --- one tuned solve per method name ------------------------------------------------
 
 SOLVE_METHODS = ("prs_lev", "prs", "drs", "fista1", "fista2")
@@ -238,24 +233,19 @@ class BenchmarkReport:
 
     def to_csv(self, path) -> None:
         """Deterministic CSV (timings are excluded: they are hardware noise)."""
-        lines = ["m,n,p,avg_rho,avg_alpha,avg_mu,avg_beta,method,avg_iterations,median_iterations,avg_final_error,unconverged"]
+        rows = []
         for row in self.rows:
-            prefix = ",".join(
-                [str(d) for d in row.dims]
-                + [_fmt(row.avg_rho), _fmt(row.avg_alpha), _fmt(row.avg_mu), _fmt(row.avg_beta)]
-            )
+            # dims may be numpy integers, which orjson does not write
+            prefix = [int(d) for d in row.dims] + _float_cells(
+                [row.avg_rho, row.avg_alpha, row.avg_mu, row.avg_beta])
             for name, stats in row.methods.items():
+                cells = ["-"] * 4
                 if stats.defined:
-                    cells = [
-                        _fmt(stats.avg_iterations),
-                        _fmt(stats.median_iterations),
-                        _fmt(stats.avg_final_error),
-                        str(stats.unconverged),
-                    ]
-                else:
-                    cells = ["-", "-", "-", "-"]
-                lines.append(f"{prefix},{name}," + ",".join(cells))
-        pgm._write_in_place(path, ("\n".join(lines) + "\n").encode())
+                    cells = _float_cells([stats.avg_iterations, stats.median_iterations,
+                                          stats.avg_final_error]) + [int(stats.unconverged)]
+                rows.append(prefix + [name] + cells)
+        head = b"m,n,p,avg_rho,avg_alpha,avg_mu,avg_beta,method,avg_iterations,median_iterations,avg_final_error,unconverged\n"
+        pgm._write_in_place(path, head + _csv_lines(zip(*rows)))
 
 
 def run_academic_benchmark(
@@ -503,9 +493,9 @@ def _write_restoration_outputs(report: RestorationReport, out_dir) -> None:
     longest = 0
     for name, run in report.runs.items():
         pgm.write_pgm(out / f"restored_{name}.pgm", run.final_x)
-        lines = ["iter,normalized_error"]
-        lines += [f"{i},{_fmt(v)}" for i, v in enumerate(run.normalized_errors)]
-        pgm._write_in_place(out / f"error_{name}.csv", ("\n".join(lines) + "\n").encode())
+        errors = _float_cells(run.normalized_errors)
+        text = b"iter,normalized_error\n" + _csv_lines((range(len(errors)), errors))
+        pgm._write_in_place(out / f"error_{name}.csv", text)
         traces[name] = str(out / f"error_{name}.csv")
         longest = max(longest, run.iterations)
     # the reference solve validated rho + mu > 0, and mu = 0, so rho > 0; the
@@ -522,8 +512,9 @@ def _float_cells(values) -> list:
     """``values`` as Python floats for :func:`_csv_lines`, each one orjson would
     not write in repr's layout replaced by its repr text.
 
-    For finite ``1e-4 <= |v| < 1e16`` and ``|v| < 1e-5`` orjson 3.8.3 writes
-    repr's shortest round-trip digits, and differs at most by a one-digit
+    For finite ``1e-4 <= |v| < 1e16`` and ``|v| < 1e-5`` orjson 3.8.3, the
+    release this layout was read from (``pyproject.toml`` pins its 3.8 line),
+    writes repr's shortest round-trip digits, and differs at most by a one-digit
     negative exponent (``e-7`` for repr's ``e-07``), which :func:`_csv_lines`
     widens.  It writes ``1e-5 <= |v| < 1e-4`` positionally, ``|v| >= 1e16``
     without the exponent's ``+``, and NaN and infinities as ``null``; those
@@ -543,16 +534,19 @@ _SHORT_EXPONENT = re.compile(rb"e-(?=\d[,\]])")
 
 
 def _csv_lines(columns) -> bytes:
-    """CSV lines of the rows of ``columns``, whose cells are ints, strings
-    without ``"``, ``,`` or escapes, and floats from :func:`_float_cells`.
+    """CSV lines of the rows of ``columns`` (no bytes for no rows), whose cells
+    are Python ints, strings without ``"``, ``,`` or escapes, and floats from
+    :func:`_float_cells`.  Every CSV but ``solution.csv`` is written here.
 
     One ``orjson.dumps`` call writes every row; three passes over its bytes
-    turn the JSON arrays into lines and the floats into repr's text.
+    turn the JSON arrays into lines and the floats into repr's text.  orjson
+    is imported here, so commands that write no CSV never load it.
     """
     import orjson
 
-    text = _SHORT_EXPONENT.sub(b"e-0", orjson.dumps(list(zip(*columns))))
-    return text[2:-2].replace(b"],[", b"\n").replace(b'"', b"") + b"\n"
+    rows = list(zip(*columns))
+    text = _SHORT_EXPONENT.sub(b"e-0", orjson.dumps(rows))
+    return text[2:-2].replace(b"],[", b"\n").replace(b'"', b"") + b"\n" if rows else b""
 
 
 def emit_trace(trace: SolveTrace, path) -> None:

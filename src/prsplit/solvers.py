@@ -428,13 +428,7 @@ def prs_lev_solve(
     gamma_f, gamma_g = (tau + eta) / lp.f_scale, (tau - eta) / lp.g_scale
     c0 = 2.0 * tau / (tau - eta)
     s = lam * c0  # positive: lam > 0 and tau > |eta|
-    # a ufunc converts a Python-float operand on every call; a 0-d float64
-    # array skips that and gives the same bits.  The prox step sizes stay
-    # Python floats, since they key the dense resolvent cache, and so does s,
-    # which divides the Python-float norms
-    sf, g_in, c0, step = map(
-        np.asarray, (lp.f_scale, (tau - eta) / ((tau + eta) * lp.g_scale), c0, s)
-    )
+    sf, g_in = lp.f_scale, (tau - eta) / ((tau + eta) * lp.g_scale)
     z = f.zero_point() if z0 is None else np.asarray(z0, dtype=float)
     if z_star is not None:
         z_star = np.asarray(z_star, dtype=float)
@@ -467,7 +461,7 @@ def prs_lev_solve(
             else:
                 x = f.prox(gamma_f, z / sf)
                 d = g.prox(gamma_g, (c0 * x - z) * g_in) - x
-                z = z + step * d
+                z = z + s * d
                 residual = _norm(d) if needs_residual or n < limit else 0.0
                 if n < limit:
                     residuals.append(residual)
@@ -594,13 +588,11 @@ def fista_solve(
             return _row_norms(X[1 : k + 1] - Y[:k])
 
         return _step_blocks(monitor, config.max_iter, (X, Y), advance), monitor.trace
-    # boxed like prs_lev_solve's scalars: a 0-d float64 operand multiplies to the same bits
-    momentum = np.asarray(beta)
     y = x
     for n in range(config.max_iter):
         x_next = g.prox(gamma, y - gamma * f.gradient(y))
         residual = _norm(x_next - y)
-        y = x_next + momentum * (x_next - x)
+        y = x_next + beta * (x_next - x)
         x = x_next
         if monitor.update(n, residual, x):
             break

@@ -4,9 +4,9 @@ The conjugate-shift closed forms, the regularity transfer, the shifted-prox
 identities and solution recovery, prox sanity checks, a brute-force rate
 search, the classical PRS rate, ``r*`` and the optimal classical PRS and
 FISTA rates to 60 digits, the academic instance with offsets, the restore
-demo's deblurring pair, a per-cell trace writer and its reader, and the
-affine splitting step, and the recorded affine solves stepped one iterate
-at a time.
+demo's deblurring pair, per-cell writers of the trace, benchmark and
+error-curve CSVs, the trace's reader, the affine splitting step, and the
+recorded affine solves stepped one iterate at a time.
 """
 
 from __future__ import annotations
@@ -402,6 +402,33 @@ def reference_trace_text(trace: SolveTrace) -> bytes:
               for n, (res, dn, rn) in enumerate(zip(trace.residuals, dist, ratio))]
     return ("\n".join(lines) + "\n").encode()
 
+
+
+def reference_report_text(report) -> bytes:
+    """The bytes :meth:`prsplit.harness.BenchmarkReport.to_csv` writes, one
+    ``repr(float(v))`` per float cell: a row per dims and method, whose four
+    cells are ``-`` where the method is undefined."""
+    lines = ["m,n,p,avg_rho,avg_alpha,avg_mu,avg_beta,method,avg_iterations,"
+             "median_iterations,avg_final_error,unconverged"]
+    for row in report.rows:
+        moduli = (row.avg_rho, row.avg_alpha, row.avg_mu, row.avg_beta)
+        prefix = [str(d) for d in row.dims] + [repr(float(v)) for v in moduli]
+        for name, stats in row.methods.items():
+            if stats.defined:
+                cells = [repr(float(v)) for v in (stats.avg_iterations, stats.median_iterations,
+                                                  stats.avg_final_error)]
+                cells.append(str(stats.unconverged))
+            else:
+                cells = ["-"] * 4
+            lines.append(",".join(prefix + [name] + cells))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def reference_error_curve_text(errors) -> bytes:
+    """The bytes of restore's ``error_<method>.csv``: its header, and row ``n``
+    is ``n`` and ``repr(float(errors[n]))``."""
+    lines = ["iter,normalized_error"] + [f"{n},{float(e)!r}" for n, e in enumerate(errors)]
+    return ("\n".join(lines) + "\n").encode()
 
 def read_trace(path) -> tuple[str, np.ndarray, np.ndarray, np.ndarray]:
     """Inverse of :func:`prsplit.harness.emit_trace`: the status and the

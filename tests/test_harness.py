@@ -19,6 +19,11 @@ from prsplit import harness
 from prsplit.errors import NoGradient
 from prsplit.leverage import QuadraticFunction
 from prsplit.harness import (
+    BenchmarkReport,
+    BenchmarkRow,
+    MethodRun,
+    MethodStats,
+    RestorationReport,
     emit_plot_script,
     emit_trace,
     generate_instance,
@@ -49,6 +54,8 @@ from oracles import (
     grid_search_rate,
     offset_instance,
     read_trace,
+    reference_error_curve_text,
+    reference_report_text,
     reference_trace_text,
     restoration_pair as _restoration_problem,
 )
@@ -571,6 +578,48 @@ _TRACES = {
 }
 
 
+def _edge_report():
+    # numpy dims, moduli averages orjson writes in another layout than repr
+    # ([1e-5, 1e-4) and >= 1e16), non-finite final errors and an undefined method
+    undefined = MethodStats(defined=False)
+    return BenchmarkReport(rows=[
+        BenchmarkRow(
+            dims=tuple(np.array([20, 30, 30])), avg_rho=2.97e-05,
+            avg_alpha=np.float64(np.nextafter(1e-4, 0.0)), avg_mu=1e16, avg_beta=3.2e17,
+            methods={
+                "prs_lev": MethodStats(True, 17.0, 16.5, 0.1, np.inf, 3),
+                "prs1": undefined,
+                "prs2": MethodStats(True, 1e-05, 1.5e-07, 0.1, np.nan, 0),
+            },
+        ),
+        BenchmarkRow(dims=(40, 50, 60), avg_rho=0.5, avg_alpha=1e-07, avg_mu=0.0,
+                     avg_beta=12345.678,
+                     methods={"prs_lev": MethodStats(True, 1e16, 2.5e-05, 0.1, 5e-324, 0),
+                              "prs1": undefined}),
+    ])
+
+
+_REPORTS = {
+    "edge-cells": _edge_report,
+    "empty": lambda: BenchmarkReport(rows=[]),
+    # (20, 10, 20) has a wide A: rho = 0, so prs1 is undefined
+    "academic": lambda: run_academic_benchmark([(20, 10, 20), (6, 8, 7)], repetitions=2),
+}
+
+
+def _edge_restoration():
+    # error values each side of 1e-5 and 1e-4, a one-digit negative exponent
+    # and the least subnormal
+    errors = np.array([1.0, 0.5, np.nextafter(1e-4, 0.0), 1e-4, 2.97e-05,
+                       np.nextafter(1e-5, 0.0), 1e-5, 1.5e-07, 5e-324, 0.0])
+    image = np.zeros((2, 2))
+    run = MethodRun(iterations=errors.size, status="max_iter", final_x=image,
+                    normalized_errors=errors)
+    return RestorationReport(true_image=image, observed=image, reference=image,
+                             reference_status="converged", reference_iterations=1,
+                             regularity=TIGHT_REG, runs={"prs_lev": run, "prs": run})
+
+
 class TestEmission:
     def test_trace_round_trip(self, tmp_path):
         cases = [
@@ -599,6 +648,23 @@ class TestEmission:
         assert name.endswith("no-z-star") != bool(trace.distances)
         emit_trace(trace, tmp_path / "trace.csv")
         assert (tmp_path / "trace.csv").read_bytes() == reference_trace_text(trace)
+
+    @pytest.mark.parametrize("name", list(_REPORTS))
+    def test_report_bytes_match_the_per_cell_writer(self, name, tmp_path):
+        report = _REPORTS[name]()
+        report.to_csv(tmp_path / "bench.csv")
+        assert (tmp_path / "bench.csv").read_bytes() == reference_report_text(report)
+
+    @pytest.mark.parametrize("make", [
+        _edge_restoration,
+        lambda: run_restoration_demo(side=16, seed=3, max_iter=60),
+    ], ids=["edge-cells", "side-16"])
+    def test_error_curve_bytes_match_the_per_cell_writer(self, make, tmp_path):
+        report = make()
+        harness._write_restoration_outputs(report, tmp_path)
+        for name, run in report.runs.items():
+            text = (tmp_path / f"error_{name}.csv").read_bytes()
+            assert text == reference_error_curve_text(run.normalized_errors), name
 
     def test_float_cells_are_repr_text(self):
         rng = np.random.default_rng(28)
