@@ -159,10 +159,12 @@ def validate_leverage(lp: LeverageParams, reg: RegularityParams) -> LeveragePara
 class ProxFunction:
     """A function known to the solvers only through oracles.
 
-    ``prox(gamma, x)`` must return ``argmin_y  gamma*h(y) + ||y - x||^2 / 2``.
-    ``value`` and ``gradient`` are optional (the splitting steps never call
-    them; the gradient of f gives the fixed point z*, and FISTA steps on one).
-    Extended-real values use ``math.inf`` as the +infinity sentinel.
+    ``prox(gamma, x)`` must return ``argmin_y  gamma*h(y) + ||y - x||^2 / 2``
+    for ``x`` of the array shape ``shape`` (``(m,)`` for a vector), whose
+    product is the read-only ``dimension``.  ``gradient`` is optional (the
+    splitting steps never call it; the gradient of f gives the fixed point
+    z*, and FISTA steps on one).  The moduli of h are not stored here: they
+    enter once, as the problem's :class:`RegularityParams`.
 
     ``resolvent``, also optional, is for a vector-valued prox that is affine:
     ``resolvent(gamma)`` returns ``(M, c)`` with ``prox(gamma, x) = M x + c``
@@ -178,26 +180,23 @@ class ProxFunction:
     """
 
     prox: Callable[[float, np.ndarray], np.ndarray]
-    dimension: int
-    regularity: tuple[float, float] = (0.0, 0.0)
-    value: Optional[Callable[[np.ndarray], float]] = None
+    shape: tuple[int, ...]
     gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    shape: Optional[tuple[int, ...]] = None
     resolvent: Optional[Callable[[float], tuple[np.ndarray, np.ndarray]]] = None
     hessian: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.dimension <= 0:
-            raise ValueError("dimension must be positive")
-        sc, coco = self.regularity
-        _require_finite_nonnegative("strong-convexity modulus", sc)
-        _require_finite_nonnegative("cocoercivity modulus", coco)
-        if self.shape is not None and int(np.prod(self.shape)) != self.dimension:
-            raise ShapeMismatch(f"shape {self.shape} does not match dimension {self.dimension}")
+        # each entry, as the product of (-2, -3) is positive
+        if not all(n > 0 for n in self.shape):
+            raise ValueError(f"dimension must be positive: shape {self.shape}")
+
+    @property
+    def dimension(self) -> int:
+        return math.prod(self.shape)
 
     def zero_point(self) -> np.ndarray:
         """The origin of the space this oracle acts on."""
-        return np.zeros(self.shape if self.shape is not None else self.dimension)
+        return np.zeros(self.shape)
 
 
 @dataclass(frozen=True)

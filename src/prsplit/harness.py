@@ -142,7 +142,7 @@ def make_least_squares_problem(
         except OverflowError as exc:
             raise OverflowError(f"matrix {name!r}: {exc}") from None
     f, g = terms
-    reg = RegularityParams(f.moduli[0], f.moduli[1], g.moduli[0], g.moduli[1])
+    reg = RegularityParams(*f.moduli, *g.moduli)
     try:
         x_star = np.linalg.solve(f.gram + g.gram, f.at_a + g.at_a)
     except np.linalg.LinAlgError:
@@ -431,8 +431,8 @@ def run_restoration_demo(
     observed = blur.apply(x_true) + math.sqrt(noise_var) * noise_rng.standard_normal(shape)
 
     data_term = OperatorLeastSquares(blur, observed)
-    reg = RegularityParams(*data_term.moduli, 0.0, epsilon / lam)
     huber = HuberFn(epsilon, lam, level)
+    reg = RegularityParams(*data_term.moduli, *huber.moduli)
     problem = CompositeProblem(
         f=data_term.to_prox_function(),
         g=huber.to_prox_function(shape),

@@ -4,10 +4,12 @@ Least-squares data terms (dense, solved in the eigenbasis of its Gram
 matrix, or a circular convolution solved in closed form by the 2-D FFT), the
 Huber penalty, optionally of the coefficients of an orthonormal multi-level
 Haar transform, and a small circular blur operator applied by the
-2-D FFT through its transfer function.  Both data terms take their moduli from
-their Gram spectrum by one rule; :class:`~prsplit.leverage.QuadraticFunction`
-is the dense one with its Hessian as the Gram matrix.  Everything here needs
-numpy only.
+2-D FFT through its transfer function.  Every function holds its
+``(strong convexity, cocoercivity)`` moduli as ``moduli``, from which a
+problem's :class:`~prsplit.core.RegularityParams` are built.  Both data terms
+take theirs from their Gram spectrum by one rule;
+:class:`~prsplit.leverage.QuadraticFunction` is the dense one with its Hessian
+as the Gram matrix.  Everything here needs numpy only.
 """
 
 from __future__ import annotations
@@ -130,9 +132,7 @@ class LeastSquaresFn:
     def to_prox_function(self) -> ProxFunction:
         return ProxFunction(
             prox=self.prox,
-            dimension=self.dimension,
-            regularity=self.moduli,
-            value=self.value,
+            shape=(self.dimension,),
             gradient=self.gradient,
             resolvent=self.resolvent,
             hessian=self.gram,
@@ -147,7 +147,8 @@ class HuberFn:
 
     ``h`` is the smoothed absolute value: quadratic of width ``epsilon`` near
     zero, linear outside.  The gradient is Lipschitz with constant
-    ``scale/epsilon``, so the cocoercivity modulus is ``epsilon/scale``.
+    ``scale/epsilon``, so ``moduli`` is ``(0, epsilon/scale)``: no strong
+    convexity, and cocoercivity ``epsilon/scale``.
     """
 
     def __init__(self, epsilon: float, scale: float = 1.0, level: Optional[int] = None):
@@ -158,6 +159,7 @@ class HuberFn:
         self.epsilon = epsilon
         self.scale = scale
         self.level = level
+        self.moduli = (0.0, epsilon / scale)
 
     def _analysis(self, x: np.ndarray) -> np.ndarray:
         return x if self.level is None else haar_transform(x, self.level)
@@ -189,14 +191,7 @@ class HuberFn:
         return self._synthesis(shrunk)
 
     def to_prox_function(self, shape: tuple[int, ...]) -> ProxFunction:
-        return ProxFunction(
-            prox=self.prox,
-            dimension=int(np.prod(shape)),
-            regularity=(0.0, self.epsilon / self.scale),
-            value=self.value,
-            gradient=self.gradient,
-            shape=shape,
-        )
+        return ProxFunction(prox=self.prox, shape=shape, gradient=self.gradient)
 
 
 # --- orthonormal Haar transform ---------------------------------------------------
@@ -430,11 +425,4 @@ class OperatorLeastSquares:
         return _irfft2(_rfft2(x + shift) / denominator, self.shape)
 
     def to_prox_function(self) -> ProxFunction:
-        return ProxFunction(
-            prox=self.prox,
-            dimension=self.dimension,
-            regularity=self.moduli,
-            value=self.value,
-            gradient=self.gradient,
-            shape=self.shape,
-        )
+        return ProxFunction(prox=self.prox, shape=self.shape, gradient=self.gradient)

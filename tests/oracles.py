@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from pathlib import Path
-from typing import Callable, Literal, Union
+from typing import Any, Callable, Literal, Union
 
 import numpy as np
 
@@ -151,20 +151,22 @@ def regularity_transfer(
 
 @dataclass(frozen=True)
 class ShiftedProxSpec:
-    """A base oracle together with the shifts it should be evaluated under.
+    """A base function together with the shifts it should be evaluated under.
 
-    ``sign="plus"`` applies ``(delta, eta)`` (the f role); ``sign="minus"``
-    applies ``(-delta, -eta)`` (the g role).
+    ``base`` is any function with ``prox(gamma, x)`` and its
+    ``(strong convexity, cocoercivity)`` ``moduli``, as every concrete function
+    in ``prsplit.proxlib`` has.  ``sign="plus"`` applies ``(delta, eta)`` (the
+    f role); ``sign="minus"`` applies ``(-delta, -eta)`` (the g role).
     """
 
-    base: ProxFunction
+    base: Any
     delta: float
     eta: float
     sign: Literal["plus", "minus"] = "plus"
 
     def __post_init__(self):
         d, e = self.effective()
-        sc, coco = self.base.regularity
+        sc, coco = self.base.moduli
         if d < -sc:
             raise ShiftDomain(f"effective delta={d} < -strong convexity={-sc}")
         # closed lower endpoint: at equality the shifted conjugate exists but
@@ -233,12 +235,11 @@ def firm_nonexpansiveness_gap(
 
     Nonpositive (up to roundoff) for any genuine prox.
     """
-    shape = fn.shape if fn.shape is not None else (fn.dimension,)
     worst = -math.inf
     for k in range(pairs):
         gamma = gammas[k % len(gammas)]
-        x = scale * rng.standard_normal(shape)
-        y = scale * rng.standard_normal(shape)
+        x = scale * rng.standard_normal(fn.shape)
+        y = scale * rng.standard_normal(fn.shape)
         px = fn.prox(gamma, x)
         py = fn.prox(gamma, y)
         diff = px - py

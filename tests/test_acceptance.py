@@ -130,7 +130,7 @@ def test_criterion_5_prox_identity_oracle_equivalence():
         tau = float(rng.uniform(max(-eta, 0.0) + 0.05, 2.0))
         if delta * (tau + eta) <= -0.9:
             continue
-        spec = ShiftedProxSpec(q.to_prox_function(), delta, eta)
+        spec = ShiftedProxSpec(q, delta, eta)
         shifted = quadratic_conjugate_shift(q, delta, eta)
         x = rng.standard_normal(dim)
         via_identity = shifted_prox(spec, tau, x)
@@ -207,8 +207,7 @@ def test_criterion_8_oscillation_witness():
     start = time.perf_counter()
     project = ProxFunction(
         prox=lambda gamma, z: np.array([z[0], 0.0]),
-        dimension=2,
-        value=lambda z: 0.0 if z[1] == 0.0 else math.inf,
+        shape=(2,),
     )
     problem = CompositeProblem(
         f=project,

@@ -1,5 +1,7 @@
 """Validation contracts and the prox-oracle sanity checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,18 @@ class TestProxFunctionChecks:
         with pytest.raises(ShapeMismatch):
             CompositeProblem(f=f, g=g, regularity=TIGHT_REG)
 
-    def test_shape_consistency(self):
-        with pytest.raises(ShapeMismatch):
-            ProxFunction(prox=lambda g, x: x, dimension=4, shape=(5,))
+    @pytest.mark.parametrize("shape", [(0,), (-4,), (3, 0), (-2, -3)],
+                             ids=["zero", "negative", "zero-entry", "negative-pair"])
+    def test_nonpositive_shape_rejected(self, shape):
+        # each entry is checked: the product of (-2, -3) is positive
+        with pytest.raises(ValueError, match="dimension must be positive"):
+            ProxFunction(prox=lambda g, x: x, shape=shape)
+
+    def test_dimension_is_derived_from_shape(self):
+        fn = ProxFunction(prox=lambda g, x: x, shape=(3, 4))
+        assert fn.dimension == 12
+        assert fn.zero_point().shape == (3, 4) and not fn.zero_point().any()
+        with pytest.raises(AttributeError):
+            fn.dimension = 5
+        assert [f.name for f in dataclasses.fields(ProxFunction)] == [
+            "prox", "shape", "gradient", "resolvent", "hessian"]

@@ -2,7 +2,7 @@
 
 import ast
 import re
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -41,7 +41,7 @@ from prsplit.rates import (
     optimal_params,
     optimal_rate,
 )
-from prsplit.proxlib import HuberFn
+from prsplit.proxlib import BlurOperator, HuberFn, OperatorLeastSquares, gaussian_kernel
 from prsplit.solvers import (
     Recording,
     SolverConfig,
@@ -220,7 +220,7 @@ class TestFixedPointOracle:
     def test_gradient_required(self):
         problem = generate_instance(4, 5, 6, seed=0)
         bare = type(problem)(
-            f=type(problem.f)(prox=problem.f.prox, dimension=4),
+            f=type(problem.f)(prox=problem.f.prox, shape=(4,)),
             g=problem.g, regularity=problem.regularity, solution_oracle=np.zeros(4),
         )
         with pytest.raises(NoGradient):
@@ -351,6 +351,17 @@ class TestRestoration:
             assert (tmp_path / f"error_{name}.csv").exists()
         assert (tmp_path / "true.pgm").exists() and (tmp_path / "observed.pgm").exists()
         assert (tmp_path / "plot_errors.py").exists()
+
+    @pytest.mark.parametrize("kwargs", [{}, {"lam": 0.3, "epsilon": 0.002, "max_iter": 5}],
+                             ids=["defaults", "lam-epsilon"])
+    def test_regularity_is_the_terms_moduli(self, kwargs):
+        # bit for bit the moduli written out by hand before HuberFn held them:
+        # the blur's spectrum for f, and (0, epsilon/lam) for the Huber term
+        report = run_restoration_demo(side=16, **kwargs)
+        data_term = OperatorLeastSquares(BlurOperator(gaussian_kernel(5, 0.5)), np.zeros((16, 16)))
+        lam, epsilon = kwargs.get("lam", 0.07), kwargs.get("epsilon", 0.01)
+        expected = RegularityParams(*data_term.moduli, 0.0, epsilon / lam)
+        assert [v.hex() for v in astuple(report.regularity)] == [v.hex() for v in astuple(expected)]
 
     def test_side_64_counts_are_pinned(self):
         # seed 64 at side 64 is the restore run whose outputs are kept byte for byte
@@ -541,7 +552,7 @@ def _sample_trace():
 
 def _nonfinite_trace(z_star):
     # g's prox returns +inf, so the first step from (1, 1) is non-finite
-    poisoned = ProxFunction(prox=lambda gamma, x: np.full_like(x, np.inf), dimension=2)
+    poisoned = ProxFunction(prox=lambda gamma, x: np.full_like(x, np.inf), shape=(2,))
     zero = QuadraticFunction(0.0, np.zeros(2), 0.0).to_prox_function()
     problem = CompositeProblem(f=zero, g=poisoned, regularity=RegularityParams(0, 0, 0, 0))
     config = SolverConfig(stopping="residual")

@@ -82,8 +82,8 @@ class TestQuadraticConjugateShift:
         W = rng.standard_normal((2, 4))
         low = QuadraticFunction(0.0, rng.standard_normal(4), W.T @ W)
         fn = low.to_prox_function()
-        assert fn.regularity[0] == 0.0
-        assert fn.regularity[1] == pytest.approx(1.0 / np.linalg.eigvalsh(W.T @ W)[-1], rel=1e-12)
+        assert low.moduli[0] == 0.0
+        assert low.moduli[1] == pytest.approx(1.0 / np.linalg.eigvalsh(W.T @ W)[-1], rel=1e-12)
         for gamma in (0.7, 2.5, 0.7):
             dense = np.linalg.solve(np.eye(4) + gamma * low.quad, x - gamma * low.linear)
             np.testing.assert_allclose(fn.prox(gamma, x), dense, rtol=1e-12, atol=1e-14)
@@ -129,7 +129,7 @@ class TestQuadraticResolvent:
 class TestShiftedProx:
     def test_zero_shifts_reduce_to_plain_prox(self, rng):
         q = random_quadratic(rng)
-        spec = ShiftedProxSpec(q.to_prox_function(), delta=0.0, eta=0.0)
+        spec = ShiftedProxSpec(q, delta=0.0, eta=0.0)
         x = rng.standard_normal(4)
         np.testing.assert_allclose(shifted_prox(spec, 0.8, x), q.prox(0.8, x), rtol=1e-14)
         np.testing.assert_allclose(
@@ -146,7 +146,7 @@ class TestShiftedProx:
             tau = float(rng.uniform(max(-eta, 0.0) + 0.05, 2.0))
             if delta * (tau + eta) <= -0.95:
                 continue
-            spec = ShiftedProxSpec(q.to_prox_function(), delta, eta)
+            spec = ShiftedProxSpec(q, delta, eta)
             shifted = quadratic_conjugate_shift(q, delta, eta)
             assert isinstance(shifted, QuadraticFunction)
             x = rng.standard_normal(4)
@@ -162,7 +162,7 @@ class TestShiftedProx:
             delta = float(rng.uniform(-0.2 * float(q.quad), 0.8))
             eta = float(rng.uniform(0.0, 0.6))
             tau = float(rng.uniform(0.1, 1.5))
-            spec = ShiftedProxSpec(q.to_prox_function(), delta, eta)
+            spec = ShiftedProxSpec(q, delta, eta)
             shifted = quadratic_conjugate_shift(q, delta, eta)
             x = rng.standard_normal(3)
             res = minimize(
@@ -176,7 +176,7 @@ class TestShiftedProx:
 
     def test_reflect_is_two_prox_minus_identity(self, rng):
         q = random_quadratic(rng)
-        spec = ShiftedProxSpec(q.to_prox_function(), delta=0.3, eta=0.2)
+        spec = ShiftedProxSpec(q, delta=0.3, eta=0.2)
         for _ in range(20):
             x = rng.standard_normal(4)
             lhs = shifted_reflect(spec, 1.1, x)
@@ -191,7 +191,7 @@ class TestShiftedProx:
         from prsplit.rates import optimal_params, delta_star
 
         lp = optimal_params(reg, delta_star(reg))
-        f = QuadraticFunction(0.0, np.zeros(2), np.diag([rho, 1.0 / alpha])).to_prox_function()
+        f = QuadraticFunction(0.0, np.zeros(2), np.diag([rho, 1.0 / alpha]))
         # prox of the tight f is componentwise x/(1+gamma*rho), x/(1+gamma/alpha)
         gamma = 0.37
         p = f.prox(gamma, np.array([1.0, 1.0]))
@@ -204,7 +204,7 @@ class TestShiftedProx:
 
     def test_domain_errors(self, rng):
         q = random_quadratic(rng)
-        spec = ShiftedProxSpec(q.to_prox_function(), delta=-0.9 * float(q.quad), eta=0.0)
+        spec = ShiftedProxSpec(q, delta=-0.9 * float(q.quad), eta=0.0)
         with pytest.raises(StepDomain):
             shifted_prox(spec, 0.0, np.zeros(4))
         x = np.zeros(4)
@@ -212,7 +212,7 @@ class TestShiftedProx:
         with pytest.raises(ShiftDomain):
             shifted_prox(spec, 2.0 / (0.9 * float(q.quad)), x)
         with pytest.raises(ShiftDomain):
-            ShiftedProxSpec(q.to_prox_function(), delta=-float(q.quad) - 0.1, eta=0.0)
+            ShiftedProxSpec(q, delta=-float(q.quad) - 0.1, eta=0.0)
 
 
 class TestRegularityTransfer:

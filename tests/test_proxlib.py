@@ -204,6 +204,10 @@ class TestHuber:
         res = minimize(objective, x.ravel(), method="L-BFGS-B", tol=1e-14)
         np.testing.assert_allclose(p.ravel(), res.x, atol=1e-6)
 
+    @pytest.mark.parametrize("eps, scale, level", [(0.3, 2.0, None), (0.01, 0.07, 1), (1e-3, 7.0, 2)])
+    def test_moduli(self, eps, scale, level):
+        assert HuberFn(eps, scale, level).moduli == (0.0, eps / scale)
+
     def test_firm_nonexpansiveness(self, rng):
         fn = HuberFn(0.2, 2.0, level=2).to_prox_function((8, 8))
         assert firm_nonexpansiveness_gap(fn, rng, pairs=100) <= 1e-10
@@ -419,7 +423,6 @@ class TestOperatorLeastSquares:
         op = BlurOperator(gaussian_kernel(size, 0.4))
         fn = OperatorLeastSquares(op, rng.standard_normal(shape))
         assert fn.moduli == (gram_smallest_eigenvalue(op, shape), 1.0 / gram_norm(op, shape))
-        assert tuple(fn.to_prox_function().regularity) == fn.moduli
 
     @pytest.mark.parametrize("shape", [(8, 8), (7, 8), (3, 4)], ids=["8x8", "7x8", "3x4"])
     def test_prox_follows_every_step_size_change(self, rng, shape):
@@ -450,8 +453,8 @@ def _binary_pgm(image: np.ndarray, maxval: int) -> bytes:
 
 class TestSmallHelpers:
     def test_diagonal_quadratic_regularity(self):
-        fn = QuadraticFunction(0.0, np.zeros(2), np.diag([0.5, 2.0])).to_prox_function()
-        assert fn.regularity == (0.5, 0.5)
+        fn = QuadraticFunction(0.0, np.zeros(2), np.diag([0.5, 2.0]))
+        assert fn.moduli == (0.5, 0.5)
         x = np.array([1.0, -3.0])
         assert np.array_equal(fn.prox(0.7, x), x / (1.0 + 0.7 * np.array([0.5, 2.0])))
 

@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -95,12 +96,14 @@ class TestLeveragedStep:
         # (eta = 0 at delta*, so an interior shift exercises eta as well)
         problem = random_instance(rng)
         reg = problem.regularity
+        f = SimpleNamespace(prox=problem.f.prox, moduli=(reg.rho, reg.alpha))
+        g = SimpleNamespace(prox=problem.g.prox, moduli=(reg.mu, reg.beta))
         for delta in (delta_star(reg), interior_delta(rng, reg)):
             lp = optimal_params(reg, delta)
             z = rng.standard_normal(problem.dimension)
             d, e, t = lp.delta, lp.eta, lp.tau
-            y = shifted_reflect(ShiftedProxSpec(problem.f, d, e, "plus"), t, z)
-            expected = shifted_reflect(ShiftedProxSpec(problem.g, d, e, "minus"), t, y)
+            y = shifted_reflect(ShiftedProxSpec(f, d, e, "plus"), t, z)
+            expected = shifted_reflect(ShiftedProxSpec(g, d, e, "minus"), t, y)
             gap = np.linalg.norm(leveraged_step(problem, lp, z) - expected)
             assert gap <= 1e-13 * np.linalg.norm(expected)
 
@@ -547,8 +550,7 @@ def axis_indicator_problem():
     """f = indicator of the x-axis (prox projects), g = 0 (prox is identity)."""
     project = ProxFunction(
         prox=lambda gamma, z: np.array([z[0], 0.0]),
-        dimension=2,
-        value=lambda z: 0.0 if z[1] == 0.0 else math.inf,
+        shape=(2,),
     )
     return CompositeProblem(
         f=project,
@@ -643,7 +645,7 @@ class TestClassicAndRelaxed:
 
     def test_divergence_detected_for_a_fake_oracle(self, rng):
         # not a prox of anything: an expansive map, which the theory forbids
-        expanding = ProxFunction(prox=lambda gamma, x: 1.5 * x, dimension=3)
+        expanding = ProxFunction(prox=lambda gamma, x: 1.5 * x, shape=(3,))
         problem = CompositeProblem(
             f=expanding, g=QuadraticFunction(0.0, np.zeros(3), 0.0).to_prox_function(),
             regularity=RegularityParams(0, 0, 0, 0),
@@ -662,7 +664,7 @@ class TestClassicAndRelaxed:
         # the z*-based rules skip the residual when nothing records it, so the
         # fault must reach them through z; NaN poisons f, and +inf poisons g,
         # because in f it would meet itself in d as inf - inf = NaN
-        poisoned = ProxFunction(prox=lambda gamma, x: np.full_like(x, poison), dimension=3)
+        poisoned = ProxFunction(prox=lambda gamma, x: np.full_like(x, poison), shape=(3,))
         zero = QuadraticFunction(0.0, np.zeros(3), 0.0).to_prox_function()
         f, g = (poisoned, zero) if math.isnan(poison) else (zero, poisoned)
         problem = CompositeProblem(f=f, g=g, regularity=RegularityParams(0, 0, 0, 0))
@@ -893,7 +895,7 @@ def fake_affine_problem(k, c):
 
     def fake(M, G):
         return ProxFunction(
-            prox=lambda gamma, x: M.dot(x) + c, dimension=m, resolvent=lambda gamma: (M, c),
+            prox=lambda gamma, x: M.dot(x) + c, shape=(m,), resolvent=lambda gamma: (M, c),
             gradient=lambda x: G.dot(x) + c, hessian=G,
         )
 
