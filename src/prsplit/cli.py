@@ -99,10 +99,11 @@ def cmd_bench_academic(args) -> int:
     )
     print(f"wrote {out / 'bench_academic.csv'}")
     for row in report.rows:
-        print(f"\n(m,n,p) = {row.dims}   avg moduli: rho={row.avg_rho:.3g} "
-              f"alpha={row.avg_alpha:.3g} mu={row.avg_mu:.3g} beta={row.avg_beta:.3g}")
+        reg = row.avg_moduli
+        print(f"\n(m,n,p) = {row.dims}   avg moduli: rho={reg.rho:.3g} "
+              f"alpha={reg.alpha:.3g} mu={reg.mu:.3g} beta={reg.beta:.3g}")
         for name, stats in row.methods.items():
-            if not stats.defined:
+            if stats is None:
                 print(f"  {name:<8} -")
                 continue
             print(f"  {name:<8} iter avg {stats.avg_iterations:9.1f}   "

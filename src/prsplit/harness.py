@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 import re
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from itertools import islice
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -209,22 +210,21 @@ def run_tight_check(
 class MethodStats:
     """Aggregates of one method over the repetitions of one dimension tuple."""
 
-    defined: bool
-    avg_iterations: Optional[float] = None
-    median_iterations: Optional[float] = None
-    avg_time_ms: Optional[float] = None
-    avg_final_error: Optional[float] = None
-    unconverged: int = 0
+    avg_iterations: float
+    median_iterations: float
+    avg_time_ms: float
+    avg_final_error: float
+    unconverged: int
 
 
 @dataclass(frozen=True)
 class BenchmarkRow:
+    """The averaged moduli of one dims tuple's instances, and per method its
+    aggregates, or ``None`` where its tuning is undefined."""
+
     dims: tuple[int, int, int]
-    avg_rho: float
-    avg_alpha: float
-    avg_mu: float
-    avg_beta: float
-    methods: dict[str, MethodStats] = field(default_factory=dict)
+    avg_moduli: RegularityParams
+    methods: dict[str, Optional[MethodStats]]
 
 
 @dataclass(frozen=True)
@@ -233,17 +233,21 @@ class BenchmarkReport:
 
     def to_csv(self, path) -> None:
         """Deterministic CSV (timings are excluded: they are hardware noise)."""
+        floats = []
+        for row in self.rows:
+            reg = row.avg_moduli
+            floats += (reg.rho, reg.alpha, reg.mu, reg.beta)
+            for stats in row.methods.values():
+                if stats is not None:
+                    floats += (stats.avg_iterations, stats.median_iterations, stats.avg_final_error)
+        cells = iter(_float_cells(floats))  # one call per report, spliced back in row order
         rows = []
         for row in self.rows:
             # dims may be numpy integers, which orjson does not write
-            prefix = [int(d) for d in row.dims] + _float_cells(
-                [row.avg_rho, row.avg_alpha, row.avg_mu, row.avg_beta])
+            prefix = [*map(int, row.dims), *islice(cells, 4)]
             for name, stats in row.methods.items():
-                cells = ["-"] * 4
-                if stats.defined:
-                    cells = _float_cells([stats.avg_iterations, stats.median_iterations,
-                                          stats.avg_final_error]) + [int(stats.unconverged)]
-                rows.append(prefix + [name] + cells)
+                tail = ["-"] * 4 if stats is None else [*islice(cells, 3), int(stats.unconverged)]
+                rows.append(prefix + [name] + tail)
         head = b"m,n,p,avg_rho,avg_alpha,avg_mu,avg_beta,method,avg_iterations,median_iterations,avg_final_error,unconverged\n"
         pgm._write_in_place(path, head + _csv_lines(zip(*rows)))
 
@@ -260,20 +264,22 @@ def run_academic_benchmark(
 
     Each repetition draws a fresh instance (offsets zero, so x* = z* = 0 and
     the final error is ``||z_final||``) and a fresh random starting point.
-    Methods whose step-size tuning hypotheses fail are reported as undefined,
-    mirroring the "-" table entries; so is ``prs_lev`` when ``rho = mu = 0``.
+    Methods whose step-size tuning hypotheses fail are reported as undefined
+    (``None``), mirroring the "-" table entries; so is ``prs_lev`` when
+    ``rho = mu = 0``.  Every dims tuple is checked before the first solve.
     The report goes to ``out_path``, if given, whose directory is created then.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    if any(min(dims) < 1 for dims in dims_list):
+        raise ValueError("dimensions must be positive")
     config = SolverConfig(
         max_iter=max_iter, tol=tol, stopping="fixed_point_distance", record_trace=False,
     )
     rows = []
-    for di, dims in enumerate(dims_list):
-        m, n, p = dims
+    for di, (m, n, p) in enumerate(dims_list):
         moduli_acc = np.zeros(4)
         # per method, one (iterations, ms, error, converged) tuple per repetition,
         # or None where its tuning is undefined
@@ -298,32 +304,22 @@ def run_academic_benchmark(
                 results[name].append((trace.iterations, elapsed, float(np.linalg.norm(z_final)),
                                       trace.status == "converged"))
 
-        moduli_avg = moduli_acc / repetitions
         methods = {}
-        for name in BENCH_METHODS:
-            runs = results[name]
+        for name, runs in results.items():
             if None in runs:
-                methods[name] = MethodStats(defined=False)
+                methods[name] = None
                 continue
-            iters = np.array([r[0] for r in runs], dtype=float)
+            # integer sums below 2**53 are exact: numpy's mean and median, bit for bit
+            iters = sorted(r[0] for r in runs)
             methods[name] = MethodStats(
-                defined=True,
-                avg_iterations=float(iters.mean()),
-                median_iterations=float(np.median(iters)),
-                avg_time_ms=float(np.mean([r[1] for r in runs])),
+                avg_iterations=sum(iters) / repetitions,
+                median_iterations=(iters[(repetitions - 1) // 2] + iters[repetitions // 2]) / 2,
+                avg_time_ms=sum(r[1] for r in runs) / repetitions,
                 avg_final_error=float(np.mean([r[2] for r in runs])),
-                unconverged=sum(1 for r in runs if not r[3]),
+                unconverged=sum(not r[3] for r in runs),
             )
-        rows.append(
-            BenchmarkRow(
-                dims=(m, n, p),
-                avg_rho=float(moduli_avg[0]),
-                avg_alpha=float(moduli_avg[1]),
-                avg_mu=float(moduli_avg[2]),
-                avg_beta=float(moduli_avg[3]),
-                methods=methods,
-            )
-        )
+        avg_moduli = RegularityParams(*(moduli_acc / repetitions).tolist())
+        rows.append(BenchmarkRow(dims=(m, n, p), avg_moduli=avg_moduli, methods=methods))
     report = BenchmarkReport(rows=rows)
     if out_path is not None:
         Path(out_path).parent.mkdir(parents=True, exist_ok=True)

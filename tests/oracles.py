@@ -408,14 +408,15 @@ def reference_trace_text(trace: SolveTrace) -> bytes:
 def reference_report_text(report) -> bytes:
     """The bytes :meth:`prsplit.harness.BenchmarkReport.to_csv` writes, one
     ``repr(float(v))`` per float cell: a row per dims and method, whose four
-    cells are ``-`` where the method is undefined."""
+    cells are ``-`` where the method is undefined (``None``)."""
     lines = ["m,n,p,avg_rho,avg_alpha,avg_mu,avg_beta,method,avg_iterations,"
              "median_iterations,avg_final_error,unconverged"]
     for row in report.rows:
-        moduli = (row.avg_rho, row.avg_alpha, row.avg_mu, row.avg_beta)
+        reg = row.avg_moduli
+        moduli = (reg.rho, reg.alpha, reg.mu, reg.beta)
         prefix = [str(d) for d in row.dims] + [repr(float(v)) for v in moduli]
         for name, stats in row.methods.items():
-            if stats.defined:
+            if stats is not None:
                 cells = [repr(float(v)) for v in (stats.avg_iterations, stats.median_iterations,
                                                   stats.avg_final_error)]
                 cells.append(str(stats.unconverged))

@@ -231,6 +231,9 @@ BAD_INPUT = [  # (id, command, flags (a list), JSON (dict, text or bytes) or PGM
      "problem file: vector 'a' needs one entry per row of matrix 'A' (1), got 2"),
     ("dims-pair", "bench-academic", ["--dims", "20,20"],
      "--dims: '20,20' is not a triple m,n,p of integers"),
+    # every repetition of the first row was solved before the last raised
+    ("dims-bad-last-triple", "bench-academic", ["--dims", "20,20,20;0,5,5"],
+     "dimensions must be positive"),
     ("A-gram-overflow", "solve",
      {"A": [[1e200, 1e200], [1.0, 2.0]], "B": [[1.0, 0.0], [0.0, 1.0]]},
      "problem file: matrix 'A': its Gram matrix overflows"),

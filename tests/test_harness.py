@@ -2,7 +2,7 @@
 
 import ast
 import re
-from dataclasses import astuple, replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -270,8 +270,8 @@ class TestAcademicBenchmark:
             out_path=tmp_path / "bench.csv",
         )
         row = report.rows[0]
-        assert not row.methods["prs1"].defined  # wide A: rho = 0
-        assert row.methods["prs_lev"].defined and row.methods["prs2"].defined
+        assert row.methods["prs1"] is None  # wide A: rho = 0
+        assert row.methods["prs_lev"] is not None and row.methods["prs2"] is not None
         assert row.methods["prs_lev"].avg_iterations >= 1.0
         text = (tmp_path / "bench.csv").read_text()
         assert ",prs1,-,-,-,-" in text
@@ -296,6 +296,45 @@ class TestAcademicBenchmark:
         with pytest.raises(ValueError):
             run_academic_benchmark([(4, 4, 4)], repetitions=0)
 
+    @pytest.mark.parametrize("bad", [(0, 5, 5), (5, -1, 5), (5, 5, 0)])
+    def test_a_bad_last_triple_raises_before_the_first_solve(self, monkeypatch, tmp_path, bad):
+        solves = []
+        real = harness.solve_method
+
+        def counted(*args, **kwargs):
+            solves.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "solve_method", counted)
+        with pytest.raises(ValueError, match="^dimensions must be positive$"):
+            run_academic_benchmark([(20, 20, 20), bad], repetitions=2,
+                                   out_path=tmp_path / "out" / "bench.csv")
+        assert solves == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("reps", [1, 2, 3, 7, 8, 9, 16, 30])
+    def test_aggregates_equal_numpy_mean_and_median(self, monkeypatch, reps):
+        # counts of either size below 2**47, so that 30 of them sum below 2**53
+        rng = np.random.default_rng(reps)
+        runs = {name: [] for name in harness.BENCH_METHODS}
+
+        def drawn(problem, name, config, z0=None):
+            high = 2**47 if rng.random() < 0.5 else 100
+            run = (int(rng.integers(1, high)), float(rng.random()), bool(rng.random() < 0.8))
+            runs[name].append(run)
+            return None, np.array([run[1]]), SolveTrace(
+                status="converged" if run[2] else "max_iter", iterations=run[0])
+
+        monkeypatch.setattr(harness, "solve_method", drawn)
+        methods = run_academic_benchmark([(3, 4, 4)], repetitions=reps).rows[0].methods
+        for name, taken in runs.items():
+            iters, errors, converged = (np.array(column) for column in zip(*taken))
+            stats = methods[name]
+            assert float.hex(stats.avg_iterations) == float(np.mean(iters.astype(float))).hex()
+            assert float.hex(stats.median_iterations) == float(np.median(iters.astype(float))).hex()
+            assert float.hex(stats.avg_final_error) == float(np.mean(errors)).hex()
+            assert stats.unconverged == int(np.sum(~converged))
+
     def test_leveraged_beats_prs2_on_most_tall_g_instances(self):
         # (20,10,20): rho = 0, so only prs2 among the classical tunings runs;
         # the leveraged solver should win on at least 90% of instances
@@ -306,7 +345,7 @@ class TestAcademicBenchmark:
                 [(20, 10, 20)], repetitions=1, tol=1e-10, max_iter=50000, seed=seed
             )
             methods = report.rows[0].methods
-            assert not methods["prs1"].defined
+            assert methods["prs1"] is None
             wins += methods["prs_lev"].avg_iterations < methods["prs2"].avg_iterations
         assert wins >= 0.9 * reps
 
@@ -317,7 +356,7 @@ class TestAcademicBenchmark:
             [(20, 20, 10)], repetitions=6, tol=1e-10, max_iter=100000, seed=1
         )
         methods = report.rows[0].methods
-        assert not methods["prs2"].defined
+        assert methods["prs2"] is None
         lev = methods["prs_lev"].avg_iterations
         prs1 = methods["prs1"].avg_iterations
         assert abs(lev - prs1) <= 0.05 * prs1
@@ -592,26 +631,44 @@ _TRACES = {
 def _edge_report():
     # numpy dims, moduli averages orjson writes in another layout than repr
     # ([1e-5, 1e-4) and >= 1e16), non-finite final errors and an undefined method
-    undefined = MethodStats(defined=False)
     return BenchmarkReport(rows=[
         BenchmarkRow(
-            dims=tuple(np.array([20, 30, 30])), avg_rho=2.97e-05,
-            avg_alpha=np.float64(np.nextafter(1e-4, 0.0)), avg_mu=1e16, avg_beta=3.2e17,
+            dims=tuple(np.array([20, 30, 30])),
+            avg_moduli=RegularityParams(2.97e-05, np.float64(np.nextafter(1e-4, 0.0)),
+                                        1e16, 3.2e17),
             methods={
-                "prs_lev": MethodStats(True, 17.0, 16.5, 0.1, np.inf, 3),
-                "prs1": undefined,
-                "prs2": MethodStats(True, 1e-05, 1.5e-07, 0.1, np.nan, 0),
+                "prs_lev": MethodStats(17.0, 16.5, 0.1, np.inf, 3),
+                "prs1": None,
+                "prs2": MethodStats(1e-05, 1.5e-07, 0.1, np.nan, 0),
             },
         ),
-        BenchmarkRow(dims=(40, 50, 60), avg_rho=0.5, avg_alpha=1e-07, avg_mu=0.0,
-                     avg_beta=12345.678,
-                     methods={"prs_lev": MethodStats(True, 1e16, 2.5e-05, 0.1, 5e-324, 0),
-                              "prs1": undefined}),
+        BenchmarkRow(dims=(40, 50, 60), avg_moduli=RegularityParams(0.5, 1e-07, 0.0, 12345.678),
+                     methods={"prs_lev": MethodStats(1e16, 2.5e-05, 0.1, 5e-324, 0),
+                              "prs1": None}),
+    ])
+
+
+def _spliced_report():
+    # every float cell distinct, repr-text cells among them, and undefined
+    # methods before, between and after defined ones: a cell spliced back out
+    # of row order shows
+    def stats(k):
+        return MethodStats(k + 0.25, k + 0.5, 0.1, k * 1e-5, k)
+
+    moduli = [RegularityParams(k + 0.125, k * 1e-5, k + 0.375, 1e16 * k) for k in range(1, 5)]
+    return BenchmarkReport(rows=[
+        BenchmarkRow((4, 5, 6), moduli[0], {"prs_lev": stats(1), "prs1": None, "prs2": stats(2)}),
+        BenchmarkRow((7, 8, 9), moduli[1], {"prs_lev": None, "prs1": None, "prs2": None}),
+        BenchmarkRow((10, 11, 12), moduli[2],
+                     {"prs_lev": None, "prs1": stats(3), "prs2": stats(4)}),
+        BenchmarkRow((13, 14, 15), moduli[3],
+                     {"prs_lev": stats(5), "prs1": stats(6), "prs2": None}),
     ])
 
 
 _REPORTS = {
     "edge-cells": _edge_report,
+    "spliced": _spliced_report,
     "empty": lambda: BenchmarkReport(rows=[]),
     # (20, 10, 20) has a wide A: rho = 0, so prs1 is undefined
     "academic": lambda: run_academic_benchmark([(20, 10, 20), (6, 8, 7)], repetitions=2),
@@ -661,10 +718,20 @@ class TestEmission:
         assert (tmp_path / "trace.csv").read_bytes() == reference_trace_text(trace)
 
     @pytest.mark.parametrize("name", list(_REPORTS))
-    def test_report_bytes_match_the_per_cell_writer(self, name, tmp_path):
+    def test_report_bytes_match_the_per_cell_writer(self, name, monkeypatch, tmp_path):
         report = _REPORTS[name]()
+        calls = []
+        real = harness._float_cells
+        monkeypatch.setattr(harness, "_float_cells",
+                            lambda values: calls.append(values) or real(values))
         report.to_csv(tmp_path / "bench.csv")
         assert (tmp_path / "bench.csv").read_bytes() == reference_report_text(report)
+        assert len(calls) == 1  # every float of the report in one call
+
+    def test_report_records_keep_one_field_per_fact(self):
+        assert [f.name for f in fields(MethodStats)] == [
+            "avg_iterations", "median_iterations", "avg_time_ms", "avg_final_error", "unconverged"]
+        assert [f.name for f in fields(BenchmarkRow)] == ["dims", "avg_moduli", "methods"]
 
     @pytest.mark.parametrize("make", [
         _edge_restoration,
