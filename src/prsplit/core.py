@@ -224,8 +224,7 @@ class CompositeProblem:
         return self.f.dimension
 
     def swap(self) -> "CompositeProblem":
-        """The pair (g, f) with its moduli swapped: ``fista2`` is ``fista1`` on it
-        (``prs2`` is not, as it runs f first with g's tuning)."""
+        """The pair (g, f) with its moduli swapped."""
         return CompositeProblem(self.g, self.f, self.regularity.swap(), self.solution_oracle)
 
 

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import pgm
-from .core import CompositeProblem, LeverageParams, RegularityParams, SolveTrace
+from .core import CompositeProblem, RegularityParams, SolveTrace
 from .errors import NoLeverage, NotStronglyRegular
 from .leverage import QuadraticFunction
 from .proxlib import (
@@ -31,13 +31,7 @@ from .proxlib import (
     _check_haar_shape,
     gaussian_kernel,
 )
-from .rates import (
-    classical_prs_optimal,
-    delta_star,
-    drs_optimal_rate,
-    optimal_params,
-    optimal_rate,
-)
+from .rates import METHODS, optimal_rate
 from .solvers import Recording, SolverConfig, fista_solve, prs_lev_solve
 
 __all__ = [
@@ -63,6 +57,7 @@ __all__ = [
 
 # --- one tuned solve per method name ------------------------------------------------
 
+# the methods that solve, restore and bench-academic run: keys of rates.METHODS
 SOLVE_METHODS = ("prs_lev", "prs", "drs", "fista1", "fista2")
 RESTORE_METHODS = ("prs_lev", "prs", "fista1", "fista2")
 BENCH_METHODS = ("prs_lev", "prs1", "prs2")
@@ -77,45 +72,28 @@ def solve_method(
     tau: Optional[float] = None,
     recording: Optional[Recording] = None,
 ) -> tuple[np.ndarray, Optional[np.ndarray], SolveTrace]:
-    """Solve by ``method``, tuned by its closed form; ``(x, z, trace)`` with ``z = None`` for FISTA.
-
-    ``prs_lev`` takes the shift ``delta``, else ``delta*``, else the midpoint
-    of ``[-rho, mu]`` when ``alpha = 0`` or ``beta = 0`` (``delta*`` is then an
-    endpoint, where ``eta = 0`` is out of range; ``r*`` is flat on the
-    interval).  ``prs``/``prs1`` take the classical step ``tau`` on f's moduli
-    and ``prs2`` on g's, ``drs`` its tuned step and relaxation, unless ``tau``
-    is given: all four are one ``prs_lev_solve`` call, the classical ones at
-    ``LeverageParams(0, 0, tau)``.  ``fista1`` steps forward on f from the
-    origin, and ``fista2`` is ``fista1`` on ``problem.swap()``; ``z0`` starts
-    the splitting methods, and ``recording`` goes to their ``prs_lev_solve``
-    call.  A ``delta``, ``tau`` or ``recording`` the method does not take, or
-    an unknown name, raises ``ValueError``; moduli a classical tuning cannot
-    use raise :class:`~prsplit.errors.NotStronglyRegular`.
+    """Solve by ``method``, a key of :data:`~prsplit.rates.METHODS`, as its record
+    orients and tunes it, with ``delta`` or ``tau`` for the tuned shift or step;
+    ``(x, z, trace)`` with ``z = None`` for FISTA.  An argument the method does
+    not take, or an unknown name, raises ``ValueError``, and moduli its tuning
+    cannot use :class:`~prsplit.errors.NotStronglyRegular`.
     """
-    reg = problem.regularity
-    if delta is not None and method != "prs_lev":
+    record = METHODS.get(method)
+    if delta is not None and (record is None or record.kind != "prs_lev"):
         raise ValueError(f"method {method!r} takes no delta")
-    if tau is not None and method in ("prs_lev", "fista1", "fista2"):
+    if record is None:
+        raise ValueError(f"unknown method {method!r}")
+    if tau is not None and record.kind in ("prs_lev", "fista"):
         raise ValueError(f"method {method!r} takes no tau")
-    if method in ("fista1", "fista2"):
+    reg = problem.regularity
+    if record.swap_problem:
+        problem = problem.swap()
+    if record.kind == "fista":
         if recording is not None:
             raise ValueError(f"method {method!r} takes no recording")
-        x, trace = fista_solve(problem if method == "fista1" else problem.swap(), config)
+        x, trace = fista_solve(problem, config)
         return x, None, trace
-    lam = 1.0
-    if method == "prs_lev":
-        if delta is None:
-            endpoint = reg.alpha == 0.0 or reg.beta == 0.0  # where delta* lies then
-            delta = (reg.mu - reg.rho) / 2.0 if endpoint else delta_star(reg)
-        lp = optimal_params(reg, delta)
-    elif method in ("prs", "prs1", "prs2", "drs"):
-        if method == "drs":
-            tau, lam, _ = drs_optimal_rate(reg, tau)
-        elif tau is None:
-            tau = classical_prs_optimal(reg.swap() if method == "prs2" else reg)[0]
-        lp = LeverageParams(0.0, 0.0, tau)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    lp, lam = record.tuning(reg.swap() if record.swap_moduli else reg, delta, tau)
     return prs_lev_solve(problem, lp, config, z0, lam=lam, recording=recording)
 
 
@@ -496,8 +474,8 @@ def _write_restoration_outputs(report: RestorationReport, out_dir) -> None:
         longest = max(longest, run.iterations)
     # the reference solve validated rho + mu > 0, and mu = 0, so rho > 0; the
     # kernel sums to 1, so alpha > 0: the classical tuning is defined too
-    bounds = [("prs_lev bound", optimal_rate(report.regularity), longest),
-              ("prs bound", classical_prs_optimal(report.regularity)[1], longest)]
+    bounds = [(f"{name} bound", METHODS[name].rate(report.regularity), longest)
+              for name in ("prs_lev", "prs")]
     emit_plot_script(traces, bounds, out / "plot_errors.py")
 
 

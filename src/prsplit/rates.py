@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -29,7 +29,8 @@ __all__ = [
     "rate_constancy_check",
     "classical_prs_optimal",
     "drs_optimal_rate",
-    "fista_rate_bounds",
+    "Method",
+    "METHODS",
     "dominance_report",
 ]
 
@@ -228,32 +229,73 @@ def _fista_rate(reg: RegularityParams) -> float:
     return max(0.0, _one_minus_product(reg.alpha, reg.rho) / (w * (1.0 + math.sqrt(q))))
 
 
-def _mirrored(formula, reg: RegularityParams) -> tuple[Optional[float], Optional[float]]:
-    """``formula`` on ``reg`` and on ``reg.swap()``, ``None`` where it is undefined."""
-    rates = []
-    for moduli in (reg, reg.swap()):
+# --- the method table: the one place a method name is defined ------------------
+
+
+class Method(NamedTuple):
+    """A method's orientation, tuning and rate.  Of its ``kind``, ``"prs_lev"``
+    takes a ``delta``, ``"prs"`` and ``"drs"`` a ``tau``, and ``"fista"`` neither,
+    nor a recording.  The solve runs on ``problem.swap()`` if ``swap_problem``;
+    ``tuning(moduli, delta, tau)``, a splitting solve's ``(LeverageParams,
+    relaxation)``, and ``formula(moduli)``, its rate, read ``reg.swap()`` if
+    ``swap_moduli``."""
+
+    name: str
+    kind: str
+    swap_problem: bool
+    swap_moduli: bool
+    tuning: Optional[Callable]  # None: FISTA's own step
+    formula: Callable
+
+    def rate(self, reg: RegularityParams) -> Optional[float]:
+        """The rate on a problem of moduli ``reg``, ``None`` where the tuning is undefined."""
         try:
-            rates.append(formula(moduli))
+            return self.formula(reg.swap() if self.swap_moduli else reg)
         except NotStronglyRegular:
-            rates.append(None)
-    return tuple(rates)
+            return None
 
 
-def fista_rate_bounds(reg: RegularityParams) -> tuple[Optional[float], Optional[float]]:
-    """Per-iteration rate bounds of FISTA forward on f (needs alpha > 0) and, by the
-    same formula on ``reg.swap()``, forward on g (needs beta > 0); ``None`` if undefined."""
-    return _mirrored(_fista_rate, reg)
+def _leveraged(moduli, delta, tau):
+    # delta*, unless alpha = 0 or beta = 0 puts it on an endpoint, where eta = 0 is
+    # out of range: then the midpoint of [-rho, mu], as r* is flat on the interval
+    if delta is None:
+        endpoint = moduli.alpha == 0.0 or moduli.beta == 0.0
+        delta = (moduli.mu - moduli.rho) / 2.0 if endpoint else delta_star(moduli)
+    return optimal_params(moduli, delta), 1.0
+
+
+def _classical(moduli, delta, tau):
+    return LeverageParams(0.0, 0.0, classical_prs_optimal(moduli)[0] if tau is None else tau), 1.0
+
+
+def _relaxed(moduli, delta, tau):
+    tau, lam, _ = drs_optimal_rate(moduli, tau)
+    return LeverageParams(0.0, 0.0, tau), lam
+
+
+# The tunings and formulas look the rates functions up at call time, so that a
+# function replaced on this module (by a test or a tracer) is the one called.
+# prs2 runs f first with g's tuning; drs2 has no command.  Among equal rates,
+# dominance_report keeps this order.
+METHODS = {name: Method(name, *record) for name, *record in (
+    ("prs_lev", "prs_lev", False, False, _leveraged, lambda m: optimal_rate(m)),
+    ("prs1", "prs", False, False, _classical, lambda m: classical_prs_optimal(m)[1]),
+    ("prs2", "prs", False, True, _classical, lambda m: classical_prs_optimal(m)[1]),
+    ("drs", "drs", False, False, _relaxed, lambda m: drs_optimal_rate(m)[2]),
+    ("drs2", "drs", True, True, _relaxed, lambda m: drs_optimal_rate(m)[2]),
+    ("fista1", "fista", False, False, None, lambda m: _fista_rate(m)),
+    ("fista2", "fista", True, True, None, lambda m: _fista_rate(m)),
+)}
+METHODS["prs"] = METHODS["prs1"]  # the name solve and restore use
 
 
 def dominance_report(reg: RegularityParams) -> list[tuple[str, Optional[float]]]:
-    """All closed-form rates, ``prs_lev`` first, then the baselines ascending, with
-    ``None`` for undefined ones.
+    """Every method's rate (:data:`METHODS`, an alias once), ``prs_lev`` first,
+    then the baselines ascending, with ``None`` for undefined ones.
 
-    Each baseline's g-first row is its f-first formula on ``reg.swap()``:
-    ``prs1``/``prs2`` classical PRS on f's/g's moduli, ``fista1``/``fista2``
-    FISTA forward on f/g, ``drs`` the relaxed-DRS bound ``1/(1+sqrt(beta*rho))``
-    for f strongly convex and g smooth (Giselsson & Boyd, IEEE TAC 2017), and
-    ``drs2`` its mirror ``1/(1+sqrt(alpha*mu))``, g strongly convex, f smooth.
+    Each baseline's g-first row is its f-first formula on ``reg.swap()``; ``drs``
+    is the relaxed-DRS bound ``1/(1+sqrt(beta*rho))`` for f strongly convex and
+    g smooth (Giselsson & Boyd, IEEE TAC 2017).
 
     Under the leveraged hypotheses the leveraged rate is strictly the smallest
     defined entry, with one exception: when one function has ``rho = alpha = 0``
@@ -263,13 +305,9 @@ def dominance_report(reg: RegularityParams) -> list[tuple[str, Optional[float]]]
     to 1 may tie it too; ``r*`` is listed before every entry it ties, even one
     a few ulps below it.  A violation raises ``RuntimeError``.
     """
-    r_star = optimal_rate(reg)  # validates the moduli
-    entries: list[tuple[str, Optional[float]]] = [("prs_lev", r_star)]
-    for names, rates in ((("prs1", "prs2"), _mirrored(lambda r: classical_prs_optimal(r)[1], reg)),
-                         (("drs", "drs2"), _mirrored(lambda r: drs_optimal_rate(r)[2], reg)),
-                         (("fista1", "fista2"), fista_rate_bounds(reg))):
-        entries += zip(names, rates)
-
+    # r* first: it validates the moduli
+    entries = [(name, method.rate(reg)) for name, method in METHODS.items() if method.name == name]
+    r_star = entries[0][1]
     tie = "prs2" if reg.rho == reg.alpha == 0.0 else "prs1" if reg.mu == reg.beta == 0.0 else None
     slack = 4.0 * np.finfo(float).eps
     if not all(r_star < rate or ((name == tie or not slack < rate < 1.0 - slack)

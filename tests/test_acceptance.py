@@ -19,8 +19,8 @@ from prsplit.harness import (
 )
 from prsplit.leverage import QuadraticFunction
 from prsplit.rates import (
+    METHODS,
     delta_star,
-    fista_rate_bounds,
     optimal_params,
     optimal_rate,
     rate_bundle,
@@ -105,7 +105,8 @@ def test_criterion_4_dominance_inequalities():
         ok &= r_star < prs_g - 1e-12 if reg.beta * reg.mu < 1 else r_star <= prs_g + 1e-12
         f1 = reg.alpha * (reg.rho + reg.mu) / (1 + reg.alpha * reg.mu)
         f2 = reg.beta * (reg.rho + reg.mu) / (1 + reg.beta * reg.rho)
-        for f, loose in zip((f1, f2), fista_rate_bounds(reg)):
+        bounds = (METHODS[name].rate(reg) for name in ("fista1", "fista2"))
+        for f, loose in zip((f1, f2), bounds):
             tight = (1 - math.sqrt(f)) / (1 + math.sqrt(f))
             ok &= r_star < tight + 1e-12 <= loose + 1e-12
     elapsed = time.perf_counter() - start

@@ -574,6 +574,20 @@ def test_rates_where_floating_point_ties(capsys, moduli, r_star, table):
     assert "\n".join(table) in out.split("method       rate\n")[1]
 
 
+# the full stdout of `rates`, byte for byte, at the moduli of this file's rates
+# cases, of the CI's rates runs and of one generic set: "$ prsplit rates <flags>"
+# and then the lines that command prints
+_RATES_STDOUT = re.split(r"^\$ prsplit rates (.*)\n",
+                         (Path(__file__).parent / "rates_stdout.txt").read_text(), flags=re.M)
+
+
+@pytest.mark.parametrize("flags, stdout", zip(_RATES_STDOUT[1::2], _RATES_STDOUT[2::2]),
+                         ids=_RATES_STDOUT[1::2])
+def test_rates_prints_its_pinned_table(capsys, flags, stdout):
+    assert main(["rates", *flags.split()]) == 0
+    assert capsys.readouterr() == (stdout, "")
+
+
 def test_rates_without_leverage_is_a_one_line_error(capsys):
     code = main(["rates", "--rho", "0", "--alpha", "0", "--mu", "0", "--beta", "1"])
     assert code == 2

@@ -35,8 +35,10 @@ from prsplit.harness import (
     synthetic_image,
 )
 from prsplit.rates import (
+    METHODS,
     classical_prs_optimal,
     delta_star,
+    dominance_report,
     drs_optimal_rate,
     optimal_params,
     optimal_rate,
@@ -73,7 +75,9 @@ def _tuned_directly(problem, method, config, z0):
     if method in ("prs", "prs1", "prs2"):
         tau = classical_prs_optimal(reg.swap() if method == "prs2" else reg)[0]
         return prs_lev_solve(problem, LeverageParams(0.0, 0.0, tau), config, z0=z0)
-    if method == "drs":
+    if method in ("drs", "drs2"):
+        if method == "drs2":
+            problem, reg = problem.swap(), reg.swap()
         tau, lam, _ = drs_optimal_rate(reg)
         return prs_lev_solve(problem, LeverageParams(0.0, 0.0, tau), config, z0=z0, lam=lam)
     x, trace = fista_solve(problem if method == "fista1" else problem.swap(), config)
@@ -89,7 +93,7 @@ def _offset_pair(zero_a=False):
 
 class TestSolveMethod:
     CASES = [(name, False) for name in
-             ("prs_lev", "prs", "prs1", "prs2", "drs", "fista1", "fista2")]
+             ("prs_lev", "prs", "prs1", "prs2", "drs", "drs2", "fista1", "fista2")]
     CASES.append(("prs_lev", True))  # alpha = 0: the midpoint of [-rho, mu]
 
     @pytest.mark.parametrize("method, zero_a", CASES,
@@ -144,9 +148,47 @@ class TestSolveMethod:
         assert np.array(trace.residuals).tobytes() == np.array(ref.residuals).tobytes()
         assert np.array(trace.distances).tobytes() == np.array(ref.distances).tobytes()
 
+    def test_every_command_and_report_name_is_a_table_key(self):
+        names = {*harness.SOLVE_METHODS, *harness.RESTORE_METHODS, *harness.BENCH_METHODS}
+        names |= {name for name, _ in dominance_report(_offset_pair().regularity)}
+        assert names <= METHODS.keys()
+        for name in names:
+            trace = solve_method(_offset_pair(), name, SolverConfig(max_iter=5000, tol=1e-10))[2]
+            assert trace.status == "converged", name
+
+    @pytest.mark.parametrize("record", [True, False], ids=["trace-on", "trace-off"])
+    def test_prs_is_prs1(self, record):
+        # one record under two names: the same solve, bit for bit
+        problem = generate_instance(20, 30, 30, seed=4)
+        config = SolverConfig(max_iter=5000, tol=1e-10, record_trace=record)
+        z0 = np.random.default_rng(10).standard_normal(20)
+        (x, z, trace), (x1, z1, trace1) = (solve_method(problem, name, config, z0=z0)
+                                           for name in ("prs", "prs1"))
+        assert trace.status == "converged" and trace.iterations > 1
+        assert (trace.status, trace.iterations) == (trace1.status, trace1.iterations)
+        assert (x.tobytes(), z.tobytes()) == (x1.tobytes(), z1.tobytes())
+        for column in ("residuals", "distances"):
+            got, want = (np.array(getattr(t, column)) for t in (trace, trace1))
+            assert got.tobytes() == want.tobytes() and (got.size > 0) == record
+
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError, match="unknown method 'bogus'"):
             solve_method(_offset_pair(), "bogus", SolverConfig())
+
+    @pytest.mark.parametrize("method, kwargs, message", [
+        ("bogus", {"delta": 0.0}, "method 'bogus' takes no delta"),
+        ("bogus", {"tau": 1.0}, "unknown method 'bogus'"),
+        ("prs", {"delta": 0.0}, "method 'prs' takes no delta"),
+        ("drs2", {"delta": 0.0, "tau": 1.0}, "method 'drs2' takes no delta"),
+        ("prs_lev", {"tau": 1.0}, "method 'prs_lev' takes no tau"),
+        ("fista2", {"tau": 1.0, "recording": Recording()}, "method 'fista2' takes no tau"),
+        ("fista1", {"recording": Recording()}, "method 'fista1' takes no recording"),
+    ])
+    def test_an_argument_the_method_does_not_take_raises(self, method, kwargs, message):
+        # the first check that fails names the fault, in this order
+        with pytest.raises(ValueError) as raised:
+            solve_method(_offset_pair(), method, SolverConfig(), **kwargs)
+        assert str(raised.value) == message
 
 
 class TestInstances:

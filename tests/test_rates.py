@@ -13,11 +13,12 @@ from prsplit.rates import (
     delta_star,
     dominance_report,
     drs_optimal_rate,
-    fista_rate_bounds,
     optimal_params,
     optimal_rate,
     rate_bundle,
     rate_constancy_check,
+    METHODS,
+    _fista_rate,
     _one_minus_product,
 )
 
@@ -285,7 +286,7 @@ class TestBaselines:
         # where (1 - s)/(1 + s) and 1 - sqrt(q) lost up to every digit
         formula, reference = {
             "prs": (lambda reg: classical_prs_optimal(reg)[1], classical_prs_optimal_reference),
-            "fista": (lambda reg: fista_rate_bounds(reg)[0], fista_rate_reference),
+            "fista": (_fista_rate, fista_rate_reference),
         }[name]
         rng = np.random.default_rng(7 + boundary)
         worst = 0.0
@@ -307,7 +308,7 @@ class TestBaselines:
             for x in (0.25, 0.5, 2.0, 4.0, 1024.0):  # 1/x is exact
                 exact = RegularityParams(1.0 / x, x, reg.mu, reg.beta)
                 assert classical_prs_optimal(exact)[1] == 0.0
-                assert fista_rate_bounds(exact)[0] == 0.0
+                assert _fista_rate(exact) == 0.0
 
     def test_drs_optimal(self):
         reg = RegularityParams(rho=1.0, alpha=0.0, mu=0.0, beta=1.0)
@@ -442,7 +443,6 @@ class TestDominance:
             report, mirror = dict(dominance_report(reg)), dict(dominance_report(reg.swap()))
             for second, first in (("prs2", "prs1"), ("drs2", "drs"), ("fista2", "fista1")):
                 assert report[second] == mirror[first], (reg, second)
-            assert fista_rate_bounds(reg)[1] == fista_rate_bounds(reg.swap())[0]
 
     def test_violated_dominance_raises(self, monkeypatch):
         # an explicit raise, not an assert that ``python -O`` would strip
@@ -457,7 +457,62 @@ class TestDominance:
             r_star = optimal_rate(reg)
             f1 = reg.alpha * (reg.rho + reg.mu) / (1 + reg.alpha * reg.mu)
             f2 = reg.beta * (reg.rho + reg.mu) / (1 + reg.beta * reg.rho)
-            for f, bound in zip((f1, f2), fista_rate_bounds(reg)):
+            bounds = (METHODS[name].rate(reg) for name in ("fista1", "fista2"))
+            for f, bound in zip((f1, f2), bounds):
                 tight = (1 - math.sqrt(f)) / (1 + math.sqrt(f))
                 assert r_star < tight + 1e-12
                 assert tight <= bound == pytest.approx(1 - math.sqrt(f))
+
+
+class TestMethodTable:
+    # the absent functions, the exact quadratics and the undefined rows of
+    # TestDominance, and a pair where relaxed DRS ties FISTA at 0.5
+    BOUNDARY = [RegularityParams(0.0, 0.0, 1.0, 0.5), RegularityParams(1.0, 0.5, 0.0, 0.0),
+                RegularityParams(1.0, 1.0, 0.0, 1.0), RegularityParams(0.0, 1.0, 1.0, 1.0),
+                RegularityParams(0.5, 2.0, 0.25, 4.0), RegularityParams(0.3, 2.0, 0.5, 2.0),
+                RegularityParams(1e-33, 1.0, 0.0, 1.0), RegularityParams(1.0, 0.0, 0.0, 1.0),
+                RegularityParams(1.0, 0.25, 0.0, 1.0)]
+
+    @staticmethod
+    def _closed_forms(reg):
+        # each name's closed form, on the moduli it is tuned by
+        def defined(formula, moduli):
+            try:
+                return formula(moduli)
+            except NotStronglyRegular:
+                return None
+        return {"prs_lev": optimal_rate(reg),
+                "prs1": defined(lambda m: classical_prs_optimal(m)[1], reg),
+                "prs2": defined(lambda m: classical_prs_optimal(m)[1], reg.swap()),
+                "drs": defined(lambda m: drs_optimal_rate(m)[2], reg),
+                "drs2": defined(lambda m: drs_optimal_rate(m)[2], reg.swap()),
+                "fista1": defined(_fista_rate, reg),
+                "fista2": defined(_fista_rate, reg.swap())}
+
+    def test_each_rate_is_its_report_entry_bit_for_bit(self, rng):
+        regs = [sample_regularity(rng, zero_rho=i % 4 == 1, zero_mu=i % 4 == 2)
+                for i in range(200)] + self.BOUNDARY
+        for reg in regs:
+            report = dominance_report(reg)
+            expected = self._closed_forms(reg)
+            assert sorted(name for name, _ in report) == sorted(expected)
+            for name, rate in report:
+                table = METHODS[name].rate(reg)
+                if rate is None:
+                    assert table is None and expected[name] is None, (reg, name)
+                else:
+                    assert table.hex() == rate.hex() == expected[name].hex(), (reg, name)
+
+    def test_report_keeps_the_table_order_among_equal_rates(self):
+        canonical = [name for name, method in METHODS.items() if method.name == name]
+        assert canonical == ["prs_lev", "prs1", "prs2", "drs", "drs2", "fista1", "fista2"]
+        assert METHODS["prs"] is METHODS["prs1"]
+        # every rate rounds to 1; mu = 0 leaves prs2 and drs2 undefined
+        report = dominance_report(RegularityParams(1e-33, 1.0, 0.0, 1.0))
+        assert report == [("prs_lev", 1.0), ("prs1", 1.0), ("drs", 1.0), ("fista1", 1.0),
+                          ("fista2", 1.0), ("prs2", None), ("drs2", None)]
+        # relaxed DRS ties FISTA forward on f at 0.5
+        report = dominance_report(RegularityParams(1.0, 0.25, 0.0, 1.0))
+        assert [name for name, _ in report] == ["prs_lev", "fista2", "prs1", "drs", "fista1",
+                                                "prs2", "drs2"]
+        assert dict(report)["drs"] == dict(report)["fista1"] == 0.5

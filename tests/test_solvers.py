@@ -20,7 +20,7 @@ from prsplit.errors import DeltaOutOfRange, EtaOutOfRange, NotSmooth, TauTooSmal
 from prsplit.harness import make_least_squares_problem, solve_method
 from prsplit.leverage import QuadraticFunction
 from prsplit.proxlib import HuberFn, LeastSquaresFn
-from prsplit.rates import delta_star, optimal_params, optimal_rate, rate_bundle
+from prsplit.rates import METHODS, delta_star, optimal_params, optimal_rate, rate_bundle
 from prsplit.solvers import (
     SolverConfig,
     _Monitor,
@@ -626,22 +626,43 @@ class TestClassicAndRelaxed:
         ratios = trace.ratios()
         assert np.nanmax(ratios) <= bound + 1e-12
 
+    def _relaxed_ratios(self, method):
+        reg = RegularityParams(rho=1.0, alpha=0.25, mu=0.0, beta=1.0)
+        problem = tight_problem(reg if method == "drs" else reg.swap())
+        bound = METHODS[method].rate(problem.regularity)
+        assert bound == pytest.approx(0.5)
+        config = SolverConfig(max_iter=60, tol=1e-300, stopping="residual")
+        _, _, trace = solve_method(problem, method, config, z0=np.array([1.0, 1.0]))
+        return trace.ratios(), bound
+
     def test_relaxed_tuning_meets_its_rate(self):
         # f strongly convex, g smooth: the tuned relaxation contracts at
         # least as fast as 1/(1+sqrt(beta*rho)) empirically
-        from prsplit.rates import drs_optimal_rate
-
-        reg = RegularityParams(rho=1.0, alpha=0.25, mu=0.0, beta=1.0)
-        problem = tight_problem(reg)
-        tau, lam, bound = drs_optimal_rate(reg)
-        assert bound == pytest.approx(0.5)
-        config = SolverConfig(max_iter=60, tol=1e-300, stopping="residual")
-        _, _, trace = prs_lev_solve(
-            problem, classical(tau), config, z0=np.array([1.0, 1.0]), z_star=np.zeros(2), lam=lam
-        )
-        ratios = trace.ratios()
+        ratios, bound = self._relaxed_ratios("drs")
         # ignore the last few steps where distances reach the float floor
         assert np.nanmax(ratios[:40]) <= bound + 1e-9
+
+    def test_mirrored_relaxed_tuning_meets_its_rate(self):
+        # drs2 on the mirrored pair, g strongly convex and f smooth, at its
+        # table rate
+        ratios, bound = self._relaxed_ratios("drs2")
+        assert np.nanmax(ratios[:40]) <= bound + 1e-9
+
+    @pytest.mark.parametrize("record", [True, False], ids=["trace-on", "trace-off"])
+    def test_drs2_is_drs_on_the_mirrored_pair(self, record):
+        # the 45x30 pair of the CI's blocked-step job, and its mirror A<->B,
+        # a<->b, as solve reads them from a problem file
+        r = np.random.default_rng(3)
+        A, a = 0.5 * r.random((45, 30)), r.standard_normal(45)
+        B, b = 0.5 * r.random((45, 30)), r.standard_normal(45)
+        config = SolverConfig(max_iter=10000, tol=1e-10, record_trace=record)
+        x, z, trace = solve_method(make_least_squares_problem(A, a, B, b), "drs2", config)
+        x_ref, z_ref, ref = solve_method(make_least_squares_problem(B, b, A, a), "drs", config)
+        assert trace.status == "converged" and trace.iterations > 33
+        assert (trace.status, trace.iterations) == (ref.status, ref.iterations)
+        assert (x.tobytes(), z.tobytes()) == (x_ref.tobytes(), z_ref.tobytes())
+        assert np.array(trace.residuals).tobytes() == np.array(ref.residuals).tobytes()
+        assert np.array(trace.distances).tobytes() == np.array(ref.distances).tobytes()
 
     def test_divergence_detected_for_a_fake_oracle(self, rng):
         # not a prox of anything: an expansive map, which the theory forbids
